@@ -169,6 +169,7 @@ executeInjection(const CampaignConfig &config,
         const auto result = runIotApp(workload);
         run.fired = injector.fired();
         run.outcome = classifyIot(result, refs.iotRef, run.fired);
+        run.finalDigest = result.finalDigest;
     } else {
         run.plan = injector.planNext(refs.cmRef.cycles, mem::kSramBase,
                                      kCmMemSize);
@@ -178,6 +179,7 @@ executeInjection(const CampaignConfig &config,
         const auto result = runCoreMark(workload, "injected");
         run.fired = injector.fired();
         run.outcome = classifyCoreMark(result, refs.cmRef, run.fired);
+        run.finalDigest = result.finalDigest;
     }
     run.safetyViolations = injector.safetyViolations.value();
     return run;

@@ -93,6 +93,8 @@ struct CampaignRun
     bool fired = false;
     Outcome outcome = Outcome::NotTriggered;
     uint64_t safetyViolations = 0;
+    /** Whole-machine state digest at the end of the injected run. */
+    uint32_t finalDigest = 0;
 };
 
 struct CampaignReport

@@ -6,6 +6,8 @@
 #include "sim/csr.h"
 #include "util/log.h"
 
+#include <algorithm>
+
 namespace cheriot::fault
 {
 
@@ -49,6 +51,34 @@ faultSiteName(FaultSite site)
       case FaultSite::kCount: break;
     }
     return "unknown";
+}
+
+bool
+isCycleTriggered(FaultSite site)
+{
+    switch (site) {
+      case FaultSite::TagClear:
+      case FaultSite::DataFlip:
+      case FaultSite::RevokerStall:
+      case FaultSite::RevokerStuckEpoch:
+      case FaultSite::BitmapCorrupt:
+      case FaultSite::SpuriousFault:
+      case FaultSite::FaultStorm:
+        return true;
+      case FaultSite::BusDrop:
+      case FaultSite::BusDelay:
+      case FaultSite::MallocStall:
+      case FaultSite::NicDmaCorrupt:
+      case FaultSite::NicRingCorrupt:
+      case FaultSite::NicLinkDrop:
+      case FaultSite::SwitchPortStall:
+      case FaultSite::FlowStateCorrupt:
+      case FaultSite::BrokerQueueCorrupt:
+      case FaultSite::CapTableCorrupt:
+      case FaultSite::kCount:
+        break;
+    }
+    return false;
 }
 
 FaultInjector::FaultInjector(uint64_t seed)
@@ -249,24 +279,23 @@ FaultInjector::tick(uint64_t nowCycle)
     if (stalled_ && nowCycle >= stallDeadline_) {
         stalled_ = false;
     }
-    if (!armed_ || fired_) {
-        return;
-    }
-    if (plan_.site == FaultSite::BusDrop ||
-        plan_.site == FaultSite::BusDelay ||
-        plan_.site == FaultSite::MallocStall ||
-        plan_.site == FaultSite::NicDmaCorrupt ||
-        plan_.site == FaultSite::NicRingCorrupt ||
-        plan_.site == FaultSite::NicLinkDrop ||
-        plan_.site == FaultSite::SwitchPortStall ||
-        plan_.site == FaultSite::FlowStateCorrupt ||
-        plan_.site == FaultSite::BrokerQueueCorrupt ||
-        plan_.site == FaultSite::CapTableCorrupt) {
-        return; // Event-triggered, not cycle-triggered.
-    }
-    if (nowCycle >= plan_.triggerCycle) {
+    if (armed_ && !fired_ && isCycleTriggered(plan_.site) &&
+        nowCycle >= plan_.triggerCycle) {
         fire(nowCycle);
     }
+}
+
+uint64_t
+FaultInjector::nextEventCycle(uint64_t now) const
+{
+    uint64_t next = kNever;
+    if (stalled_) {
+        next = std::max(now + 1, stallDeadline_);
+    }
+    if (armed_ && !fired_ && isCycleTriggered(plan_.site)) {
+        next = std::min(next, std::max(now + 1, plan_.triggerCycle));
+    }
+    return next;
 }
 
 bool

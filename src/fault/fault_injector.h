@@ -94,6 +94,10 @@ constexpr uint32_t kFaultSiteCount =
 
 const char *faultSiteName(FaultSite site);
 
+/** Is @p site delivered by FaultInjector::tick at its trigger cycle?
+ * The rest are event-triggered, delivered by their own hooks. */
+bool isCycleTriggered(FaultSite site);
+
 /** One scheduled injection. */
 struct FaultPlan
 {
@@ -139,6 +143,15 @@ class FaultInjector
     /** @name Machine hooks @{ */
     /** Cycle hook: delivers cycle-triggered faults. */
     void tick(uint64_t nowCycle);
+    /** nextEventCycle() when no cycle can change the injector. */
+    static constexpr uint64_t kNever = ~uint64_t{0};
+    /**
+     * First cycle after @p now at which tick() can change state: the
+     * stall deadline, or the trigger cycle of an armed, unfired,
+     * cycle-triggered plan; kNever if neither. tick() at any earlier
+     * cycle is a no-op, so the machine may advance straight to it.
+     */
+    uint64_t nextEventCycle(uint64_t now) const;
     /**
      * Consume a pending spurious fault. Polled both by the guest-ISA
      * step loop (trap) and by the switcher on callee return (callee

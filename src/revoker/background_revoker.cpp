@@ -120,7 +120,37 @@ BackgroundRevoker::tick(bool memPortFree)
         stallCycles++;
         return false;
     }
+    return beat();
+}
 
+void
+BackgroundRevoker::advance(uint64_t cycles, uint64_t busyPrefix)
+{
+    // Busy cycles and idle cycles change nothing, so only the free
+    // cycles of a sweep cost host time.
+    if (!sweeping() || busyPrefix >= cycles) {
+        return;
+    }
+    uint64_t freeCycles = cycles - busyPrefix;
+    if (injector_ != nullptr && injector_->revokerStalled()) {
+        stallCycles += freeCycles;
+        return;
+    }
+    const bool epochHeld =
+        injector_ != nullptr && injector_->suppressEpochIncrement();
+    for (; freeCycles > 0 && sweeping(); --freeCycles) {
+        beat();
+        if (epochHeld && drained()) {
+            // A stuck epoch holds the completion: every further beat
+            // retries finishSweep() and changes nothing.
+            return;
+        }
+    }
+}
+
+bool
+BackgroundRevoker::beat()
+{
     // Priority 1: writebacks. A single tag-clearing write suffices
     // because the architectural tag is the AND of the micro-tags.
     for (Slot &slot : slots_) {
@@ -134,7 +164,28 @@ BackgroundRevoker::tick(bool memPortFree)
         }
     }
 
-    // Priority 2: advance a pending load by one beat.
+    // Priority 2: advance a pending load by one beat. One port, one
+    // beat per cycle: the other slot's first beat waits.
+    if (loadBeat()) {
+        return true;
+    }
+
+    // Priority 3: issue the next load; its first beat is consumed
+    // this cycle.
+    if (issueNextLoad() && loadBeat()) {
+        return true;
+    }
+
+    // Nothing left in flight and no more words: the sweep is done.
+    if (drained()) {
+        finishSweep();
+    }
+    return false;
+}
+
+bool
+BackgroundRevoker::loadBeat()
+{
     for (Slot &slot : slots_) {
         if (slot.valid && !slot.loaded && slot.beatsLeft > 0) {
             slot.beatsLeft--;
@@ -142,34 +193,9 @@ BackgroundRevoker::tick(bool memPortFree)
             if (slot.beatsLeft == 0) {
                 slot.loaded = true;
                 examine(slot);
-            } else {
-                // Pipelining: while this slot waits for its next
-                // beat, try to issue the other slot's first beat is
-                // not modelled — one port, one beat per cycle.
             }
             return true;
         }
-    }
-
-    // Priority 3: issue the next load.
-    if (issueNextLoad()) {
-        // The issued beat itself is consumed this cycle.
-        for (Slot &slot : slots_) {
-            if (slot.valid && !slot.loaded && slot.beatsLeft > 0) {
-                slot.beatsLeft--;
-                portCycles++;
-                if (slot.beatsLeft == 0) {
-                    slot.loaded = true;
-                    examine(slot);
-                }
-                return true;
-            }
-        }
-    }
-
-    // Nothing left in flight and no more words: the sweep is done.
-    if (cursor_ >= endReg_ && !slots_[0].valid && !slots_[1].valid) {
-        finishSweep();
     }
     return false;
 }
@@ -200,9 +226,7 @@ BackgroundRevoker::read32(uint32_t offset)
       case 0x0: return startReg_;
       case 0x4: return endReg_;
       case 0x8: return epoch_;
-      case 0xc: return 0; // kick is write-only.
-      default:
-        panic("background revoker: read of unknown register 0x%x", offset);
+      default: return 0; // kick is write-only; the rest unassigned.
     }
 }
 
@@ -216,8 +240,6 @@ BackgroundRevoker::write32(uint32_t offset, uint32_t value)
       case 0x4:
         endReg_ = value;
         break;
-      case 0x8:
-        break; // epoch is read-only.
       case 0xc:
         kicksReceived++;
         if (injector_ != nullptr) {
@@ -228,7 +250,7 @@ BackgroundRevoker::write32(uint32_t offset, uint32_t value)
         startSweep();
         break;
       default:
-        panic("background revoker: write of unknown register 0x%x", offset);
+        break; // epoch is read-only; the rest unassigned.
     }
 }
 

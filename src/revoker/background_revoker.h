@@ -14,6 +14,7 @@
  *   0x4 end    (RW)  one past the last byte
  *   0x8 epoch  (RO)  odd while sweeping
  *   0xC kick   (WO)  any write starts a sweep if none is underway
+ * The rest of the window reads as zero and ignores writes.
  *
  * Writeback optimizations (§7.2.2): the engine only writes back when
  * the tag was stripped, and then issues a single tag-clearing write
@@ -89,9 +90,20 @@ class BackgroundRevoker : public mem::MmioDevice
     /**
      * Advance one cycle. @p memPortFree says whether the main
      * pipeline left the load-store unit idle this cycle. Returns true
-     * if the revoker used the port.
+     * if the revoker used the port. The single-cycle reference for
+     * advance().
      */
     bool tick(bool memPortFree);
+
+    /**
+     * Advance @p cycles cycles, the first @p busyPrefix of them with
+     * the port taken by the main pipeline: exactly @p cycles calls of
+     * tick(i >= busyPrefix), provided the attached injector's stall
+     * and stuck-epoch state does not change inside the window (the
+     * machine ends every window at an injector event). Costs nothing
+     * while idle, one step per free cycle while sweeping.
+     */
+    void advance(uint64_t cycles, uint64_t busyPrefix);
 
     /**
      * Snoop a store from the main pipeline: if it hits a word
@@ -135,8 +147,17 @@ class BackgroundRevoker : public mem::MmioDevice
 
     void startSweep();
     void finishSweep();
+    /** One free, unstalled cycle of the sweep pipeline. */
+    bool beat();
+    /** Advance the first pending load by one beat, if any. */
+    bool loadBeat();
     bool issueNextLoad();
     void examine(Slot &slot);
+    /** Every word issued and retired: only the completion is left. */
+    bool drained() const
+    {
+        return cursor_ >= endReg_ && !slots_[0].valid && !slots_[1].valid;
+    }
 
     mem::TaggedMemory &sram_;
     RevocationBitmap &bitmap_;

@@ -392,7 +392,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
             return;
         }
         uint32_t old = 0;
-        if (!csrs_.read(inst.csr, cycles_, &old)) {
+        if (!csrs_.read(inst.csr, cycles(), &old)) {
             trap(TrapCause::IllegalInstruction, inst.csr);
             return;
         }

@@ -150,6 +150,7 @@ Machine::Machine(const MachineConfig &config)
     decodeCache_.resize(config.sramSize / 4);
     decodeValid_.resize(config.sramSize / 4, false);
 
+    stats_.registerCounter("cycles", cycles_);
     stats_.registerCounter("instructions", instructionsRetired);
     stats_.registerCounter("loads", loads);
     stats_.registerCounter("stores", stores);
@@ -204,15 +205,22 @@ Machine::writeRegInt(unsigned index, uint32_t value)
 void
 Machine::advance(uint64_t cycleCount, uint64_t memPortBusy)
 {
-    for (uint64_t i = 0; i < cycleCount; ++i) {
-        const bool portFree = i >= memPortBusy;
-        bgRevoker_.tick(portFree);
-        ++cycles_;
+    for (uint64_t done = 0; done < cycleCount;) {
+        uint64_t window = cycleCount - done;
         if (injector_ != nullptr) {
-            injector_->tick(cycles_);
+            window = std::min(window, injector_->nextEventCycle(cycles()) -
+                                          cycles());
+        }
+        const uint64_t busy =
+            memPortBusy > done ? std::min(memPortBusy - done, window) : 0;
+        bgRevoker_.advance(window, busy);
+        cycles_ += window;
+        done += window;
+        if (injector_ != nullptr) {
+            injector_->tick(cycles());
         }
     }
-    timer_.tick(cycles_);
+    timer_.tick(cycles());
 }
 
 TrapCause
@@ -586,7 +594,7 @@ Machine::runControl(uint64_t maxInstructions, bool singleStep)
     debug::RunControl &rc = *runControl_;
     rc.clearStop();
     const uint64_t startInstructions = instructions_;
-    const uint64_t startCycles = cycles_;
+    const uint64_t startCycles = cycles();
     bool first = true;
     while (!halted() &&
            instructions_ - startInstructions < maxInstructions) {
@@ -630,7 +638,7 @@ Machine::runControl(uint64_t maxInstructions, bool singleStep)
     RunResult result;
     result.reason = halted() ? halt_ : HaltReason::InstrLimit;
     result.instructions = instructions_ - startInstructions;
-    result.cycles = cycles_ - startCycles;
+    result.cycles = cycles() - startCycles;
     return result;
 }
 
@@ -673,7 +681,7 @@ RunResult
 Machine::run(uint64_t maxInstructions)
 {
     const uint64_t startInstructions = instructions_;
-    const uint64_t startCycles = cycles_;
+    const uint64_t startCycles = cycles();
     while (!halted() &&
            instructions_ - startInstructions < maxInstructions) {
         step();
@@ -681,7 +689,7 @@ Machine::run(uint64_t maxInstructions)
     RunResult result;
     result.reason = halted() ? halt_ : HaltReason::InstrLimit;
     result.instructions = instructions_ - startInstructions;
-    result.cycles = cycles_ - startCycles;
+    result.cycles = cycles() - startCycles;
     return result;
 }
 
@@ -759,7 +767,7 @@ Machine::save(snapshot::SnapshotWriter &out) const
         }
         w.cap(pcc_);
         csrs_.serialize(w);
-        w.u64(cycles_);
+        w.counter(cycles_);
         w.u64(instructions_);
         w.u8(static_cast<uint8_t>(halt_));
         w.u32(static_cast<uint32_t>(lastTrap_));
@@ -824,7 +832,7 @@ Machine::restore(const snapshot::SnapshotReader &in)
         if (!csrs_.deserialize(r)) {
             return false;
         }
-        cycles_ = r.u64();
+        r.counter(cycles_);
         instructions_ = r.u64();
         halt_ = static_cast<HaltReason>(r.u8());
         lastTrap_ = static_cast<TrapCause>(r.u32());

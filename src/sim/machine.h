@@ -111,7 +111,7 @@ struct MachineConfig
     uint32_t heapSize = 256u << 10;
     uint32_t revocationGranule = 8;
     /** Optional fault-injection engine; the machine attaches it to
-     * the SRAM / bitmap / revoker and polls it every cycle. */
+     * the SRAM / bitmap / revoker and ticks it at its events. */
     fault::FaultInjector *injector = nullptr;
 };
 
@@ -176,12 +176,18 @@ class Machine
     uint32_t heapEnd() const { return heapBase() + config_.heapSize; }
 
     /** @name Time @{ */
-    uint64_t cycles() const { return cycles_; }
+    uint64_t cycles() const { return cycles_.value(); }
     uint64_t instructions() const { return instructions_; }
     /**
      * Advance the clock. The first @p memPortBusy cycles have the
      * load-store unit occupied by the main pipeline; remaining cycles
      * leave it free for the background revoker.
+     *
+     * Time advances in windows that end only at the fault injector's
+     * next event (or at @p cycleCount): nothing else can change state
+     * inside a window — stores, MMIO kicks and interrupts all happen
+     * between calls — so each window is one step of the revoker and
+     * one injector tick, equal to ticking both once per cycle.
      */
     void advance(uint64_t cycleCount, uint64_t memPortBusy = 0);
     /** Idle cycles: the port is entirely free. */
@@ -334,7 +340,7 @@ class Machine
     cap::Capability pcc_;
     CsrFile csrs_;
 
-    uint64_t cycles_ = 0;
+    Counter cycles_;
     uint64_t instructions_ = 0;
     HaltReason halt_ = HaltReason::Running;
     TrapCause lastTrap_ = TrapCause::None;

@@ -26,7 +26,9 @@
 namespace cheriot::snapshot
 {
 
-/** CRC-32 (IEEE, reflected) over @p size bytes. */
+/** CRC-32 (IEEE, reflected) over @p size bytes, computed eight bytes
+ * per step (slicing-by-8); equal to the bytewise definition. A
+ * @p seed of a previous result continues that CRC. */
 uint32_t crc32(const uint8_t *data, size_t size, uint32_t seed = 0);
 
 class Writer

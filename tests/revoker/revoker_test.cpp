@@ -6,6 +6,8 @@
  * the epoch/reuse rules.
  */
 
+#include "isa/assembler.h"
+#include "mem/memory_map.h"
 #include "revoker/background_revoker.h"
 #include "revoker/revocation_bitmap.h"
 #include "revoker/revoker.h"
@@ -286,6 +288,69 @@ TEST_F(SweepFixture, SkipSecondHalfOptimizationPreservesBehaviour)
     // per word suffices.
     EXPECT_LT(engine.portCycles.value(),
               (uint64_t{32u << 10} / 8) * 2);
+}
+
+/** The revoker's MMIO window is 0x100 bytes but only 0x0-0xc are
+ * assigned: the rest must read as zero and ignore writes, like every
+ * other device, rather than abort the host. */
+class RevokerMmioFixture : public ::testing::Test
+{
+  protected:
+    RevokerMmioFixture() : machine(config())
+    {
+        engine().write32(0x0, machine.heapBase());
+        engine().write32(0x4, machine.heapBase() + 64);
+    }
+
+    BackgroundRevoker &engine() { return machine.backgroundRevoker(); }
+
+    void expectRegistersUnchanged()
+    {
+        EXPECT_EQ(engine().read32(0x0), machine.heapBase());
+        EXPECT_EQ(engine().read32(0x4), machine.heapBase() + 64);
+        EXPECT_EQ(engine().read32(0x8), 0u);
+        EXPECT_FALSE(engine().sweeping());
+        EXPECT_EQ(engine().kicksReceived.value(), 0u);
+    }
+
+    Machine machine;
+};
+
+TEST_F(RevokerMmioFixture, UnassignedOffsetsReadZeroAndIgnoreWrites)
+{
+    const Capability window = Capability::memoryRoot()
+                                  .withAddress(mem::kRevokerMmioBase)
+                                  .withBounds(mem::kRevokerMmioSize);
+    ASSERT_TRUE(window.tag());
+    for (const uint32_t offset : {0x10u, 0xfcu}) {
+        const uint32_t addr = mem::kRevokerMmioBase + offset;
+        uint32_t value = 0xdeadbeef;
+        EXPECT_EQ(machine.loadData(window, addr, 4, false, &value),
+                  TrapCause::None);
+        EXPECT_EQ(value, 0u);
+        EXPECT_EQ(machine.storeData(window, addr, 4, 0xffffffffu),
+                  TrapCause::None);
+    }
+    expectRegistersUnchanged();
+}
+
+TEST_F(RevokerMmioFixture, GuestLoadFromUnassignedOffsetDoesNotTrap)
+{
+    using namespace cheriot::isa;
+    constexpr uint32_t kEntry = mem::kSramBase + 0x1000;
+    Assembler a(kEntry);
+    a.li(T0, static_cast<int32_t>(mem::kRevokerMmioBase + 0x10));
+    a.csetaddr(A2, A0, T0); // memory root -> revoker window + 0x10
+    a.li(A3, 0x55);
+    a.lw(A3, A2, 0);
+    a.ebreak();
+    machine.loadProgram(a.finish(), kEntry);
+    machine.resetCpu(kEntry);
+    machine.run(100);
+    EXPECT_EQ(machine.haltReason(), sim::HaltReason::Breakpoint);
+    EXPECT_EQ(machine.trapCount(), 0u);
+    EXPECT_EQ(machine.readRegInt(A3), 0u);
+    expectRegistersUnchanged();
 }
 
 } // namespace
