@@ -27,6 +27,12 @@ bool
 FreeList::fits(uint32_t chunk, uint32_t chunkSize, uint32_t need,
                uint32_t alignMask) const
 {
+    // A corrupt boundary tag can claim a size past the heap's end;
+    // splitting such a chunk would write a header outside the heap.
+    // Host-side and uncharged, like forEachChunk's corrupt-tag guard.
+    if (uint64_t{chunk} + chunkSize > view_->heapCap().top()) {
+        return false;
+    }
     const uint32_t pad = alignPad(chunk, alignMask);
     return chunkSize >= pad && chunkSize - pad >= need;
 }

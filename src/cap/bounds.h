@@ -64,6 +64,18 @@ effectiveExponent(uint8_t eField)
     return eField == 0xf ? 24 : eField;
 }
 
+/**
+ * Width of the representable window for an E field. B and T are 9-bit
+ * offsets in 2^e units, so every address in
+ * [base, base + representableSpan(E)) decodes them to the same base
+ * and top (for a base that did not wrap past zero).
+ */
+constexpr uint64_t
+representableSpan(uint8_t eField)
+{
+    return uint64_t{1} << (effectiveExponent(eField) + 9);
+}
+
 /** Largest exponent directly encodable (besides the 0xF ⇒ 24 escape). */
 constexpr unsigned kMaxDirectExponent = 14;
 

@@ -18,43 +18,44 @@ constexpr EncodedBounds kFullBounds = {0xf, 0, 256};
 } // namespace
 
 Capability
-Capability::memoryRoot()
+Capability::makeRoot(EncodedBounds bounds, PermSet perms)
 {
     Capability c;
     c.tag_ = true;
-    c.address_ = 0;
-    c.bounds_ = kFullBounds;
-    c.permsField_ = compressPerms(PermSet(
-        PermGlobal | PermLoad | PermStore | PermMemCap | PermStoreLocal |
-        PermLoadMutable | PermLoadGlobal));
+    c.bounds_ = bounds;
+    c.permsField_ = compressPerms(perms);
+    c.refresh();
     return c;
+}
+
+Capability
+Capability::memoryRoot()
+{
+    static const Capability root = makeRoot(
+        kFullBounds,
+        PermSet(PermGlobal | PermLoad | PermStore | PermMemCap |
+                PermStoreLocal | PermLoadMutable | PermLoadGlobal));
+    return root;
 }
 
 Capability
 Capability::executableRoot()
 {
-    Capability c;
-    c.tag_ = true;
-    c.address_ = 0;
-    c.bounds_ = kFullBounds;
-    c.permsField_ = compressPerms(PermSet(
-        PermGlobal | PermExecute | PermLoad | PermMemCap | PermSystemRegs |
-        PermLoadMutable | PermLoadGlobal));
-    return c;
+    static const Capability root = makeRoot(
+        kFullBounds,
+        PermSet(PermGlobal | PermExecute | PermLoad | PermMemCap |
+                PermSystemRegs | PermLoadMutable | PermLoadGlobal));
+    return root;
 }
 
 Capability
 Capability::sealingRoot()
 {
-    Capability c;
-    c.tag_ = true;
-    c.address_ = 0;
     // Bounds cover the small otype address space only.
-    const auto enc = encodeBounds(0, kOtypeAddressSpaceSize);
-    c.bounds_ = enc.encoded;
-    c.permsField_ = compressPerms(
+    static const Capability root = makeRoot(
+        encodeBounds(0, kOtypeAddressSpaceSize).encoded,
         PermSet(PermGlobal | PermSeal | PermUnseal | PermUser0));
-    return c;
+    return root;
 }
 
 Capability
@@ -70,6 +71,7 @@ Capability::fromBits(uint64_t rawBits, bool tag)
     c.bounds_.base9 = static_cast<uint16_t>(bits(meta, 9u, 9u));
     c.bounds_.top9 = static_cast<uint16_t>(bits(meta, 0u, 9u));
     c.tag_ = tag;
+    c.refresh();
     return c;
 }
 
@@ -86,50 +88,27 @@ Capability::toBits() const
     return (static_cast<uint64_t>(meta) << 32) | address_;
 }
 
-uint32_t
-Capability::base() const
+void
+Capability::refresh()
 {
-    return decodeBounds(bounds_, address_).base;
-}
-
-uint64_t
-Capability::top() const
-{
-    return decodeBounds(bounds_, address_).top;
-}
-
-uint64_t
-Capability::length() const
-{
-    const auto decoded = decodeBounds(bounds_, address_);
-    return decoded.top - decoded.base;
-}
-
-bool
-Capability::inBounds(uint32_t addr, uint32_t size) const
-{
-    const auto decoded = decodeBounds(bounds_, address_);
-    const uint64_t accessTop = static_cast<uint64_t>(addr) + size;
-    return addr >= decoded.base && accessTop <= decoded.top;
+    const DecodedBounds decoded = decodeBounds(bounds_, address_);
+    base_ = decoded.base;
+    top_ = decoded.top;
+    perms_ = decompressPerms(permsField_);
 }
 
 Capability
-Capability::withAddress(uint32_t newAddress) const
+Capability::withAddressOutsideWindow(uint32_t newAddress) const
 {
     Capability c = *this;
     c.address_ = newAddress;
-    if (tag_ &&
-        (isSealed() ||
-         !addressPreservesBounds(bounds_, address_, newAddress))) {
+    c.refresh();
+    // The representable-limit check (addressPreservesBounds), with
+    // the old decode taken from the cache.
+    if (tag_ && (isSealed() || c.base_ != base_ || c.top_ != top_)) {
         c.tag_ = false;
     }
     return c;
-}
-
-Capability
-Capability::withAddressOffset(int64_t offset) const
-{
-    return withAddress(static_cast<uint32_t>(address_ + offset));
 }
 
 Capability
@@ -144,10 +123,9 @@ Capability::withBounds(uint64_t length, bool *exactOut) const
         return c;
     }
 
-    const auto current = decodeBounds(bounds_, address_);
     const uint32_t newBase = address_;
     const uint64_t newTop = static_cast<uint64_t>(newBase) + length;
-    if (newBase < current.base || newTop > current.top ||
+    if (newBase < base_ || newTop > top_ ||
         newTop > (uint64_t{1} << 32)) {
         c.tag_ = false;
         return c;
@@ -159,11 +137,14 @@ Capability::withBounds(uint64_t length, bool *exactOut) const
     }
     // Rounding can only grow the window; growth that escapes the
     // original authority must not produce a tagged capability.
-    if (enc.decoded.base < current.base || enc.decoded.top > current.top) {
+    if (enc.decoded.base < base_ || enc.decoded.top > top_) {
         c.tag_ = false;
         return c;
     }
+    // The encoder decoded its result at this same address.
     c.bounds_ = enc.encoded;
+    c.base_ = enc.decoded.base;
+    c.top_ = enc.decoded.top;
     return c;
 }
 
@@ -186,7 +167,8 @@ Capability::withPermsAnd(uint16_t mask) const
         c.tag_ = false;
         return c;
     }
-    c.permsField_ = compressPerms(perms().intersect(PermSet(mask)));
+    c.permsField_ = compressPerms(perms_.intersect(PermSet(mask)));
+    c.refresh();
     return c;
 }
 
@@ -204,15 +186,21 @@ Capability::attenuatedForLoad(PermSet authorityPerms) const
     if (!tag_) {
         return *this;
     }
-    Capability c = *this;
-    PermSet p = perms();
+    PermSet p = perms_;
     if (!authorityPerms.has(PermLoadGlobal)) {
         p = p.without(PermGlobal | PermLoadGlobal);
     }
     if (!authorityPerms.has(PermLoadMutable) && !p.has(PermExecute)) {
         p = p.without(PermStore | PermLoadMutable);
     }
+    if (p == perms_) {
+        // Every field round-trips exactly through decompress and
+        // compress, so re-compressing would reproduce permsField_.
+        return *this;
+    }
+    Capability c = *this;
     c.permsField_ = compressPerms(p);
+    c.refresh();
     return c;
 }
 

@@ -59,28 +59,39 @@ class Capability
     /** Reconstruct a capability from its packed memory image. */
     static Capability fromBits(uint64_t bits, bool tag);
 
+    /**
+     * An integer in the merged register file: the null capability
+     * with its address set, equal to Capability().withAddress(value).
+     * Null bounds (E = B = T = 0) decode at any address to the empty
+     * window at the address's 512-byte-aligned floor.
+     */
+    static Capability fromInteger(uint32_t value)
+    {
+        return Capability(value);
+    }
+
     /** Pack into the 64-bit memory image (tag carried out of band). */
     uint64_t toBits() const;
 
     /** @name Field accessors @{ */
     bool tag() const { return tag_; }
     uint32_t address() const { return address_; }
-    PermSet perms() const { return decompressPerms(permsField_); }
+    PermSet perms() const { return perms_; }
     uint8_t permsField() const { return permsField_; }
     uint8_t otype() const { return otype_; }
     bool isSealed() const { return otype_ != kOtypeUnsealed; }
     const EncodedBounds &encodedBounds() const { return bounds_; }
-    uint32_t base() const;
-    uint64_t top() const;
-    uint64_t length() const;
+    uint32_t base() const { return base_; }
+    uint64_t top() const { return top_; }
+    uint64_t length() const { return top_ - base_; }
     /** @} */
 
     /** True iff the permissions use the executable format (and thus
      * the otype, if any, lives in the executable namespace). */
-    bool isExecutable() const { return perms().has(PermExecute); }
+    bool isExecutable() const { return perms_.has(PermExecute); }
 
     /** A capability is local iff it lacks the Global permission. */
-    bool isLocal() const { return !perms().has(PermGlobal); }
+    bool isLocal() const { return !perms_.has(PermGlobal); }
 
     /** Forward sentry: sealed executable with a sentry otype. */
     bool isForwardSentry() const
@@ -95,16 +106,48 @@ class Capability
     }
 
     /** @name In-bounds checks for memory access @{ */
-    bool inBounds(uint32_t addr, uint32_t size) const;
+    bool inBounds(uint32_t addr, uint32_t size) const
+    {
+        return addr >= base_ && uint64_t{addr} + size <= top_;
+    }
     /** @} */
 
     /** @name Guarded manipulation (monotone; may clear the tag) @{ */
 
     /** Replace the address; untag if sealed or unrepresentable. */
-    Capability withAddress(uint32_t newAddress) const;
+    Capability withAddress(uint32_t newAddress) const
+    {
+        Capability c = *this;
+        c.setAddress(newAddress);
+        return c;
+    }
+
+    /** In place: *this = withAddress(newAddress). The hot paths (PCC
+     * on every instruction) update in place to spare a 32-byte copy. */
+    void setAddress(uint32_t newAddress)
+    {
+        // Every address in [base, base + 2^(e+9)) decodes the bounds
+        // fields to this same window, so the decoded fields carry
+        // over. The current address must itself lie in the window:
+        // below it, the cached base wrapped past zero and the window
+        // test would be wrong.
+        if (address_ < base_ ||
+            uint64_t{newAddress} - base_ >=
+                representableSpan(bounds_.exponent)) {
+            *this = withAddressOutsideWindow(newAddress);
+            return;
+        }
+        address_ = newAddress;
+        if (isSealed()) {
+            tag_ = false;
+        }
+    }
 
     /** Add a (signed) offset to the address. */
-    Capability withAddressOffset(int64_t offset) const;
+    Capability withAddressOffset(int64_t offset) const
+    {
+        return withAddress(static_cast<uint32_t>(address_ + offset));
+    }
 
     /**
      * Narrow bounds to [address, address + length). Untag if the
@@ -149,12 +192,38 @@ class Capability
     std::string toString() const;
 
   private:
+    /** The integer @p value (see fromInteger). */
+    explicit constexpr Capability(uint32_t value)
+        : address_(value), base_(value & ~uint32_t{0x1ff}), top_(base_)
+    {}
+
+    /** A tagged root at address 0. */
+    static Capability makeRoot(EncodedBounds bounds, PermSet perms);
+
+    /** Recompute the decoded fields from the encoded ones. */
+    void refresh();
+
+    /** withAddress for a move out of the window: decode afresh and
+     * untag if the bounds changed. */
+    Capability withAddressOutsideWindow(uint32_t newAddress) const;
+
+    /** @name Architectural fields (the 64-bit image and its tag) @{ */
     uint32_t address_ = 0;
     EncodedBounds bounds_ = {0, 0, 0};
     uint8_t permsField_ = 0;
     uint8_t otype_ = 0;
     bool reserved_ = false;
     bool tag_ = false;
+    /** @} */
+
+    /** @name Decoded fields
+     * A host-side cache: always equal to decompressPerms(permsField_)
+     * and decodeBounds(bounds_, address_). Never serialized and never
+     * compared; refresh() restores them after a field edit. @{ */
+    PermSet perms_;
+    uint32_t base_ = 0;
+    uint64_t top_ = 0;
+    /** @} */
 };
 
 /**

@@ -6,6 +6,7 @@
 
 #include "sim/machine.h"
 
+#include "isa/semantics.h"
 #include "util/bits.h"
 #include "util/log.h"
 
@@ -65,14 +66,14 @@ Machine::execute(const Inst &inst, uint32_t pc)
     pendingLoadReg_ = isa::kNumRegs;
 
     const uint32_t nextPc = pc + 4;
-    const Capability rs1 = readReg(inst.rs1);
-    const Capability rs2 = readReg(inst.rs2);
+    const Capability &rs1 = readReg(inst.rs1);
+    const Capability &rs2 = readReg(inst.rs2);
     const uint32_t v1 = rs1.address();
     const uint32_t v2 = rs2.address();
 
     // Common tails -----------------------------------------------------
     auto fallthrough = [&](unsigned cycleCount) {
-        pcc_ = pcc_.withAddress(nextPc);
+        pcc_.setAddress(nextPc);
         advance(cycleCount, 0);
     };
     auto intResult = [&](uint32_t value) {
@@ -124,7 +125,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
                 writeRegInt(inst.rd, nextPc);
             }
         }
-        pcc_ = pcc_.withAddress(pc + inst.imm);
+        pcc_.setAddress(pc + inst.imm);
         advance(1 + cc.jumpPenalty, 0);
         return;
       }
@@ -134,7 +135,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
             if (inst.rd != 0) {
                 writeRegInt(inst.rd, nextPc);
             }
-            pcc_ = pcc_.withAddress((v1 + inst.imm) & ~1u);
+            pcc_.setAddress((v1 + inst.imm) & ~1u);
             advance(1 + cc.jumpPenalty, 0);
             return;
         }
@@ -191,21 +192,8 @@ Machine::execute(const Inst &inst, uint32_t pc)
 
       case Op::Beq: case Op::Bne: case Op::Blt: case Op::Bge:
       case Op::Bltu: case Op::Bgeu: {
-        bool taken = false;
-        switch (inst.op) {
-          case Op::Beq: taken = v1 == v2; break;
-          case Op::Bne: taken = v1 != v2; break;
-          case Op::Blt:
-            taken = static_cast<int32_t>(v1) < static_cast<int32_t>(v2);
-            break;
-          case Op::Bge:
-            taken = static_cast<int32_t>(v1) >= static_cast<int32_t>(v2);
-            break;
-          case Op::Bltu: taken = v1 < v2; break;
-          case Op::Bgeu: taken = v1 >= v2; break;
-          default: break;
-        }
-        pcc_ = pcc_.withAddress(taken ? pc + inst.imm : nextPc);
+        const bool taken = isa::branchTaken(inst.op, v1, v2);
+        pcc_.setAddress(taken ? pc + inst.imm : nextPc);
         advance(taken ? 1 + cc.takenBranchPenalty : 1, 0);
         return;
       }
@@ -225,7 +213,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
         }
         writeRegInt(inst.rd, value);
         pendingLoadReg_ = inst.rd;
-        pcc_ = pcc_.withAddress(nextPc);
+        pcc_.setAddress(nextPc);
         return;
       }
 
@@ -238,7 +226,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
             trap(cause, addr);
             return;
         }
-        pcc_ = pcc_.withAddress(nextPc);
+        pcc_.setAddress(nextPc);
         return;
       }
 
@@ -256,7 +244,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
         }
         writeReg(inst.rd, value);
         pendingLoadReg_ = inst.rd;
-        pcc_ = pcc_.withAddress(nextPc);
+        pcc_.setAddress(nextPc);
         return;
       }
 
@@ -271,40 +259,27 @@ Machine::execute(const Inst &inst, uint32_t pc)
             trap(cause, addr);
             return;
         }
-        pcc_ = pcc_.withAddress(nextPc);
+        pcc_.setAddress(nextPc);
         return;
       }
 
       case Op::Addi: intResult(v1 + inst.imm); return;
-      case Op::Slti:
-        intResult(static_cast<int32_t>(v1) < inst.imm ? 1 : 0);
-        return;
-      case Op::Sltiu:
-        intResult(v1 < static_cast<uint32_t>(inst.imm) ? 1 : 0);
-        return;
+      case Op::Slti: intResult(isa::slt(v1, inst.imm)); return;
+      case Op::Sltiu: intResult(isa::sltu(v1, inst.imm)); return;
       case Op::Xori: intResult(v1 ^ inst.imm); return;
       case Op::Ori: intResult(v1 | inst.imm); return;
       case Op::Andi: intResult(v1 & inst.imm); return;
-      case Op::Slli: intResult(v1 << inst.imm); return;
-      case Op::Srli: intResult(v1 >> inst.imm); return;
-      case Op::Srai:
-        intResult(static_cast<uint32_t>(static_cast<int32_t>(v1) >>
-                                        inst.imm));
-        return;
+      case Op::Slli: intResult(isa::sll(v1, inst.imm)); return;
+      case Op::Srli: intResult(isa::srl(v1, inst.imm)); return;
+      case Op::Srai: intResult(isa::sra(v1, inst.imm)); return;
       case Op::Add: intResult(v1 + v2); return;
       case Op::Sub: intResult(v1 - v2); return;
-      case Op::Sll: intResult(v1 << (v2 & 31)); return;
-      case Op::Slt:
-        intResult(static_cast<int32_t>(v1) < static_cast<int32_t>(v2) ? 1
-                                                                      : 0);
-        return;
-      case Op::Sltu: intResult(v1 < v2 ? 1 : 0); return;
+      case Op::Sll: intResult(isa::sll(v1, v2)); return;
+      case Op::Slt: intResult(isa::slt(v1, v2)); return;
+      case Op::Sltu: intResult(isa::sltu(v1, v2)); return;
       case Op::Xor: intResult(v1 ^ v2); return;
-      case Op::Srl: intResult(v1 >> (v2 & 31)); return;
-      case Op::Sra:
-        intResult(static_cast<uint32_t>(static_cast<int32_t>(v1) >>
-                                        (v2 & 31)));
-        return;
+      case Op::Srl: intResult(isa::srl(v1, v2)); return;
+      case Op::Sra: intResult(isa::sra(v1, v2)); return;
       case Op::Or: intResult(v1 | v2); return;
       case Op::And: intResult(v1 & v2); return;
 
@@ -312,59 +287,32 @@ Machine::execute(const Inst &inst, uint32_t pc)
         writeRegInt(inst.rd, v1 * v2);
         fallthrough(cc.mulCycles);
         return;
-      case Op::Mulh: {
-        const int64_t product = static_cast<int64_t>(
-                                    static_cast<int32_t>(v1)) *
-                                static_cast<int32_t>(v2);
-        writeRegInt(inst.rd, static_cast<uint32_t>(product >> 32));
+      case Op::Mulh:
+        writeRegInt(inst.rd, isa::mulh(v1, v2));
         fallthrough(cc.mulCycles);
         return;
-      }
-      case Op::Mulhsu: {
-        const int64_t product =
-            static_cast<int64_t>(static_cast<int32_t>(v1)) * v2;
-        writeRegInt(inst.rd, static_cast<uint32_t>(product >> 32));
+      case Op::Mulhsu:
+        writeRegInt(inst.rd, isa::mulhsu(v1, v2));
         fallthrough(cc.mulCycles);
         return;
-      }
-      case Op::Mulhu: {
-        const uint64_t product = static_cast<uint64_t>(v1) * v2;
-        writeRegInt(inst.rd, static_cast<uint32_t>(product >> 32));
+      case Op::Mulhu:
+        writeRegInt(inst.rd, isa::mulhu(v1, v2));
         fallthrough(cc.mulCycles);
         return;
-      }
-      case Op::Div: {
-        int32_t result;
-        if (v2 == 0) {
-            result = -1;
-        } else if (v1 == 0x80000000u && v2 == 0xffffffffu) {
-            result = static_cast<int32_t>(0x80000000u);
-        } else {
-            result = static_cast<int32_t>(v1) / static_cast<int32_t>(v2);
-        }
-        writeRegInt(inst.rd, static_cast<uint32_t>(result));
+      case Op::Div:
+        writeRegInt(inst.rd, isa::div(v1, v2));
         fallthrough(cc.divCycles);
         return;
-      }
       case Op::Divu:
-        writeRegInt(inst.rd, v2 == 0 ? 0xffffffffu : v1 / v2);
+        writeRegInt(inst.rd, isa::divu(v1, v2));
         fallthrough(cc.divCycles);
         return;
-      case Op::Rem: {
-        int32_t result;
-        if (v2 == 0) {
-            result = static_cast<int32_t>(v1);
-        } else if (v1 == 0x80000000u && v2 == 0xffffffffu) {
-            result = 0;
-        } else {
-            result = static_cast<int32_t>(v1) % static_cast<int32_t>(v2);
-        }
-        writeRegInt(inst.rd, static_cast<uint32_t>(result));
+      case Op::Rem:
+        writeRegInt(inst.rd, isa::rem(v1, v2));
         fallthrough(cc.divCycles);
         return;
-      }
       case Op::Remu:
-        writeRegInt(inst.rd, v2 == 0 ? v1 : v1 % v2);
+        writeRegInt(inst.rd, isa::remu(v1, v2));
         fallthrough(cc.divCycles);
         return;
 

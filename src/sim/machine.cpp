@@ -176,32 +176,6 @@ Machine::heapBase() const
     return mem::kSramBase + config_.heapOffset;
 }
 
-Capability
-Machine::readReg(unsigned index) const
-{
-    if (index == 0) {
-        return Capability();
-    }
-    return regs_[index];
-}
-
-void
-Machine::writeReg(unsigned index, const Capability &value)
-{
-    if (index == 0 || index >= isa::kNumRegs) {
-        return;
-    }
-    regs_[index] = value;
-}
-
-void
-Machine::writeRegInt(unsigned index, uint32_t value)
-{
-    // Writing an integer result to a merged register file produces an
-    // untagged value whose metadata is null.
-    writeReg(index, Capability().withAddress(value));
-}
-
 void
 Machine::advance(uint64_t cycleCount, uint64_t memPortBusy)
 {
@@ -221,43 +195,6 @@ Machine::advance(uint64_t cycleCount, uint64_t memPortBusy)
         }
     }
     timer_.tick(cycles());
-}
-
-TrapCause
-Machine::checkAccess(const Capability &auth, uint32_t addr, unsigned bytes,
-                     uint16_t needPerm)
-{
-    if (!config_.core.cheriEnabled) {
-        // Baseline RV32E: no architectural checks beyond mapping.
-        if (!memory_.isMapped(addr, bytes)) {
-            return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
-                                              : TrapCause::LoadAccessFault;
-        }
-        if (addr % bytes != 0) {
-            return TrapCause::MisalignedAccess;
-        }
-        return TrapCause::None;
-    }
-    if (!auth.tag()) {
-        return TrapCause::CheriTagViolation;
-    }
-    if (auth.isSealed()) {
-        return TrapCause::CheriSealViolation;
-    }
-    if (!auth.perms().has(needPerm)) {
-        return TrapCause::CheriPermViolation;
-    }
-    if (!auth.inBounds(addr, bytes)) {
-        return TrapCause::CheriBoundsViolation;
-    }
-    if (addr % bytes != 0) {
-        return TrapCause::MisalignedAccess;
-    }
-    if (!memory_.isMapped(addr, bytes)) {
-        return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
-                                          : TrapCause::LoadAccessFault;
-    }
-    return TrapCause::None;
 }
 
 TrapCause

@@ -137,10 +137,24 @@ class Machine
   public:
     explicit Machine(const MachineConfig &config);
 
-    /** @name Architectural register file (c0 is hard-wired null) @{ */
-    cap::Capability readReg(unsigned index) const;
-    void writeReg(unsigned index, const cap::Capability &value);
-    void writeRegInt(unsigned index, uint32_t value);
+    /** @name Architectural register file
+     * c0 is hard-wired null: writeReg refuses it, resetCpu clears it
+     * and restore skips it, so regs_[0] stays the null capability. @{ */
+    const cap::Capability &readReg(unsigned index) const
+    {
+        return regs_[index];
+    }
+    void writeReg(unsigned index, const cap::Capability &value)
+    {
+        if (index != 0 && index < isa::kNumRegs) {
+            regs_[index] = value;
+        }
+    }
+    /** An integer result: untagged, null metadata. */
+    void writeRegInt(unsigned index, uint32_t value)
+    {
+        writeReg(index, cap::Capability::fromInteger(value));
+    }
     uint32_t readRegInt(unsigned index) const
     {
         return readReg(index).address();
@@ -322,9 +336,10 @@ class Machine
     bool takePendingInterrupt();
     const isa::Inst &decodeAt(uint32_t pc);
 
-    /** Common access validation; returns None when allowed. */
+    /** Common access validation; returns None when allowed. Inline:
+     * every checked access runs it. */
     TrapCause checkAccess(const cap::Capability &auth, uint32_t addr,
-                          unsigned bytes, uint16_t needPerm);
+                          unsigned bytes, uint16_t needPerm) const;
 
     MachineConfig config_;
     mem::PhysicalMemory memory_;
@@ -360,6 +375,43 @@ class Machine
     StatGroup stats_;
     debug::SimStats simStats_;
 };
+
+inline TrapCause
+Machine::checkAccess(const cap::Capability &auth, uint32_t addr,
+                     unsigned bytes, uint16_t needPerm) const
+{
+    if (!config_.core.cheriEnabled) {
+        // Baseline RV32E: no architectural checks beyond mapping.
+        if (!memory_.isMapped(addr, bytes)) {
+            return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
+                                              : TrapCause::LoadAccessFault;
+        }
+        if (addr % bytes != 0) {
+            return TrapCause::MisalignedAccess;
+        }
+        return TrapCause::None;
+    }
+    if (!auth.tag()) {
+        return TrapCause::CheriTagViolation;
+    }
+    if (auth.isSealed()) {
+        return TrapCause::CheriSealViolation;
+    }
+    if (!auth.perms().has(needPerm)) {
+        return TrapCause::CheriPermViolation;
+    }
+    if (!auth.inBounds(addr, bytes)) {
+        return TrapCause::CheriBoundsViolation;
+    }
+    if (addr % bytes != 0) {
+        return TrapCause::MisalignedAccess;
+    }
+    if (!memory_.isMapped(addr, bytes)) {
+        return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
+                                          : TrapCause::LoadAccessFault;
+    }
+    return TrapCause::None;
+}
 
 } // namespace cheriot::sim
 

@@ -1,6 +1,7 @@
 #include "verify/verifier.h"
 
 #include "cap/capability.h"
+#include "isa/semantics.h"
 #include "rtos/audit.h"
 #include "rtos/kernel.h"
 #include "sim/csr.h"
@@ -614,23 +615,7 @@ Analyzer::step(uint32_t pc, AbstractState st)
         if (exact12) {
             // Both operands known: fold the branch so dead arms do not
             // pollute the fixpoint (and cannot cause false positives).
-            bool taken = false;
-            switch (inst.op) {
-              case Op::Beq: taken = v1 == v2; break;
-              case Op::Bne: taken = v1 != v2; break;
-              case Op::Blt:
-                taken = static_cast<int32_t>(v1) <
-                        static_cast<int32_t>(v2);
-                break;
-              case Op::Bge:
-                taken = static_cast<int32_t>(v1) >=
-                        static_cast<int32_t>(v2);
-                break;
-              case Op::Bltu: taken = v1 < v2; break;
-              case Op::Bgeu: taken = v1 >= v2; break;
-              default: break;
-            }
-            post(taken ? target : nextPc, st);
+            post(isa::branchTaken(inst.op, v1, v2) ? target : nextPc, st);
         } else {
             post(target, st);
             post(nextPc, st);
@@ -697,101 +682,50 @@ Analyzer::step(uint32_t pc, AbstractState st)
 
       case Op::Addi: intResult(exact1, v1 + inst.imm); goNext(); return;
       case Op::Slti:
-        intResult(exact1, static_cast<int32_t>(v1) < inst.imm ? 1 : 0);
+        intResult(exact1, isa::slt(v1, inst.imm));
         goNext();
         return;
       case Op::Sltiu:
-        intResult(exact1,
-                  v1 < static_cast<uint32_t>(inst.imm) ? 1 : 0);
+        intResult(exact1, isa::sltu(v1, inst.imm));
         goNext();
         return;
       case Op::Xori: intResult(exact1, v1 ^ inst.imm); goNext(); return;
       case Op::Ori: intResult(exact1, v1 | inst.imm); goNext(); return;
       case Op::Andi: intResult(exact1, v1 & inst.imm); goNext(); return;
-      case Op::Slli: intResult(exact1, v1 << inst.imm); goNext(); return;
-      case Op::Srli: intResult(exact1, v1 >> inst.imm); goNext(); return;
+      case Op::Slli:
+        intResult(exact1, isa::sll(v1, inst.imm));
+        goNext();
+        return;
+      case Op::Srli:
+        intResult(exact1, isa::srl(v1, inst.imm));
+        goNext();
+        return;
       case Op::Srai:
-        intResult(exact1, static_cast<uint32_t>(
-                              static_cast<int32_t>(v1) >> inst.imm));
+        intResult(exact1, isa::sra(v1, inst.imm));
         goNext();
         return;
       case Op::Add: intResult(exact12, v1 + v2); goNext(); return;
       case Op::Sub: intResult(exact12, v1 - v2); goNext(); return;
-      case Op::Sll: intResult(exact12, v1 << (v2 & 31)); goNext(); return;
-      case Op::Slt:
-        intResult(exact12, static_cast<int32_t>(v1) <
-                                   static_cast<int32_t>(v2)
-                               ? 1
-                               : 0);
-        goNext();
-        return;
-      case Op::Sltu: intResult(exact12, v1 < v2 ? 1 : 0); goNext(); return;
+      case Op::Sll: intResult(exact12, isa::sll(v1, v2)); goNext(); return;
+      case Op::Slt: intResult(exact12, isa::slt(v1, v2)); goNext(); return;
+      case Op::Sltu: intResult(exact12, isa::sltu(v1, v2)); goNext(); return;
       case Op::Xor: intResult(exact12, v1 ^ v2); goNext(); return;
-      case Op::Srl: intResult(exact12, v1 >> (v2 & 31)); goNext(); return;
-      case Op::Sra:
-        intResult(exact12, static_cast<uint32_t>(
-                               static_cast<int32_t>(v1) >> (v2 & 31)));
-        goNext();
-        return;
+      case Op::Srl: intResult(exact12, isa::srl(v1, v2)); goNext(); return;
+      case Op::Sra: intResult(exact12, isa::sra(v1, v2)); goNext(); return;
       case Op::Or: intResult(exact12, v1 | v2); goNext(); return;
       case Op::And: intResult(exact12, v1 & v2); goNext(); return;
 
       case Op::Mul: intResult(exact12, v1 * v2); goNext(); return;
-      case Op::Mulh:
-        intResult(exact12,
-                  static_cast<uint32_t>(
-                      (static_cast<int64_t>(static_cast<int32_t>(v1)) *
-                       static_cast<int32_t>(v2)) >>
-                      32));
-        goNext();
-        return;
+      case Op::Mulh: intResult(exact12, isa::mulh(v1, v2)); goNext(); return;
       case Op::Mulhsu:
-        intResult(exact12,
-                  static_cast<uint32_t>(
-                      (static_cast<int64_t>(static_cast<int32_t>(v1)) *
-                       v2) >>
-                      32));
+        intResult(exact12, isa::mulhsu(v1, v2));
         goNext();
         return;
-      case Op::Mulhu:
-        intResult(exact12, static_cast<uint32_t>(
-                               (static_cast<uint64_t>(v1) * v2) >> 32));
-        goNext();
-        return;
-      case Op::Div: {
-        int32_t r;
-        if (v2 == 0) {
-            r = -1;
-        } else if (v1 == 0x80000000u && v2 == 0xffffffffu) {
-            r = static_cast<int32_t>(0x80000000u);
-        } else {
-            r = static_cast<int32_t>(v1) / static_cast<int32_t>(v2);
-        }
-        intResult(exact12, static_cast<uint32_t>(r));
-        goNext();
-        return;
-      }
-      case Op::Divu:
-        intResult(exact12, v2 == 0 ? 0xffffffffu : v1 / v2);
-        goNext();
-        return;
-      case Op::Rem: {
-        int32_t r;
-        if (v2 == 0) {
-            r = static_cast<int32_t>(v1);
-        } else if (v1 == 0x80000000u && v2 == 0xffffffffu) {
-            r = 0;
-        } else {
-            r = static_cast<int32_t>(v1) % static_cast<int32_t>(v2);
-        }
-        intResult(exact12, static_cast<uint32_t>(r));
-        goNext();
-        return;
-      }
-      case Op::Remu:
-        intResult(exact12, v2 == 0 ? v1 : v1 % v2);
-        goNext();
-        return;
+      case Op::Mulhu: intResult(exact12, isa::mulhu(v1, v2)); goNext(); return;
+      case Op::Div: intResult(exact12, isa::div(v1, v2)); goNext(); return;
+      case Op::Divu: intResult(exact12, isa::divu(v1, v2)); goNext(); return;
+      case Op::Rem: intResult(exact12, isa::rem(v1, v2)); goNext(); return;
+      case Op::Remu: intResult(exact12, isa::remu(v1, v2)); goNext(); return;
 
       case Op::Ecall:
       case Op::Ebreak:

@@ -76,6 +76,25 @@ TEST(CampaignRepro, StartIndexReproducesExactInjection)
     EXPECT_EQ(actual.safetyViolations, expected.safetyViolations);
 }
 
+TEST(CampaignRepro, CorruptFreeChunkSizeDoesNotAbortTheHost)
+{
+    // Under the smoke seed, IoT injections 3924 and 8804 flip the
+    // boundary-tag size of a free chunk to a value far past the heap.
+    // The allocator must refuse that chunk: splitting it would store a
+    // header outside the heap capability, which aborted the host.
+    for (const uint32_t index : {3924u, 8804u}) {
+        CampaignConfig config;
+        config.seed = 0xc8e210a5u;
+        config.workload = CampaignWorkload::Iot;
+        config.startIndex = index;
+        config.injections = 1;
+        const CampaignReport report = runFaultCampaign(config);
+        EXPECT_EQ(report.runs, 1u) << index;
+        EXPECT_EQ(report.safetyViolations, 0u) << index;
+        EXPECT_TRUE(report.invariantHolds()) << index;
+    }
+}
+
 TEST(CampaignRepro, ReproRecordSurvivesDiskRoundTrip)
 {
     // A synthetic record with every field set to a distinctive value,
