@@ -1,6 +1,5 @@
 #include "alloc/free_list.h"
 
-#include "snapshot/serializer.h"
 #include "util/bits.h"
 #include "util/log.h"
 
@@ -133,29 +132,6 @@ FreeList::takeFit(uint32_t size, uint32_t alignMask)
         chunk = view_->fd(chunk);
     }
     return 0;
-}
-
-void
-FreeList::serialize(snapshot::Writer &w) const
-{
-    for (uint32_t head : smallBins_) {
-        w.u32(head);
-    }
-    w.u32(largeHead_);
-    w.u64(freeBytes_);
-    w.u32(chunks_);
-}
-
-bool
-FreeList::deserialize(snapshot::Reader &r)
-{
-    for (uint32_t &head : smallBins_) {
-        head = r.u32();
-    }
-    largeHead_ = r.u32();
-    freeBytes_ = r.u64();
-    chunks_ = r.u32();
-    return r.ok();
 }
 
 } // namespace cheriot::alloc

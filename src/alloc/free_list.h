@@ -13,14 +13,9 @@
 #define CHERIOT_ALLOC_FREE_LIST_H
 
 #include "alloc/chunk.h"
+#include "snapshot/serializer.h"
 
 #include <array>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::alloc
 {
@@ -50,8 +45,19 @@ class FreeList
     uint32_t chunkCount() const { return chunks_; }
 
     /** @name Snapshot state (bin heads; links live in guest SRAM) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        for (auto &head : self.smallBins_) {
+            a.u32(head);
+        }
+        a.u32(self.largeHead_);
+        a.u64(self.freeBytes_);
+        a.u32(self.chunks_);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
   private:

@@ -31,17 +31,12 @@
 #include "alloc/quota.h"
 #include "revoker/revocation_bitmap.h"
 #include "revoker/revoker.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <functional>
 #include <map>
 #include <vector>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::alloc
 {
@@ -218,8 +213,39 @@ class HeapAllocator
      * head, allocation-start bitmaps, counters). Chunk headers and
      * list links live in guest SRAM and are covered by the machine
      * image; restoring both sides re-establishes consistency. @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        FreeList::transfer(self.freeList_, a);
+        Quarantine::transfer(self.quarantine_, a);
+        a.u32(self.claimsHead_);
+        a.bytes(self.allocStartBits_.data(), self.allocStartBits_.size());
+        a.bytes(self.internalBits_.data(), self.internalBits_.size());
+        a.counter(self.mallocs);
+        a.counter(self.frees);
+        a.counter(self.failedMallocs);
+        a.counter(self.rejectedFrees);
+        a.counter(self.sweepsTriggered);
+        a.counter(self.chunksReleased);
+        QuotaLedger::transfer(self.quota_, a);
+        a.map(self.chunkOwners_, [](auto &a, auto &chunk, auto &owner) {
+            a.u32(chunk);
+            a.u32(owner);
+        });
+        a.map(self.chunkSlack_, [](auto &a, auto &chunk, auto &bytes) {
+            a.u32(chunk);
+            a.u32(bytes);
+        });
+        a.u64(self.slackBytes_);
+        a.counter(self.quotaDenials);
+        a.counter(self.blockedMallocs);
+        a.counter(self.backoffWaitCycles);
+        a.counter(self.backoffTimeouts);
+        a.counter(self.oomReturns);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     Counter mallocs;

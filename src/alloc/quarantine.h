@@ -21,16 +21,11 @@
 
 #include "alloc/chunk.h"
 #include "revoker/revoker.h"
+#include "snapshot/serializer.h"
 
 #include <array>
 #include <cstdint>
 #include <functional>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::alloc
 {
@@ -71,8 +66,22 @@ class Quarantine
     }
 
     /** @name Snapshot state (list heads; links live in guest SRAM) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        for (auto &list : self.lists_) {
+            a.b(list.active);
+            a.u32(list.epoch);
+            a.u32(list.head);
+            a.u64(list.bytes);
+            a.u32(list.chunks);
+        }
+        a.u64(self.totalBytes_);
+        a.u32(self.totalChunks_);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
   private:

@@ -1,6 +1,5 @@
 #include "alloc/quota.h"
 
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 #include <algorithm>
@@ -90,31 +89,6 @@ QuotaLedger::totalDenials() const
         total += entry.denials;
     }
     return total;
-}
-
-void
-QuotaLedger::serialize(snapshot::Writer &w) const
-{
-    w.u32(static_cast<uint32_t>(entries_.size()));
-    for (const Entry &entry : entries_) {
-        w.u64(entry.limit);
-        w.u64(entry.used);
-        w.u64(entry.peak);
-        w.u32(entry.denials);
-    }
-}
-
-bool
-QuotaLedger::deserialize(snapshot::Reader &r)
-{
-    entries_.assign(r.u32(), Entry{});
-    for (Entry &entry : entries_) {
-        entry.limit = r.u64();
-        entry.used = r.u64();
-        entry.peak = r.u64();
-        entry.denials = r.u32();
-    }
-    return r.ok();
 }
 
 } // namespace cheriot::alloc

@@ -20,14 +20,10 @@
 #ifndef CHERIOT_ALLOC_QUOTA_H
 #define CHERIOT_ALLOC_QUOTA_H
 
+#include "snapshot/serializer.h"
+
 #include <cstdint>
 #include <vector>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::alloc
 {
@@ -85,8 +81,19 @@ class QuotaLedger
     uint64_t totalDenials() const;
 
     /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.seq(self.entries_, [](auto &a, auto &entry) {
+            a.u64(entry.limit);
+            a.u64(entry.used);
+            a.u64(entry.peak);
+            a.u32(entry.denials);
+        });
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
   private:

@@ -1,7 +1,6 @@
 #include "mem/bus.h"
 
 #include "fault/fault_injector.h"
-#include "snapshot/serializer.h"
 
 namespace cheriot::mem
 {
@@ -45,25 +44,6 @@ busWidthName(BusWidth width)
       case BusWidth::Narrow33: return "33-bit";
     }
     return "?";
-}
-
-void
-Bus::serialize(snapshot::Writer &w) const
-{
-    w.counter(transactions);
-    w.counter(retries);
-    w.counter(delayCycles);
-    w.counter(errors);
-}
-
-bool
-Bus::deserialize(snapshot::Reader &r)
-{
-    r.counter(transactions);
-    r.counter(retries);
-    r.counter(delayCycles);
-    r.counter(errors);
-    return r.ok();
 }
 
 } // namespace cheriot::mem

@@ -13,6 +13,7 @@
 #ifndef CHERIOT_MEM_BUS_H
 #define CHERIOT_MEM_BUS_H
 
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
@@ -21,12 +22,6 @@ namespace cheriot::fault
 {
 class FaultInjector;
 }
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::mem
 {
@@ -108,8 +103,17 @@ class Bus
     BusResult transact(unsigned beats, fault::FaultInjector *injector);
 
     /** @name Snapshot state (the bus itself is stateless; counters) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.counter(self.transactions);
+        a.counter(self.retries);
+        a.counter(self.delayCycles);
+        a.counter(self.errors);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     Counter transactions; ///< Transactions initiated.

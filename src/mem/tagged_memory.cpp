@@ -1,6 +1,5 @@
 #include "mem/tagged_memory.h"
 
-#include "snapshot/serializer.h"
 #include "util/bits.h"
 #include "util/log.h"
 
@@ -222,42 +221,12 @@ TaggedMemory::injectTagClear(uint32_t addr)
     microTags_[off / 8] = 0;
 }
 
-void
-TaggedMemory::serialize(snapshot::Writer &w) const
-{
-    w.u32(base_);
-    w.u32(size_);
-    w.bytes(data_.data(), data_.size());
-    w.bytes(microTags_.data(), microTags_.size());
-    w.counter(reads);
-    w.counter(writes);
-    w.counter(capReads);
-    w.counter(capWrites);
-    w.counter(tagClears);
-}
-
 uint32_t
 TaggedMemory::contentsDigest() const
 {
     const uint32_t dataCrc =
         snapshot::crc32(data_.data(), data_.size());
     return snapshot::crc32(microTags_.data(), microTags_.size(), dataCrc);
-}
-
-bool
-TaggedMemory::deserialize(snapshot::Reader &r)
-{
-    if (r.u32() != base_ || r.u32() != size_) {
-        return false;
-    }
-    r.bytes(data_.data(), data_.size());
-    r.bytes(microTags_.data(), microTags_.size());
-    r.counter(reads);
-    r.counter(writes);
-    r.counter(capReads);
-    r.counter(capWrites);
-    r.counter(tagClears);
-    return r.ok();
 }
 
 } // namespace cheriot::mem

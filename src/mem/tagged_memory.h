@@ -15,16 +15,11 @@
 #ifndef CHERIOT_MEM_TAGGED_MEMORY_H
 #define CHERIOT_MEM_TAGGED_MEMORY_H
 
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
 #include <vector>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::mem
 {
@@ -122,10 +117,24 @@ class TaggedMemory
     void injectTagClear(uint32_t addr);
     /** @} */
 
-    /** @name Snapshot state (contents, micro-tags, counters) @{ */
-    void serialize(snapshot::Writer &w) const;
-    /** False on geometry mismatch or a short payload. */
-    bool deserialize(snapshot::Reader &r);
+    /** @name Snapshot state (contents, micro-tags, counters); a
+     * restore fails on a geometry mismatch or a short payload @{ */
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.expectU32(self.base_);
+        a.expectU32(self.size_);
+        a.bytes(self.data_.data(), self.data_.size());
+        a.bytes(self.microTags_.data(), self.microTags_.size());
+        a.counter(self.reads);
+        a.counter(self.writes);
+        a.counter(self.capReads);
+        a.counter(self.capWrites);
+        a.counter(self.tagClears);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** CRC-32 over contents and micro-tags only (no counters), so
      * machines with different timing models can still be compared. */
     uint32_t contentsDigest() const;

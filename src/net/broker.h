@@ -38,6 +38,7 @@
 
 #include "cap/capability.h"
 #include "rtos/compartment.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <deque>
@@ -49,12 +50,6 @@ namespace cheriot::rtos
 class Kernel;
 class Thread;
 } // namespace cheriot::rtos
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::fault
 {
@@ -154,6 +149,9 @@ class TelemetryBroker
     /** @} */
 
   private:
+    /** The snapshot layout, defined beside the forwarders. */
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a);
     struct Entry
     {
         cap::Capability rec;

@@ -3,7 +3,6 @@
 #include "fault/fault_injector.h"
 #include "rtos/kernel.h"
 #include "sim/machine.h"
-#include "snapshot/serializer.h"
 
 namespace cheriot::net
 {
@@ -579,137 +578,71 @@ FlowManager::lastClose(uint32_t dstMac) const
                : static_cast<CloseReason>(it->second);
 }
 
+template <class Self, class Archive>
+bool
+FlowManager::transfer(Self &self, Archive &a)
+{
+    const auto flow = [](auto &a, auto &key, auto &f) {
+        a.u32(key);
+        a.u32(f.peer);
+        a.u32(f.id);
+        a.u32(f.cls);
+        a.u32(f.state);
+        a.u32(f.peerEpoch);
+        a.u32(f.peerWindow);
+        a.u32(f.sent);
+        a.u32(f.credited);
+        a.u32(f.delivered);
+        a.u32(f.creditCountdown);
+        a.u64(f.lastHeard);
+        a.u64(f.lastSent);
+        a.u32(f.canary);
+    };
+    a.u32(self.nextFlowSeq_);
+    a.map(self.txFlows_, flow);
+    a.map(self.rxFlows_, flow);
+    a.map(self.lastClose_, [](auto &a, auto &peer, auto &reason) {
+        a.u32(peer);
+        a.u32(reason);
+    });
+    a.seq(self.pendingSegments_, [](auto &a, auto &seg) {
+        a.u32(seg.dst);
+        a.u32(seg.kind);
+        a.u32(seg.cls);
+        a.u32(seg.id);
+        a.u32(seg.arg);
+        a.b(seg.unreliable);
+    });
+    a.u64(self.opens_);
+    a.u64(self.accepts_);
+    a.u64(self.segmentsSent_);
+    a.u64(self.segmentsDelivered_);
+    a.u64(self.windowStalls_);
+    a.u64(self.creditsSent_);
+    a.u64(self.creditsReceived_);
+    a.u64(self.keepalivesSent_);
+    a.u64(self.keepalivesSeen_);
+    a.u64(self.timeouts_);
+    a.u64(self.resetsSent_);
+    a.u64(self.resetsReceived_);
+    a.u64(self.staleEpochResets_);
+    a.u64(self.unknownFlowResets_);
+    a.u64(self.corruptResets_);
+    a.u64(self.nonFlowDrops_);
+    a.u64(self.peerCloses_);
+    return a.ok();
+}
+
 void
 FlowManager::serialize(snapshot::Writer &w) const
 {
-    const auto putFlow = [&w](const Flow &f) {
-        w.u32(f.peer);
-        w.u32(f.id);
-        w.u32(f.cls);
-        w.u32(static_cast<uint32_t>(f.state));
-        w.u32(f.peerEpoch);
-        w.u32(f.peerWindow);
-        w.u32(f.sent);
-        w.u32(f.credited);
-        w.u32(f.delivered);
-        w.u32(f.creditCountdown);
-        w.u64(f.lastHeard);
-        w.u64(f.lastSent);
-        w.u32(f.canary);
-    };
-    w.u32(nextFlowSeq_);
-    w.u32(static_cast<uint32_t>(txFlows_.size()));
-    for (const auto &entry : txFlows_) {
-        w.u32(entry.first);
-        putFlow(entry.second);
-    }
-    w.u32(static_cast<uint32_t>(rxFlows_.size()));
-    for (const auto &entry : rxFlows_) {
-        w.u32(entry.first);
-        putFlow(entry.second);
-    }
-    w.u32(static_cast<uint32_t>(lastClose_.size()));
-    for (const auto &entry : lastClose_) {
-        w.u32(entry.first);
-        w.u32(entry.second);
-    }
-    w.u32(static_cast<uint32_t>(pendingSegments_.size()));
-    for (const auto &seg : pendingSegments_) {
-        w.u32(seg.dst);
-        w.u32(static_cast<uint32_t>(seg.kind));
-        w.u32(seg.cls);
-        w.u32(seg.id);
-        w.u32(seg.arg);
-        w.b(seg.unreliable);
-    }
-    w.u64(opens_);
-    w.u64(accepts_);
-    w.u64(segmentsSent_);
-    w.u64(segmentsDelivered_);
-    w.u64(windowStalls_);
-    w.u64(creditsSent_);
-    w.u64(creditsReceived_);
-    w.u64(keepalivesSent_);
-    w.u64(keepalivesSeen_);
-    w.u64(timeouts_);
-    w.u64(resetsSent_);
-    w.u64(resetsReceived_);
-    w.u64(staleEpochResets_);
-    w.u64(unknownFlowResets_);
-    w.u64(corruptResets_);
-    w.u64(nonFlowDrops_);
-    w.u64(peerCloses_);
+    transfer(*this, w);
 }
 
 bool
 FlowManager::deserialize(snapshot::Reader &r)
 {
-    const auto getFlow = [&r]() {
-        Flow f;
-        f.peer = r.u32();
-        f.id = static_cast<uint16_t>(r.u32());
-        f.cls = static_cast<uint8_t>(r.u32());
-        f.state = static_cast<State>(r.u32());
-        f.peerEpoch = r.u32();
-        f.peerWindow = r.u32();
-        f.sent = r.u32();
-        f.credited = r.u32();
-        f.delivered = r.u32();
-        f.creditCountdown = r.u32();
-        f.lastHeard = r.u64();
-        f.lastSent = r.u64();
-        f.canary = r.u32();
-        return f;
-    };
-    nextFlowSeq_ = r.u32();
-    txFlows_.clear();
-    const uint32_t txCount = r.u32();
-    for (uint32_t i = 0; i < txCount && r.ok(); ++i) {
-        const uint32_t key = r.u32();
-        txFlows_[key] = getFlow();
-    }
-    rxFlows_.clear();
-    const uint32_t rxCount = r.u32();
-    for (uint32_t i = 0; i < rxCount && r.ok(); ++i) {
-        const uint32_t key = r.u32();
-        rxFlows_[key] = getFlow();
-    }
-    lastClose_.clear();
-    const uint32_t closeCount = r.u32();
-    for (uint32_t i = 0; i < closeCount && r.ok(); ++i) {
-        const uint32_t key = r.u32();
-        lastClose_[key] = static_cast<uint8_t>(r.u32());
-    }
-    pendingSegments_.clear();
-    const uint32_t pendingCount = r.u32();
-    for (uint32_t i = 0; i < pendingCount && r.ok(); ++i) {
-        PendingSegment seg;
-        seg.dst = r.u32();
-        seg.kind = static_cast<FlowKind>(r.u32());
-        seg.cls = static_cast<uint8_t>(r.u32());
-        seg.id = static_cast<uint16_t>(r.u32());
-        seg.arg = static_cast<uint16_t>(r.u32());
-        seg.unreliable = r.b();
-        pendingSegments_.push_back(seg);
-    }
-    opens_ = r.u64();
-    accepts_ = r.u64();
-    segmentsSent_ = r.u64();
-    segmentsDelivered_ = r.u64();
-    windowStalls_ = r.u64();
-    creditsSent_ = r.u64();
-    creditsReceived_ = r.u64();
-    keepalivesSent_ = r.u64();
-    keepalivesSeen_ = r.u64();
-    timeouts_ = r.u64();
-    resetsSent_ = r.u64();
-    resetsReceived_ = r.u64();
-    staleEpochResets_ = r.u64();
-    unknownFlowResets_ = r.u64();
-    corruptResets_ = r.u64();
-    nonFlowDrops_ = r.u64();
-    peerCloses_ = r.u64();
-    return r.ok();
+    return transfer(*this, r);
 }
 
 } // namespace cheriot::net

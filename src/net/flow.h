@@ -46,6 +46,7 @@
 #define CHERIOT_NET_FLOW_H
 
 #include "net/net_stack.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <deque>
@@ -204,6 +205,9 @@ class FlowManager
     /** @} */
 
   private:
+    /** The snapshot layout, defined beside the forwarders. */
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a);
     enum class State : uint8_t
     {
         SynSent = 1,

@@ -54,6 +54,7 @@
 #include "net/fleet_frame.h"
 #include "net/nic_device.h"
 #include "rtos/compartment.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <deque>
@@ -66,12 +67,6 @@ namespace cheriot::rtos
 class Kernel;
 class Thread;
 } // namespace cheriot::rtos
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::net
 {
@@ -363,6 +358,9 @@ class NetStack
     /** @} */
 
   private:
+    /** The snapshot layout, defined beside the forwarders. */
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a);
     /** One ARQ data frame the sender still owns (in flight or
      * backlogged); buf is the sender's heap reference, freed when the
      * ack arrives. */

@@ -1,7 +1,6 @@
 #include "net/nic_device.h"
 
 #include "fault/fault_injector.h"
-#include "snapshot/serializer.h"
 
 #include <vector>
 
@@ -194,61 +193,6 @@ NicDevice::processTx()
         txBytes_ += len;
         raise(kIrqTxDone);
     }
-}
-
-void
-NicDevice::serialize(snapshot::Writer &w) const
-{
-    w.u32(ctrl_);
-    w.u32(irqStatus_);
-    w.u32(irqEnable_);
-    w.u32(rxRingBase_);
-    w.u32(rxRingCount_);
-    w.u32(rxHead_);
-    w.u32(rxTail_);
-    w.u32(dmaBase_);
-    w.u32(dmaSize_);
-    w.u32(txRingBase_);
-    w.u32(txRingCount_);
-    w.u32(txHead_);
-    w.u32(txTail_);
-    w.u64(rxPackets_);
-    w.u64(rxBytes_);
-    w.u64(rxDrops_);
-    w.u64(rxErrors_);
-    w.u64(txPackets_);
-    w.u64(txBytes_);
-    w.u32(txChecksum_);
-    w.u32(lastRxAddr_);
-    w.u32(lastRxBytes_);
-}
-
-bool
-NicDevice::deserialize(snapshot::Reader &r)
-{
-    ctrl_ = r.u32();
-    irqStatus_ = r.u32();
-    irqEnable_ = r.u32();
-    rxRingBase_ = r.u32();
-    rxRingCount_ = r.u32();
-    rxHead_ = r.u32();
-    rxTail_ = r.u32();
-    dmaBase_ = r.u32();
-    dmaSize_ = r.u32();
-    txRingBase_ = r.u32();
-    txRingCount_ = r.u32();
-    txHead_ = r.u32();
-    txTail_ = r.u32();
-    rxPackets_ = r.u64();
-    rxBytes_ = r.u64();
-    rxDrops_ = r.u64();
-    rxErrors_ = r.u64();
-    txPackets_ = r.u64();
-    txBytes_ = r.u64();
-    txChecksum_ = r.u32();
-    lastRxAddr_ = r.u32();
-    lastRxBytes_ = r.u32();
-    return r.ok();
 }
 
 } // namespace cheriot::net

@@ -28,15 +28,10 @@
 
 #include "mem/mmio.h"
 #include "mem/tagged_memory.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <functional>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::fault
 {
@@ -149,8 +144,35 @@ class NicDevice : public mem::MmioDevice
     /** @} */
 
     /** @name Snapshot state (all registers and counters) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.u32(self.ctrl_);
+        a.u32(self.irqStatus_);
+        a.u32(self.irqEnable_);
+        a.u32(self.rxRingBase_);
+        a.u32(self.rxRingCount_);
+        a.u32(self.rxHead_);
+        a.u32(self.rxTail_);
+        a.u32(self.dmaBase_);
+        a.u32(self.dmaSize_);
+        a.u32(self.txRingBase_);
+        a.u32(self.txRingCount_);
+        a.u32(self.txHead_);
+        a.u32(self.txTail_);
+        a.u64(self.rxPackets_);
+        a.u64(self.rxBytes_);
+        a.u64(self.rxDrops_);
+        a.u64(self.rxErrors_);
+        a.u64(self.txPackets_);
+        a.u64(self.txBytes_);
+        a.u32(self.txChecksum_);
+        a.u32(self.lastRxAddr_);
+        a.u32(self.lastRxBytes_);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
   private:

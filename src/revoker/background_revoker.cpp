@@ -2,7 +2,6 @@
 
 #include "cap/capability.h"
 #include "fault/fault_injector.h"
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 namespace cheriot::revoker
@@ -36,11 +35,14 @@ BackgroundRevoker::startSweep()
     if (sweeping()) {
         return; // Kick during a sweep has no effect.
     }
-    if (startReg_ >= endReg_) {
+    // Clamp the window to SRAM: the engine can only revoke in the
+    // memory it sweeps, and a window with no SRAM in it starts nothing.
+    const uint32_t start = std::max(startReg_, sram_.base());
+    if (start >= sweepEnd()) {
         return;
     }
     ++epoch_; // Odd: sweeping.
-    cursor_ = startReg_ & ~7u;
+    cursor_ = start & ~7u;
     slots_[0] = Slot{};
     slots_[1] = Slot{};
 }
@@ -64,7 +66,7 @@ BackgroundRevoker::finishSweep()
 bool
 BackgroundRevoker::issueNextLoad()
 {
-    if (cursor_ >= endReg_) {
+    if (cursor_ >= sweepEnd()) {
         return false;
     }
     for (Slot &slot : slots_) {
@@ -252,57 +254,6 @@ BackgroundRevoker::write32(uint32_t offset, uint32_t value)
       default:
         break; // epoch is read-only; the rest unassigned.
     }
-}
-
-void
-BackgroundRevoker::serialize(snapshot::Writer &w) const
-{
-    w.b(skipSecondHalf_);
-    w.b(completionInterrupt_);
-    w.b(irqPending_);
-    w.u32(startReg_);
-    w.u32(endReg_);
-    w.u32(epoch_);
-    w.u32(cursor_);
-    for (const Slot &slot : slots_) {
-        w.b(slot.valid);
-        w.u32(slot.addr);
-        w.u32(slot.beatsLeft);
-        w.b(slot.loaded);
-        w.b(slot.needsWriteback);
-    }
-    w.counter(wordsExamined);
-    w.counter(tagsInvalidated);
-    w.counter(snoopReloads);
-    w.counter(portCycles);
-    w.counter(stallCycles);
-    w.counter(kicksReceived);
-}
-
-bool
-BackgroundRevoker::deserialize(snapshot::Reader &r)
-{
-    skipSecondHalf_ = r.b();
-    completionInterrupt_ = r.b();
-    irqPending_ = r.b();
-    startReg_ = r.u32();
-    endReg_ = r.u32();
-    epoch_ = r.u32();
-    cursor_ = r.u32();
-    for (Slot &slot : slots_) {
-        slot.valid = r.b();
-        slot.addr = r.u32();
-        slot.beatsLeft = r.u32();
-        slot.loaded = r.b();
-        slot.needsWriteback = r.b();
-    }
-    r.counter(wordsExamined);
-    r.counter(tagsInvalidated);
-    r.counter(snoopReloads);
-    r.counter(portCycles);
-    r.counter(stallCycles);
-    r.counter(kicksReceived);
-    return r.ok();
 }
 
 } // namespace cheriot::revoker

@@ -14,7 +14,9 @@
  *   0x4 end    (RW)  one past the last byte
  *   0x8 epoch  (RO)  odd while sweeping
  *   0xC kick   (WO)  any write starts a sweep if none is underway
- * The rest of the window reads as zero and ignores writes.
+ * The rest of the window reads as zero and ignores writes. A sweep
+ * walks the programmed window clamped to SRAM; a window with no SRAM
+ * in it starts nothing. The registers keep the values software wrote.
  *
  * Writeback optimizations (§7.2.2): the engine only writes back when
  * the tag was stripped, and then issues a single tag-clearing write
@@ -37,18 +39,15 @@
 #include "mem/mmio.h"
 #include "mem/tagged_memory.h"
 #include "revoker/revocation_bitmap.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
+
+#include <algorithm>
 
 namespace cheriot::fault
 {
 class FaultInjector;
 }
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::revoker
 {
@@ -112,8 +111,33 @@ class BackgroundRevoker : public mem::MmioDevice
     void snoopStore(uint32_t addr, uint32_t bytes);
 
     /** @name Snapshot state (window, epoch, cursor, in-flight slots) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.b(self.skipSecondHalf_);
+        a.b(self.completionInterrupt_);
+        a.b(self.irqPending_);
+        a.u32(self.startReg_);
+        a.u32(self.endReg_);
+        a.u32(self.epoch_);
+        a.u32(self.cursor_);
+        for (auto &slot : self.slots_) {
+            a.b(slot.valid);
+            a.u32(slot.addr);
+            a.u32(slot.beatsLeft);
+            a.b(slot.loaded);
+            a.b(slot.needsWriteback);
+        }
+        a.counter(self.wordsExamined);
+        a.counter(self.tagsInvalidated);
+        a.counter(self.snoopReloads);
+        a.counter(self.portCycles);
+        a.counter(self.stallCycles);
+        a.counter(self.kicksReceived);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     /** @name MmioDevice @{ */
@@ -156,7 +180,13 @@ class BackgroundRevoker : public mem::MmioDevice
     /** Every word issued and retired: only the completion is left. */
     bool drained() const
     {
-        return cursor_ >= endReg_ && !slots_[0].valid && !slots_[1].valid;
+        return cursor_ >= sweepEnd() && !slots_[0].valid &&
+               !slots_[1].valid;
+    }
+    /** End of the sweep: the end register, clamped to SRAM. */
+    uint32_t sweepEnd() const
+    {
+        return std::min(endReg_, sram_.base() + sram_.size());
     }
 
     mem::TaggedMemory &sram_;

@@ -1,25 +1,6 @@
 #include "revoker/load_filter.h"
 
-#include "snapshot/serializer.h"
-
 namespace cheriot::revoker
 {
-
-void
-LoadFilter::serialize(snapshot::Writer &w) const
-{
-    w.b(enabled_);
-    w.counter(lookups);
-    w.counter(invalidations);
-}
-
-bool
-LoadFilter::deserialize(snapshot::Reader &r)
-{
-    enabled_ = r.b();
-    r.counter(lookups);
-    r.counter(invalidations);
-    return r.ok();
-}
 
 } // namespace cheriot::revoker

@@ -20,13 +20,8 @@
 
 #include "cap/capability.h"
 #include "revoker/revocation_bitmap.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::revoker
 {
@@ -63,8 +58,16 @@ class LoadFilter
     }
 
     /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.b(self.enabled_);
+        a.counter(self.lookups);
+        a.counter(self.invalidations);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     StatGroup &stats() { return stats_; }

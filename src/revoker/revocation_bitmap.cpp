@@ -1,6 +1,5 @@
 #include "revoker/revocation_bitmap.h"
 
-#include "snapshot/serializer.h"
 #include "util/bits.h"
 #include "util/log.h"
 
@@ -100,30 +99,6 @@ RevocationBitmap::write32(uint32_t offset, uint32_t value)
         panic("revocation bitmap write at offset 0x%x out of range", offset);
     }
     words_[index] = value;
-}
-
-void
-RevocationBitmap::serialize(snapshot::Writer &w) const
-{
-    w.u32(heapBase_);
-    w.u32(heapSize_);
-    w.u32(granule_);
-    for (uint32_t word : words_) {
-        w.u32(word);
-    }
-}
-
-bool
-RevocationBitmap::deserialize(snapshot::Reader &r)
-{
-    if (r.u32() != heapBase_ || r.u32() != heapSize_ ||
-        r.u32() != granule_) {
-        return false;
-    }
-    for (uint32_t &word : words_) {
-        word = r.u32();
-    }
-    return r.ok();
 }
 
 } // namespace cheriot::revoker

@@ -15,16 +15,11 @@
 #define CHERIOT_REVOKER_REVOCATION_BITMAP_H
 
 #include "mem/mmio.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
 #include <vector>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::revoker
 {
@@ -71,8 +66,19 @@ class RevocationBitmap : public mem::MmioDevice
     uint32_t paintedBits() const;
 
     /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.expectU32(self.heapBase_);
+        a.expectU32(self.heapSize_);
+        a.expectU32(self.granule_);
+        for (auto &word : self.words_) {
+            a.u32(word);
+        }
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     /** @name MmioDevice (the allocator's architectural window) @{ */

@@ -1,6 +1,5 @@
 #include "revoker/software_revoker.h"
 
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 namespace cheriot::revoker
@@ -66,23 +65,6 @@ SoftwareRevoker::requestSweep()
 
     ++epoch_; // Sweep complete: epoch becomes even.
     sweeps++;
-}
-
-void
-SoftwareRevoker::serialize(snapshot::Writer &w) const
-{
-    w.u32(epoch_);
-    w.counter(sweeps);
-    w.counter(wordsSwept);
-}
-
-bool
-SoftwareRevoker::deserialize(snapshot::Reader &r)
-{
-    epoch_ = r.u32();
-    r.counter(sweeps);
-    r.counter(wordsSwept);
-    return r.ok();
 }
 
 } // namespace cheriot::revoker

@@ -16,15 +16,10 @@
 
 #include "cap/capability.h"
 #include "revoker/revoker.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::revoker
 {
@@ -85,8 +80,16 @@ class SoftwareRevoker : public Revoker
 
     /** @name Snapshot state (epoch + counters; sweeps themselves are
      * synchronous, so none is ever in flight at a snapshot point) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.u32(self.epoch_);
+        a.counter(self.sweeps);
+        a.counter(self.wordsSwept);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     Counter sweeps;      ///< Completed sweep passes.

@@ -194,32 +194,22 @@ struct FaultRecoveryState
     /** @} */
 
     /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
     {
-        w.u32(faultsTotal);
-        w.u32(faultsSinceRestart);
-        w.b(quarantined);
-        w.u64(restartDueCycle);
-        w.u32(quarantines);
-        w.u32(restarts);
-        w.b(handlerActive);
-        w.u32(allocFailuresTotal);
-        w.u32(allocFailuresSinceRestart);
+        a.u32(self.faultsTotal);
+        a.u32(self.faultsSinceRestart);
+        a.b(self.quarantined);
+        a.u64(self.restartDueCycle);
+        a.u32(self.quarantines);
+        a.u32(self.restarts);
+        a.b(self.handlerActive);
+        a.u32(self.allocFailuresTotal);
+        a.u32(self.allocFailuresSinceRestart);
+        return a.ok();
     }
-
-    bool deserialize(snapshot::Reader &r)
-    {
-        faultsTotal = r.u32();
-        faultsSinceRestart = r.u32();
-        quarantined = r.b();
-        restartDueCycle = r.u64();
-        quarantines = r.u32();
-        restarts = r.u32();
-        handlerActive = r.b();
-        allocFailuresTotal = r.u32();
-        allocFailuresSinceRestart = r.u32();
-        return r.ok();
-    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 };
 

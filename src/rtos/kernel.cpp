@@ -566,121 +566,76 @@ Kernel::mallocWith(Thread &thread, const Capability &allocCap,
     return res.value;
 }
 
+template <class Self, class Archive>
+bool
+Kernel::transfer(Self &self, Archive &a)
+{
+    a.expectU32(self.threads_.size());
+    for (const auto &thread : self.threads_) {
+        a.expectStr(thread->name());
+        Thread::transfer(*thread, a);
+    }
+    a.expectU32(self.compartments_.size());
+    for (const auto &compartment : self.compartments_) {
+        a.expectStr(compartment->name());
+        FaultRecoveryState::transfer(compartment->faultState(), a);
+    }
+    Watchdog::transfer(self.watchdog_, a);
+    Switcher::transfer(self.switcher_, a);
+    Scheduler::transfer(*self.scheduler_, a);
+    a.expectB(self.softwareRevoker_ != nullptr);
+    if (self.softwareRevoker_ != nullptr) {
+        revoker::SoftwareRevoker::transfer(*self.softwareRevoker_, a);
+    }
+    a.expectB(self.hardwareRevoker_ != nullptr);
+    if (self.hardwareRevoker_ != nullptr) {
+        a.counter(self.hardwareRevoker_->timeoutKicks);
+    }
+    a.expectB(self.allocator_ != nullptr);
+    if (self.allocator_ != nullptr) {
+        alloc::HeapAllocator::transfer(*self.allocator_, a);
+    }
+    bool minted = self.tokenLibrary_ != nullptr;
+    a.b(minted);
+    if constexpr (Archive::kLoading) {
+        // The saving run had minted tokens: their boxes and records
+        // are already present in the restored heap image, so only the
+        // host-side id counter and the kernel's key handle need to be
+        // re-established — never re-mint (that would allocate).
+        if ((minted && self.allocator_ == nullptr) ||
+            (!minted && self.tokenLibrary_ != nullptr)) {
+            a.fail();
+        } else if (minted && self.tokenLibrary_ == nullptr && a.ok()) {
+            self.tokenLibrary_ = std::make_unique<TokenLibrary>(
+                self.guest_, *self.allocator_,
+                self.loader_.sealerFor(cap::kOtypeToken));
+        }
+    }
+    if (minted && a.ok()) {
+        TokenLibrary::transfer(*self.tokenLibrary_, a);
+        a.cap(self.allocKey_);
+    }
+    // The saving boot created the object-cap table before the
+    // snapshot; an identically booted kernel has it too (its records
+    // and token boxes already live in the restored heap image). A
+    // missing table means a structurally different boot: refuse.
+    a.expectB(self.objectCaps_ != nullptr);
+    if (self.objectCaps_ != nullptr) {
+        ObjectCapTable::transfer(*self.objectCaps_, a);
+    }
+    return a.ok();
+}
+
 void
 Kernel::serialize(snapshot::Writer &w) const
 {
-    w.u32(static_cast<uint32_t>(threads_.size()));
-    for (const auto &thread : threads_) {
-        w.str(thread->name());
-        thread->serialize(w);
-    }
-    w.u32(static_cast<uint32_t>(compartments_.size()));
-    for (const auto &compartment : compartments_) {
-        w.str(compartment->name());
-        compartment->faultState().serialize(w);
-    }
-    watchdog_.serialize(w);
-    switcher_.serialize(w);
-    scheduler_->serialize(w);
-    w.b(softwareRevoker_ != nullptr);
-    if (softwareRevoker_ != nullptr) {
-        softwareRevoker_->serialize(w);
-    }
-    w.b(hardwareRevoker_ != nullptr);
-    if (hardwareRevoker_ != nullptr) {
-        w.counter(hardwareRevoker_->timeoutKicks);
-    }
-    w.b(allocator_ != nullptr);
-    if (allocator_ != nullptr) {
-        allocator_->serialize(w);
-    }
-    w.b(tokenLibrary_ != nullptr);
-    if (tokenLibrary_ != nullptr) {
-        tokenLibrary_->serialize(w);
-        w.cap(allocKey_);
-    }
-    w.b(objectCaps_ != nullptr);
-    if (objectCaps_ != nullptr) {
-        objectCaps_->serialize(w);
-    }
+    transfer(*this, w);
 }
 
 bool
 Kernel::deserialize(snapshot::Reader &r)
 {
-    if (r.u32() != threads_.size()) {
-        return false;
-    }
-    for (auto &thread : threads_) {
-        if (r.str() != thread->name() || !thread->deserialize(r)) {
-            return false;
-        }
-    }
-    if (r.u32() != compartments_.size()) {
-        return false;
-    }
-    for (auto &compartment : compartments_) {
-        if (r.str() != compartment->name() ||
-            !compartment->faultState().deserialize(r)) {
-            return false;
-        }
-    }
-    if (!watchdog_.deserialize(r) || !switcher_.deserialize(r) ||
-        !scheduler_->deserialize(r)) {
-        return false;
-    }
-    if (r.b() != (softwareRevoker_ != nullptr)) {
-        return false;
-    }
-    if (softwareRevoker_ != nullptr &&
-        !softwareRevoker_->deserialize(r)) {
-        return false;
-    }
-    if (r.b() != (hardwareRevoker_ != nullptr)) {
-        return false;
-    }
-    if (hardwareRevoker_ != nullptr) {
-        r.counter(hardwareRevoker_->timeoutKicks);
-    }
-    if (r.b() != (allocator_ != nullptr)) {
-        return false;
-    }
-    if (allocator_ != nullptr && !allocator_->deserialize(r)) {
-        return false;
-    }
-    if (r.b()) {
-        // The saving run had minted tokens: their boxes and records
-        // are already present in the restored heap image, so only the
-        // host-side id counter and the kernel's key handle need to be
-        // re-established — never re-mint (that would allocate).
-        if (allocator_ == nullptr) {
-            return false;
-        }
-        if (tokenLibrary_ == nullptr) {
-            tokenLibrary_ = std::make_unique<TokenLibrary>(
-                guest_, *allocator_,
-                loader_.sealerFor(cap::kOtypeToken));
-        }
-        if (!tokenLibrary_->deserialize(r)) {
-            return false;
-        }
-        allocKey_ = r.cap();
-    } else if (tokenLibrary_ != nullptr) {
-        return false;
-    }
-    if (r.b()) {
-        // The saving boot created the object-cap table before the
-        // snapshot; an identically booted kernel has it too (its
-        // records and token boxes already live in the restored heap
-        // image). A missing table means a structurally different
-        // boot: refuse.
-        if (objectCaps_ == nullptr || !objectCaps_->deserialize(r)) {
-            return false;
-        }
-    } else if (objectCaps_ != nullptr) {
-        return false;
-    }
-    return r.ok();
+    return transfer(*this, r);
 }
 
 } // namespace cheriot::rtos

@@ -254,6 +254,9 @@ class Kernel
     /** @} */
 
   private:
+    /** The snapshot layout, defined beside the forwarders. */
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a);
     sim::Machine &machine_;
     GuestContext guest_;
     Loader loader_;

@@ -2,7 +2,6 @@
 
 #include "fault/fault_injector.h"
 #include "sim/machine.h"
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 #include <algorithm>
@@ -626,109 +625,6 @@ ObjectCapTable::subtreeDead(uint32_t id) const
         }
     }
     return true;
-}
-
-void
-ObjectCapTable::serialize(snapshot::Writer &w) const
-{
-    w.cap(key_);
-    w.u32(static_cast<uint32_t>(entries_.size()));
-    for (const auto &e : entries_) {
-        w.u8(static_cast<uint8_t>(e.type));
-        w.b(e.alive);
-        w.b(e.reclaimed);
-        w.u32(e.parent);
-        w.u32(e.ownerIndex);
-        w.u32(static_cast<uint32_t>(e.children.size()));
-        for (const uint32_t child : e.children) {
-            w.u32(child);
-        }
-        w.u64(e.begin);
-        w.u64(e.mark);
-        w.u64(e.end);
-        w.cap(e.queue);
-        w.b(e.canSend);
-        w.b(e.canReceive);
-        w.u32(e.target);
-        w.u32(e.canary);
-        w.cap(e.record);
-        w.cap(e.token);
-    }
-    w.u32(static_cast<uint32_t>(pending_.size()));
-    for (const auto &p : pending_) {
-        w.u64(p.atCycle);
-        w.u32(p.id);
-    }
-    w.counter(capsMinted);
-    w.counter(capsDerived);
-    w.counter(capsTransferred);
-    w.counter(revocations);
-    w.counter(descendantsRevoked);
-    w.counter(scheduledRevocations);
-    w.counter(staleTokensRefused);
-    w.counter(invalidTokensRefused);
-    w.counter(corruptEntriesRefused);
-}
-
-bool
-ObjectCapTable::deserialize(snapshot::Reader &r)
-{
-    key_ = r.cap();
-    const uint32_t count = r.u32();
-    if (!r.ok()) {
-        return false;
-    }
-    entries_.clear();
-    entries_.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-        Entry e;
-        e.type = static_cast<ObjectCapType>(r.u8());
-        e.alive = r.b();
-        e.reclaimed = r.b();
-        e.parent = r.u32();
-        e.ownerIndex = r.u32();
-        const uint32_t childCount = r.u32();
-        if (!r.ok() || childCount > count) {
-            return false;
-        }
-        e.children.resize(childCount);
-        for (uint32_t c = 0; c < childCount; ++c) {
-            e.children[c] = r.u32();
-        }
-        e.begin = r.u64();
-        e.mark = r.u64();
-        e.end = r.u64();
-        e.queue = r.cap();
-        e.canSend = r.b();
-        e.canReceive = r.b();
-        e.target = r.u32();
-        e.canary = r.u32();
-        e.record = r.cap();
-        e.token = r.cap();
-        entries_.push_back(std::move(e));
-    }
-    const uint32_t pendingCount = r.u32();
-    if (!r.ok() || pendingCount > 0x10000u) {
-        return false;
-    }
-    pending_.clear();
-    pending_.reserve(pendingCount);
-    for (uint32_t i = 0; i < pendingCount; ++i) {
-        PendingRevoke p;
-        p.atCycle = r.u64();
-        p.id = r.u32();
-        pending_.push_back(p);
-    }
-    r.counter(capsMinted);
-    r.counter(capsDerived);
-    r.counter(capsTransferred);
-    r.counter(revocations);
-    r.counter(descendantsRevoked);
-    r.counter(scheduledRevocations);
-    r.counter(staleTokensRefused);
-    r.counter(invalidTokensRefused);
-    r.counter(corruptEntriesRefused);
-    return r.ok();
 }
 
 } // namespace cheriot::rtos

@@ -37,21 +37,18 @@
 #include "alloc/heap_allocator.h"
 #include "rtos/guest_context.h"
 #include "rtos/token_library.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace cheriot::fault
 {
 class FaultInjector;
 }
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
-
 namespace cheriot::rtos
 {
 
@@ -232,9 +229,63 @@ class ObjectCapTable final : public TimeAuthority,
     }
 
     /** @name Snapshot state (entries, tree links, pending revocations
-     * and counters; record/token boxes ride the machine image) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+     * and counters; record/token boxes ride the machine image). The
+     * constraint keeps this layout out of overload resolution for the
+     * ownership transfer() above. @{ */
+    template <class Self, class Archive>
+        requires std::same_as<std::remove_const_t<Self>, ObjectCapTable>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.cap(self.key_);
+        a.seq(self.entries_, [](auto &a, auto &e) {
+            a.u8(e.type);
+            a.b(e.alive);
+            a.b(e.reclaimed);
+            a.u32(e.parent);
+            a.u32(e.ownerIndex);
+            a.seq(e.children, [](auto &a, auto &child) { a.u32(child); });
+            a.u64(e.begin);
+            a.u64(e.mark);
+            a.u64(e.end);
+            a.cap(e.queue);
+            a.b(e.canSend);
+            a.b(e.canReceive);
+            a.u32(e.target);
+            a.u32(e.canary);
+            a.cap(e.record);
+            a.cap(e.token);
+        });
+        if constexpr (Archive::kLoading) {
+            // A node cannot have more children than the table has
+            // entries.
+            for (const auto &e : self.entries_) {
+                if (e.children.size() > self.entries_.size()) {
+                    a.fail();
+                }
+            }
+        }
+        a.seq(self.pending_, [](auto &a, auto &p) {
+            a.u64(p.atCycle);
+            a.u32(p.id);
+        });
+        if constexpr (Archive::kLoading) {
+            if (self.pending_.size() > 0x10000u) {
+                a.fail();
+            }
+        }
+        a.counter(self.capsMinted);
+        a.counter(self.capsDerived);
+        a.counter(self.capsTransferred);
+        a.counter(self.revocations);
+        a.counter(self.descendantsRevoked);
+        a.counter(self.scheduledRevocations);
+        a.counter(self.staleTokensRefused);
+        a.counter(self.invalidTokensRefused);
+        a.counter(self.corruptEntriesRefused);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     Counter capsMinted;          ///< Root capabilities minted.

@@ -1,6 +1,5 @@
 #include "rtos/scheduler.h"
 
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 #include <algorithm>
@@ -162,51 +161,6 @@ Scheduler::runFor(uint64_t horizon)
     return total == 0 ? 0.0
                       : 1.0 - static_cast<double>(idled) /
                                   static_cast<double>(total);
-}
-
-void
-Scheduler::serialize(snapshot::Writer &w) const
-{
-    w.u32(static_cast<uint32_t>(tasks_.size()));
-    for (const Task &task : tasks_) {
-        w.str(task.name);
-        w.u64(task.periodCycles);
-        w.u64(task.nextDue);
-    }
-    w.counter(contextSwitches);
-    w.counter(idleCycleCount);
-    w.counter(busyCycleCount);
-    w.counter(admissionDeferrals);
-    w.counter(timeCapDeferrals);
-    w.u64(slotCycles_);
-}
-
-bool
-Scheduler::deserialize(snapshot::Reader &r)
-{
-    if (r.u32() != tasks_.size()) {
-        return false;
-    }
-    for (Task &task : tasks_) {
-        if (r.str() != task.name) {
-            return false;
-        }
-        // A period mismatch means the resuming process registered a
-        // *different* schedule (e.g. a horizon-dependent one-shot
-        // period): its restored absolute deadline would silently fire
-        // at the wrong time. Refuse up front instead.
-        if (r.u64() != task.periodCycles) {
-            return false;
-        }
-        task.nextDue = r.u64();
-    }
-    r.counter(contextSwitches);
-    r.counter(idleCycleCount);
-    r.counter(busyCycleCount);
-    r.counter(admissionDeferrals);
-    r.counter(timeCapDeferrals);
-    slotCycles_ = r.u64();
-    return r.ok() && slotCycles_ != 0;
 }
 
 } // namespace cheriot::rtos

@@ -21,6 +21,7 @@
 #include "rtos/guest_context.h"
 #include "rtos/object_cap.h"
 #include "rtos/thread.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <functional>
@@ -141,8 +142,34 @@ class Scheduler
      * deterministic boot); only each task's next-due deadline and the
      * accounting counters are dynamic. Deserialization requires the
      * same task list (count, names and periods) to be registered. @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.expectU32(self.tasks_.size());
+        for (auto &task : self.tasks_) {
+            a.expectStr(task.name);
+            // A period mismatch means the resuming process registered
+            // a *different* schedule (e.g. a horizon-dependent one-shot
+            // period): its restored absolute deadline would silently
+            // fire at the wrong time. Refuse up front instead.
+            a.expectU64(task.periodCycles);
+            a.u64(task.nextDue);
+        }
+        a.counter(self.contextSwitches);
+        a.counter(self.idleCycleCount);
+        a.counter(self.busyCycleCount);
+        a.counter(self.admissionDeferrals);
+        a.counter(self.timeCapDeferrals);
+        a.u64(self.slotCycles_);
+        if constexpr (Archive::kLoading) {
+            if (self.slotCycles_ == 0) {
+                a.fail();
+            }
+        }
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     Counter contextSwitches;

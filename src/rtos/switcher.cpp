@@ -5,7 +5,6 @@
 #include "fault/fault_injector.h"
 #include "rtos/kernel.h"
 #include "rtos/watchdog.h"
-#include "snapshot/serializer.h"
 #include "util/bits.h"
 #include "util/log.h"
 
@@ -281,29 +280,6 @@ Switcher::handleCalleeFault(Kernel &kernel, Thread &thread,
 
     thread.beginForcedUnwind(cause);
     return CallResult::faulted(cause);
-}
-
-void
-Switcher::serialize(snapshot::Writer &w) const
-{
-    w.counter(calls);
-    w.counter(calleeFaults);
-    w.counter(bytesZeroed);
-    w.counter(handlerInvocations);
-    w.counter(forcedUnwindFrames);
-    w.counter(rejectedCalls);
-}
-
-bool
-Switcher::deserialize(snapshot::Reader &r)
-{
-    r.counter(calls);
-    r.counter(calleeFaults);
-    r.counter(bytesZeroed);
-    r.counter(handlerInvocations);
-    r.counter(forcedUnwindFrames);
-    r.counter(rejectedCalls);
-    return r.ok();
 }
 
 } // namespace cheriot::rtos

@@ -23,6 +23,7 @@
 #include "rtos/compartment.h"
 #include "rtos/guest_context.h"
 #include "rtos/thread.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <map>
@@ -73,8 +74,19 @@ class Switcher
                     ArgVec &args, const cap::Capability &trustedStackCap);
 
     /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.counter(self.calls);
+        a.counter(self.calleeFaults);
+        a.counter(self.bytesZeroed);
+        a.counter(self.handlerInvocations);
+        a.counter(self.forcedUnwindFrames);
+        a.counter(self.rejectedCalls);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     Counter calls;

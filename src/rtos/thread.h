@@ -78,28 +78,20 @@ class Thread
 
     /** @name Snapshot state (dynamic fields only; identity, stack
      * geometry and the stack root are boot-time constants) @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
     {
-        w.u32(sp_);
-        w.u32(callDepth_);
-        w.b(unwinding_);
-        w.u32(static_cast<uint32_t>(unwindCause_));
-        w.counter(crossCompartmentCalls);
-        w.counter(stackBytesZeroed);
-        w.counter(forcedUnwinds);
+        a.u32(self.sp_);
+        a.u32(self.callDepth_);
+        a.b(self.unwinding_);
+        a.u32(self.unwindCause_);
+        a.counter(self.crossCompartmentCalls);
+        a.counter(self.stackBytesZeroed);
+        a.counter(self.forcedUnwinds);
+        return a.ok();
     }
-
-    bool deserialize(snapshot::Reader &r)
-    {
-        sp_ = r.u32();
-        callDepth_ = r.u32();
-        unwinding_ = r.b();
-        unwindCause_ = static_cast<sim::TrapCause>(r.u32());
-        r.counter(crossCompartmentCalls);
-        r.counter(stackBytesZeroed);
-        r.counter(forcedUnwinds);
-        return r.ok();
-    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     Counter crossCompartmentCalls;

@@ -29,12 +29,7 @@
 
 #include "alloc/heap_allocator.h"
 #include "rtos/guest_context.h"
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
+#include "snapshot/serializer.h"
 
 namespace cheriot::rtos
 {
@@ -87,8 +82,19 @@ class TokenLibrary
     /** @name Snapshot state (box contents live in simulated heap
      * memory and ride the machine image; only the id counter is
      * host-side) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.u32(self.nextKeyId_);
+        if constexpr (Archive::kLoading) {
+            if (self.nextKeyId_ < 1) {
+                a.fail();
+            }
+        }
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
   private:

@@ -25,6 +25,7 @@
 #include "rtos/compartment.h"
 #include "rtos/guest_context.h"
 #include "rtos/object_cap.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 namespace cheriot::rtos
@@ -131,8 +132,24 @@ class Watchdog
 
     /** @name Snapshot state (policy + counters; per-compartment fault
      * state is serialized with each Compartment) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.u32(self.policy_.faultBudget);
+        a.u64(self.policy_.restartDelayCycles);
+        a.u32(self.policy_.allocFailureBudget);
+        a.counter(self.faultsObserved);
+        a.counter(self.quarantines);
+        a.counter(self.restarts);
+        a.counter(self.rejectedCalls);
+        a.counter(self.allocFailuresObserved);
+        a.counter(self.overloadQuarantines);
+        a.counter(self.monitorActionsGranted);
+        a.counter(self.monitorActionsRefused);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     Counter faultsObserved;

@@ -1,7 +1,5 @@
 #include "sim/csr.h"
 
-#include "snapshot/serializer.h"
-
 namespace cheriot::sim
 {
 
@@ -107,37 +105,6 @@ CsrFile::scr(isa::Scr which)
       case isa::Scr::Mepcc: return &mepcc;
     }
     return nullptr;
-}
-
-void
-CsrFile::serialize(snapshot::Writer &w) const
-{
-    w.b(mie);
-    w.b(mpie);
-    w.u32(mcause);
-    w.u32(mtval);
-    w.u32(mshwm);
-    w.u32(mshwmb);
-    w.cap(mtcc);
-    w.cap(mtdc);
-    w.cap(mscratchc);
-    w.cap(mepcc);
-}
-
-bool
-CsrFile::deserialize(snapshot::Reader &r)
-{
-    mie = r.b();
-    mpie = r.b();
-    mcause = r.u32();
-    mtval = r.u32();
-    mshwm = r.u32();
-    mshwmb = r.u32();
-    mtcc = r.cap();
-    mtdc = r.cap();
-    mscratchc = r.cap();
-    mepcc = r.cap();
-    return r.ok();
 }
 
 } // namespace cheriot::sim

@@ -18,14 +18,9 @@
 
 #include "cap/capability.h"
 #include "isa/encoding.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::sim
 {
@@ -112,8 +107,23 @@ class CsrFile
     static bool requiresSystemRegs(uint16_t csr);
 
     /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.b(self.mie);
+        a.b(self.mpie);
+        a.u32(self.mcause);
+        a.u32(self.mtval);
+        a.u32(self.mshwm);
+        a.u32(self.mshwmb);
+        a.cap(self.mtcc);
+        a.cap(self.mtdc);
+        a.cap(self.mscratchc);
+        a.cap(self.mepcc);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
     cap::Capability *scr(isa::Scr which);

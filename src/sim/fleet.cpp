@@ -255,29 +255,36 @@ FleetNode::restart()
     captureBaseline();
 }
 
+template <class Self, class Image>
+bool
+FleetNode::transferSections(Self &self, Image &image)
+{
+    Rig &rig = *self.rig_;
+    const auto kernel = [&](auto &a) {
+        a.part(rig.kernel);
+        return a.ok();
+    };
+    const auto fleet = [&](auto &a) {
+        a.part(rig.nic);
+        a.part(*rig.stack);
+        if (self.config_.appTier) {
+            a.part(*rig.flowMgr);
+            a.part(*rig.broker);
+        }
+        a.u32(self.currentRound_);
+        a.u32(self.nextMsg_);
+        Rng::transfer(self.trafficRng_, a);
+        return a.ok();
+    };
+    return image.section("kernel", kernel) && image.section("fleet", fleet);
+}
+
 snapshot::SnapshotImage
 FleetNode::saveImage() const
 {
     snapshot::SnapshotWriter out;
     rig_->machine.save(out);
-    snapshot::Writer &kw = out.beginSection("kernel");
-    rig_->kernel.serialize(kw);
-    out.endSection();
-    snapshot::Writer &fw = out.beginSection("fleet");
-    rig_->nic.serialize(fw);
-    rig_->stack->serialize(fw);
-    if (config_.appTier) {
-        rig_->flowMgr->serialize(fw);
-        rig_->broker->serialize(fw);
-    }
-    fw.u32(currentRound_);
-    fw.u32(nextMsg_);
-    uint32_t rngState[4];
-    trafficRng_.getState(rngState);
-    for (uint32_t word : rngState) {
-        fw.u32(word);
-    }
-    out.endSection();
+    transferSections(*this, out);
     return out.finish();
 }
 
@@ -289,30 +296,8 @@ FleetNode::restoreImage(const snapshot::SnapshotImage &image)
     rig_.reset();
     rig_ = std::make_unique<Rig>(*this, config_);
     snapshot::SnapshotReader in(image);
-    if (!in.valid() || !rig_->machine.restore(in)) {
-        return false;
-    }
-    snapshot::Reader kr = in.section("kernel");
-    if (!rig_->kernel.deserialize(kr) || !kr.exhausted()) {
-        return false;
-    }
-    snapshot::Reader fr = in.section("fleet");
-    if (!rig_->nic.deserialize(fr) || !rig_->stack->deserialize(fr)) {
-        return false;
-    }
-    if (config_.appTier &&
-        (!rig_->flowMgr->deserialize(fr) ||
-         !rig_->broker->deserialize(fr))) {
-        return false;
-    }
-    currentRound_ = fr.u32();
-    nextMsg_ = fr.u32();
-    uint32_t rngState[4];
-    for (auto &word : rngState) {
-        word = fr.u32();
-    }
-    trafficRng_.setState(rngState);
-    return fr.exhausted();
+    return in.valid() && rig_->machine.restore(in) &&
+           transferSections(*this, in);
 }
 
 void

@@ -226,6 +226,9 @@ class FleetNode
     void onDelivered(uint32_t srcMac, uint32_t msgId,
                      uint32_t sentRound);
     void captureBaseline();
+    /** The "kernel" and "fleet" sections laid over the machine's. */
+    template <class Self, class Image>
+    static bool transferSections(Self &self, Image &image);
 
     FleetConfig config_;
     uint32_t id_;

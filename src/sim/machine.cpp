@@ -50,23 +50,6 @@ ConsoleDevice::reset()
     exitCode_ = 0;
 }
 
-void
-ConsoleDevice::serialize(snapshot::Writer &w) const
-{
-    w.str(output_);
-    w.b(exitRequested_);
-    w.u32(exitCode_);
-}
-
-bool
-ConsoleDevice::deserialize(snapshot::Reader &r)
-{
-    output_ = r.str();
-    exitRequested_ = r.b();
-    exitCode_ = r.u32();
-    return r.ok();
-}
-
 // --- TimerDevice ------------------------------------------------------
 
 uint32_t
@@ -97,23 +80,6 @@ TimerDevice::write32(uint32_t offset, uint32_t value)
       default:
         break;
     }
-}
-
-void
-TimerDevice::serialize(snapshot::Writer &w) const
-{
-    w.u64(now_);
-    w.u64(compare_);
-    w.b(armed_);
-}
-
-bool
-TimerDevice::deserialize(snapshot::Reader &r)
-{
-    now_ = r.u64();
-    compare_ = r.u64();
-    armed_ = r.b();
-    return r.ok();
 }
 
 // --- Machine ----------------------------------------------------------
@@ -274,6 +240,7 @@ Machine::storeData(const Capability &auth, uint32_t addr, unsigned bytes,
       default: panic("storeData: bad size %u", bytes);
     }
     stores++;
+    invalidateDecode(addr, bytes);
     bgRevoker_.snoopStore(addr, bytes);
     if (config_.core.hwmEnabled) {
         csrs_.noteStore(addr);
@@ -374,6 +341,7 @@ Machine::storeCap(const Capability &auth, uint32_t addr,
         injector_->notePoisonRepaired(addr);
     }
     capStores++;
+    invalidateDecode(addr, 8);
     bgRevoker_.snoopStore(addr, 8);
     if (config_.core.hwmEnabled) {
         csrs_.noteStore(addr);
@@ -409,6 +377,7 @@ Machine::zeroMemory(const Capability &auth, uint32_t addr, uint32_t bytes,
         runControl_->noteMemAccess(/*isWrite=*/true, addr, bytes);
     }
     memory_.sram().zeroRange(addr, bytes);
+    invalidateDecode(addr, bytes);
     bgRevoker_.snoopStore(addr, bytes);
     if (config_.core.hwmEnabled) {
         csrs_.noteStore(addr);
@@ -457,7 +426,7 @@ Machine::loadProgram(const std::vector<uint32_t> &words, uint32_t addr)
         memory_.sram().write32(addr + static_cast<uint32_t>(i) * 4,
                                words[i]);
     }
-    std::fill(decodeValid_.begin(), decodeValid_.end(), false);
+    invalidateDecode(mem::kSramBase, config_.sramSize);
 }
 
 void
@@ -508,6 +477,8 @@ Machine::decodeAt(uint32_t pc)
         decodeCache_[index] =
             isa::decode(memory_.sram().peek32(pc), &error);
         decodeValid_[index] = true;
+        decodedLow_ = std::min(decodedLow_, index);
+        decodedHigh_ = std::max(decodedHigh_, index + 1);
         decodeFills++;
         if (!error.ok()) {
             // Keep the typed diagnosis so the illegal-instruction trap
@@ -604,14 +575,28 @@ Machine::debugWriteMem(uint32_t addr, const std::vector<uint8_t> &data)
     for (uint32_t i = 0; i < len; ++i) {
         memory_.sram().debugWrite8(addr + i, data[i]);
     }
-    // The bytes may overlap cached decodes.
-    const uint32_t firstWord = (addr - mem::kSramBase) / 4;
-    const uint32_t lastWord = (addr + len - 1 - mem::kSramBase) / 4;
-    for (uint32_t w = firstWord;
-         w <= lastWord && w < decodeValid_.size(); ++w) {
-        decodeValid_[w] = false;
-    }
+    invalidateDecode(addr, len);
     return true;
+}
+
+void
+Machine::invalidateDecode(uint32_t addr, uint32_t bytes)
+{
+    // Clamp to the decoded range; an address below SRAM wraps to a
+    // huge word index and one above it lies past decodedHigh_.
+    const uint32_t first =
+        std::max((addr - mem::kSramBase) / 4, decodedLow_);
+    const uint32_t end =
+        std::min((addr + bytes - 1 - mem::kSramBase) / 4 + 1, decodedHigh_);
+    if (first >= end) {
+        return;
+    }
+    std::fill(decodeValid_.begin() + first, decodeValid_.begin() + end,
+              false);
+    if (first == decodedLow_ && end == decodedHigh_) {
+        decodedLow_ = UINT32_MAX;
+        decodedHigh_ = 0;
+    }
 }
 
 RunResult
@@ -681,49 +666,63 @@ Machine::step()
 
 // --- Snapshot / restore ----------------------------------------------
 
+template <class Self, class Image>
+bool
+Machine::transferImage(Self &self, Image &image)
+{
+    // The image must describe *this* machine: restoring into a
+    // different core or memory geometry is meaningless.
+    const auto config = [&](auto &a) {
+        const MachineConfig &c = self.config_;
+        a.expectU8(c.core.kind);
+        a.expectStr(c.core.name);
+        a.expectB(c.core.cheriEnabled);
+        a.expectB(c.core.loadFilterEnabled);
+        a.expectB(c.core.hwmEnabled);
+        a.expectU8(c.core.bus);
+        a.expectU32(c.sramSize);
+        a.expectU32(c.heapOffset);
+        a.expectU32(c.heapSize);
+        a.expectU32(c.revocationGranule);
+        return a.ok();
+    };
+    const auto cpu = [&](auto &a) {
+        for (unsigned i = 1; i < isa::kNumRegs; ++i) {
+            a.cap(self.regs_[i]);
+        }
+        a.cap(self.pcc_);
+        CsrFile::transfer(self.csrs_, a);
+        a.counter(self.cycles_);
+        a.u64(self.instructions_);
+        a.u8(self.halt_);
+        a.u32(self.lastTrap_);
+        a.u32(self.pendingLoadReg_);
+        a.counter(self.instructionsRetired);
+        a.counter(self.loads);
+        a.counter(self.stores);
+        a.counter(self.capLoads);
+        a.counter(self.capStores);
+        a.counter(self.traps_);
+        return a.ok();
+    };
+    const auto part = [&image](const char *name, auto &component) {
+        return image.section(name, [&](auto &a) {
+            a.part(component);
+            return a.ok();
+        });
+    };
+    // Config first, so a mismatch is refused before any state changes.
+    return image.section("config", config) && image.section("cpu", cpu) &&
+           part("sram", self.memory_.sram()) &&
+           part("bitmap", self.bitmap_) && part("revoker", self.bgRevoker_) &&
+           part("filter", self.filter_) && part("console", self.console_) &&
+           part("timer", self.timer_) && part("bus", self.bus_);
+}
+
 void
 Machine::save(snapshot::SnapshotWriter &out) const
 {
-    {
-        snapshot::Writer &w = out.beginSection("config");
-        w.u8(static_cast<uint8_t>(config_.core.kind));
-        w.str(config_.core.name);
-        w.b(config_.core.cheriEnabled);
-        w.b(config_.core.loadFilterEnabled);
-        w.b(config_.core.hwmEnabled);
-        w.u8(static_cast<uint8_t>(config_.core.bus));
-        w.u32(config_.sramSize);
-        w.u32(config_.heapOffset);
-        w.u32(config_.heapSize);
-        w.u32(config_.revocationGranule);
-    }
-    {
-        snapshot::Writer &w = out.beginSection("cpu");
-        for (unsigned i = 1; i < isa::kNumRegs; ++i) {
-            w.cap(regs_[i]);
-        }
-        w.cap(pcc_);
-        csrs_.serialize(w);
-        w.counter(cycles_);
-        w.u64(instructions_);
-        w.u8(static_cast<uint8_t>(halt_));
-        w.u32(static_cast<uint32_t>(lastTrap_));
-        w.u32(pendingLoadReg_);
-        w.counter(instructionsRetired);
-        w.counter(loads);
-        w.counter(stores);
-        w.counter(capLoads);
-        w.counter(capStores);
-        w.counter(traps_);
-    }
-    memory_.sram().serialize(out.beginSection("sram"));
-    bitmap_.serialize(out.beginSection("bitmap"));
-    bgRevoker_.serialize(out.beginSection("revoker"));
-    filter_.serialize(out.beginSection("filter"));
-    console_.serialize(out.beginSection("console"));
-    timer_.serialize(out.beginSection("timer"));
-    bus_.serialize(out.beginSection("bus"));
-    out.endSection();
+    transferImage(*this, out);
 }
 
 bool
@@ -741,65 +740,10 @@ Machine::restore(const snapshot::SnapshotReader &in)
             return false;
         }
     }
-    {
-        // The image must describe *this* machine: restoring into a
-        // different core or memory geometry is meaningless.
-        snapshot::Reader r = in.section("config");
-        const bool match =
-            r.u8() == static_cast<uint8_t>(config_.core.kind) &&
-            r.str() == config_.core.name &&
-            r.b() == config_.core.cheriEnabled &&
-            r.b() == config_.core.loadFilterEnabled &&
-            r.b() == config_.core.hwmEnabled &&
-            r.u8() == static_cast<uint8_t>(config_.core.bus) &&
-            r.u32() == config_.sramSize &&
-            r.u32() == config_.heapOffset &&
-            r.u32() == config_.heapSize &&
-            r.u32() == config_.revocationGranule;
-        if (!match || !r.exhausted()) {
-            return false;
-        }
-    }
-    {
-        snapshot::Reader r = in.section("cpu");
-        for (unsigned i = 1; i < isa::kNumRegs; ++i) {
-            regs_[i] = r.cap();
-        }
-        pcc_ = r.cap();
-        if (!csrs_.deserialize(r)) {
-            return false;
-        }
-        r.counter(cycles_);
-        instructions_ = r.u64();
-        halt_ = static_cast<HaltReason>(r.u8());
-        lastTrap_ = static_cast<TrapCause>(r.u32());
-        pendingLoadReg_ = r.u32();
-        r.counter(instructionsRetired);
-        r.counter(loads);
-        r.counter(stores);
-        r.counter(capLoads);
-        r.counter(capStores);
-        r.counter(traps_);
-        if (!r.exhausted()) {
-            return false;
-        }
-    }
-    snapshot::Reader sram = in.section("sram");
-    snapshot::Reader bitmap = in.section("bitmap");
-    snapshot::Reader rev = in.section("revoker");
-    snapshot::Reader filter = in.section("filter");
-    snapshot::Reader console = in.section("console");
-    snapshot::Reader timer = in.section("timer");
-    snapshot::Reader bus = in.section("bus");
-    if (!memory_.sram().deserialize(sram) || !bitmap_.deserialize(bitmap) ||
-        !bgRevoker_.deserialize(rev) || !filter_.deserialize(filter) ||
-        !console_.deserialize(console) || !timer_.deserialize(timer) ||
-        !bus_.deserialize(bus)) {
-        return false;
-    }
+    const bool restored = transferImage(*this, in);
     // SRAM contents changed under the decode cache.
-    std::fill(decodeValid_.begin(), decodeValid_.end(), false);
-    return true;
+    invalidateDecode(mem::kSramBase, config_.sramSize);
+    return restored;
 }
 
 snapshot::SnapshotImage

@@ -26,6 +26,7 @@
 #include "revoker/revocation_bitmap.h"
 #include "sim/core_config.h"
 #include "sim/csr.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
@@ -46,8 +47,6 @@ class RunControl;
 
 namespace cheriot::snapshot
 {
-class Writer;
-class Reader;
 class SnapshotWriter;
 class SnapshotReader;
 struct SnapshotImage;
@@ -69,8 +68,16 @@ class ConsoleDevice : public mem::MmioDevice
     uint32_t exitCode() const { return exitCode_; }
     void reset();
 
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.str(self.output_);
+        a.b(self.exitRequested_);
+        a.u32(self.exitCode_);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
 
   private:
     std::string output_;
@@ -93,8 +100,16 @@ class TimerDevice : public mem::MmioDevice
     }
     void disarm() { armed_ = false; }
 
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
+    {
+        a.u64(self.now_);
+        a.u64(self.compare_);
+        a.b(self.armed_);
+        return a.ok();
+    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
 
   private:
     uint64_t now_ = 0;
@@ -275,12 +290,17 @@ class Machine
      * save() captures every architecturally visible piece of machine
      * state — registers, PCC, CSRs, tagged SRAM with micro-tags, the
      * revocation bitmap, the background revoker's pipeline, devices
-     * and counters — as sections of a snapshot image. restore() is its
-     * exact inverse: it refuses images whose configuration section
-     * does not match this machine, validates every section before
-     * mutating anything, and leaves the machine bit-identical to the
-     * one that saved. The fault injector is deliberately *not* part of
-     * the image; replay reconstructs it from the recorded seed. @{ */
+     * and counters — as sections of a snapshot image, laid out once
+     * by transferImage(). restore() is its exact inverse and leaves
+     * the machine bit-identical to the one that saved. Before it
+     * changes anything it checks that every section is present and
+     * that the configuration section matches this machine. A section
+     * that is malformed or cut short is refused too, but only when it
+     * is reached: restore() then returns false with the sections
+     * before it already restored, so the caller must discard the
+     * machine or restore a good image over it. The fault injector is
+     * deliberately *not* part of the image; replay reconstructs it
+     * from the recorded seed. @{ */
     void save(snapshot::SnapshotWriter &out) const;
     bool restore(const snapshot::SnapshotReader &in);
     /** Convenience wrappers over a whole image. */
@@ -365,9 +385,21 @@ class Machine
      * load-to-use stall model); kNumRegs means none. */
     unsigned pendingLoadReg_ = isa::kNumRegs;
 
-    /** Lazily filled decode cache over SRAM. */
+    /** Lazily filled decode cache over SRAM. Every checked store
+     * and debugger write drops the words it covers, so a fetch always
+     * decodes what memory holds. Valid entries all lie in the word
+     * range [decodedLow_, decodedHigh_), so a store elsewhere (data,
+     * MMIO) costs two compares. A host cache: never serialized. */
     std::vector<isa::Inst> decodeCache_;
     std::vector<bool> decodeValid_;
+    uint32_t decodedLow_ = UINT32_MAX;
+    uint32_t decodedHigh_ = 0;
+    /** Drop cached decodes of the SRAM words [addr, addr + bytes)
+     * touches; a range outside SRAM has none. */
+    void invalidateDecode(uint32_t addr, uint32_t bytes);
+    /** The image layout behind save() and restore(). */
+    template <class Self, class Image>
+    static bool transferImage(Self &self, Image &image);
 
     TraceHook traceHook_;
     debug::RunControl *runControl_ = nullptr;

@@ -67,24 +67,11 @@ crc32(const uint8_t *data, size_t size, uint32_t seed)
 }
 
 void
-Writer::u16(uint16_t value)
+Writer::put(uint64_t bits, size_t size)
 {
-    u8(static_cast<uint8_t>(value));
-    u8(static_cast<uint8_t>(value >> 8));
-}
-
-void
-Writer::u32(uint32_t value)
-{
-    u16(static_cast<uint16_t>(value));
-    u16(static_cast<uint16_t>(value >> 16));
-}
-
-void
-Writer::u64(uint64_t value)
-{
-    u32(static_cast<uint32_t>(value));
-    u32(static_cast<uint32_t>(value >> 32));
+    for (size_t i = 0; i < size; ++i) {
+        buffer_.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+    }
 }
 
 void
@@ -96,8 +83,15 @@ Writer::bytes(const uint8_t *data, size_t size)
 void
 Writer::str(const std::string &value)
 {
-    u32(static_cast<uint32_t>(value.size()));
+    u32(value.size());
     bytes(reinterpret_cast<const uint8_t *>(value.data()), value.size());
+}
+
+void
+Writer::blob(const std::vector<uint8_t> &value)
+{
+    u32(value.size());
+    bytes(value.data(), value.size());
 }
 
 bool
@@ -147,7 +141,6 @@ void
 Reader::bytes(uint8_t *out, size_t size)
 {
     if (!take(size)) {
-        std::memset(out, 0, size);
         return;
     }
     std::memcpy(out, data_ + offset_, size);
@@ -173,6 +166,17 @@ Reader::str()
                       size);
     offset_ += size;
     return value;
+}
+
+void
+Reader::blob(std::vector<uint8_t> &out)
+{
+    const uint32_t size = u32();
+    if (!take(size)) {
+        return;
+    }
+    out.assign(data_ + offset_, data_ + offset_ + size);
+    offset_ += size;
 }
 
 } // namespace cheriot::snapshot

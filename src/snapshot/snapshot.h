@@ -85,6 +85,15 @@ class SnapshotWriter
     /** Finish the current section (computes its CRC). */
     void endSection();
 
+    /** Section @p name, its payload laid out by @p fn(Writer &); the
+     * image-level twin of SnapshotReader::section(name, fn). */
+    template <class Fn> bool section(const std::string &name, Fn &&fn)
+    {
+        fn(beginSection(name));
+        endSection();
+        return true;
+    }
+
     /** Seal the image (appends the whole-image CRC). */
     SnapshotImage finish();
 
@@ -125,6 +134,14 @@ class SnapshotReader
     /** Reader over a section's payload; overruns latch on a missing
      * section so callers can check Reader::ok() uniformly. */
     Reader section(const std::string &name) const;
+
+    /** Restores section @p name through @p fn(Reader &): false when
+     * the section is missing, @p fn fails, or bytes are left over. */
+    template <class Fn> bool section(const std::string &name, Fn &&fn) const
+    {
+        Reader r = section(name);
+        return fn(r) && r.exhausted();
+    }
 
   private:
     struct Entry

@@ -106,23 +106,17 @@ class Rng
         return below(denom) < numer;
     }
 
-    /** @name Raw state access, for snapshot save/restore only. @{ */
-    constexpr void
-    getState(uint32_t out[4]) const
+    /** Snapshot layout (see snapshot/serializer.h): the four state
+     * words. */
+    template <class Self, class Archive>
+    static bool
+    transfer(Self &self, Archive &a)
     {
-        for (int i = 0; i < 4; ++i) {
-            out[i] = state_[i];
+        for (auto &word : self.state_) {
+            a.u32(word);
         }
+        return a.ok();
     }
-
-    constexpr void
-    setState(const uint32_t in[4])
-    {
-        for (int i = 0; i < 4; ++i) {
-            state_[i] = in[i];
-        }
-    }
-    /** @} */
 
   private:
     static constexpr uint32_t

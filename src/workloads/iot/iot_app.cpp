@@ -248,21 +248,25 @@ runIotApp(const IotAppConfig &config)
     // host-side workload models — including the NIC's registers and
     // the stack's ring cursors / slot capabilities, which are not
     // part of the machine image.
+    const auto kernelSection = [&](auto &a) {
+        a.part(kernel);
+        return a.ok();
+    };
+    const auto iotSection = [&](auto &a) {
+        a.part(session);
+        a.part(vm);
+        a.part(source);
+        a.part(nic);
+        a.part(stack);
+        a.u32(frameSeq);
+        a.b(result.handshakeCompleted);
+        return a.ok();
+    };
     const auto takeCheckpoint = [&] {
         snapshot::SnapshotWriter out;
         machine.save(out);
-        snapshot::Writer &kw = out.beginSection("kernel");
-        kernel.serialize(kw);
-        out.endSection();
-        snapshot::Writer &iw = out.beginSection("iot");
-        session.serialize(iw);
-        vm.serialize(iw);
-        source.serialize(iw);
-        nic.serialize(iw);
-        stack.serialize(iw);
-        iw.u32(frameSeq);
-        iw.b(result.handshakeCompleted);
-        out.endSection();
+        out.section("kernel", kernelSection);
+        out.section("iot", iotSection);
         return out.finish();
     };
 
@@ -272,20 +276,11 @@ runIotApp(const IotAppConfig &config)
             fatal("iot: resume image rejected by the machine (%s)",
                   in.error().c_str());
         }
-        snapshot::Reader kr = in.section("kernel");
-        if (!kernel.deserialize(kr) || !kr.exhausted()) {
+        if (!in.section("kernel", kernelSection)) {
             fatal("iot: resume image rejected by the kernel");
         }
-        snapshot::Reader ir = in.section("iot");
-        if (!session.deserialize(ir) || !vm.deserialize(ir) ||
-            !source.deserialize(ir) || !nic.deserialize(ir) ||
-            !stack.deserialize(ir)) {
+        if (!in.section("iot", iotSection)) {
             fatal("iot: resume image rejected by the workload");
-        }
-        frameSeq = ir.u32();
-        result.handshakeCompleted = ir.b();
-        if (!ir.exhausted()) {
-            fatal("iot: trailing bytes in the workload section");
         }
     }
     if (config.preRunSnapshotOut != nullptr) {

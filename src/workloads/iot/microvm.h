@@ -99,35 +99,20 @@ class MicroVm
     /** @name Snapshot state (the program bytecode is a boot-time
      * constant; live object handles are capabilities into the
      * snapshotted heap, so they stay valid across restore) @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
     {
-        w.u32(static_cast<uint32_t>(liveObjects_.size()));
-        for (const auto &object : liveObjects_) {
-            w.cap(object);
-        }
-        w.u32(ledState_);
-        w.u64(ticks_);
-        w.u64(objectsAllocated_);
-        w.u64(gcPasses_);
-        w.u64(failedTicks_);
+        a.seq(self.liveObjects_,
+              [](auto &a, auto &object) { a.cap(object); });
+        a.u32(self.ledState_);
+        a.u64(self.ticks_);
+        a.u64(self.objectsAllocated_);
+        a.u64(self.gcPasses_);
+        a.u64(self.failedTicks_);
+        return a.ok();
     }
-    bool deserialize(snapshot::Reader &r)
-    {
-        const uint32_t count = r.u32();
-        if (count > r.remaining() / 9) { // 9 bytes per capability
-            return false;
-        }
-        liveObjects_.assign(count, cap::Capability());
-        for (auto &object : liveObjects_) {
-            object = r.cap();
-        }
-        ledState_ = r.u32();
-        ticks_ = r.u64();
-        objectsAllocated_ = r.u64();
-        gcPasses_ = r.u64();
-        failedTicks_ = r.u64();
-        return r.ok();
-    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
   private:

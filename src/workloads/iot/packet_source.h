@@ -61,31 +61,18 @@ class PacketSource
 
     /** @name Snapshot state (PRNG stream, pending arrival, sequence
      * counter — everything the arrival process depends on) @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
     {
-        uint32_t state[4];
-        rng_.getState(state);
-        for (uint32_t word : state) {
-            w.u32(word);
-        }
-        w.u64(next_.arrivalCycle);
-        w.u32(next_.bytes);
-        w.b(next_.isPayloadFetch);
-        w.u32(sequence_);
+        Rng::transfer(self.rng_, a);
+        a.u64(self.next_.arrivalCycle);
+        a.u32(self.next_.bytes);
+        a.b(self.next_.isPayloadFetch);
+        a.u32(self.sequence_);
+        return a.ok();
     }
-    bool deserialize(snapshot::Reader &r)
-    {
-        uint32_t state[4];
-        for (uint32_t &word : state) {
-            word = r.u32();
-        }
-        rng_.setState(state);
-        next_.arrivalCycle = r.u64();
-        next_.bytes = r.u32();
-        next_.isPayloadFetch = r.b();
-        sequence_ = r.u32();
-        return r.ok();
-    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
   private:

@@ -54,17 +54,15 @@ class TlsSession
     uint64_t recordsProcessed() const { return records_; }
 
     /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class Self, class Archive>
+    static bool transfer(Self &self, Archive &a)
     {
-        w.b(established_);
-        w.u64(records_);
+        a.b(self.established_);
+        a.u64(self.records_);
+        return a.ok();
     }
-    bool deserialize(snapshot::Reader &r)
-    {
-        established_ = r.b();
-        records_ = r.u64();
-        return r.ok();
-    }
+    void serialize(snapshot::Writer &w) const { transfer(*this, w); }
+    bool deserialize(snapshot::Reader &r) { return transfer(*this, r); }
     /** @} */
 
   private:

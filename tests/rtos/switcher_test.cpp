@@ -41,6 +41,16 @@ TEST(Switcher, CalleeSeesChoppedStack)
     Thread &thread = kernel.createThread("main", 1, 4096);
     kernel.activate(thread);
 
+    // Both exports are registered before the first call: adding an
+    // export from inside a running one would reallocate the table that
+    // holds the running closure.
+    const uint32_t nested = callee.addExport(
+        {"nested",
+         [&](CompartmentContext &inner, ArgVec &) {
+             EXPECT_EQ(inner.stackCap.top(), thread.stackTop() - 256);
+             return CallResult::ofInt(1);
+         },
+         false});
     const uint32_t index = callee.addExport(
         {"probe",
          [&](CompartmentContext &ctx, ArgVec &) {
@@ -54,14 +64,6 @@ TEST(Switcher, CalleeSeesChoppedStack)
              // A nested call sees a smaller stack.
              const Capability frame = ctx.stackAlloc(256);
              EXPECT_TRUE(frame.tag());
-             const uint32_t nested = callee.addExport(
-                 {"nested",
-                  [&](CompartmentContext &inner, ArgVec &) {
-                      EXPECT_EQ(inner.stackCap.top(),
-                                thread.stackTop() - 256);
-                      return CallResult::ofInt(1);
-                  },
-                  false});
              return ctx.kernel.call(
                  ctx.thread, ctx.kernel.importOf(callee, nested), {});
          },

@@ -7,6 +7,7 @@
 
 #include "isa/assembler.h"
 #include "sim/machine.h"
+#include "snapshot/snapshot.h"
 
 #include <gtest/gtest.h>
 
@@ -280,6 +281,101 @@ TEST(MachineExec, ConsoleOutputAndExit)
     EXPECT_EQ(machine->haltReason(), HaltReason::ConsoleExit);
     EXPECT_EQ(machine->console().exitCode(), 3u);
     EXPECT_EQ(machine->console().output(), "hi");
+}
+
+TEST(MachineExec, CheckedStoreOverCodeReachesTheNextFetch)
+{
+    // Run `addi t0, zero, 1`, overwrite it through a checked store and
+    // run it again. The second run must execute what memory now holds,
+    // and a save/restore between the store and the fetch must not
+    // change what runs (DESIGN.md §8.2). The capability store writes
+    // `addi t0, zero, 7` as its address word; zeroing leaves an
+    // illegal instruction, so t0 keeps its reset value.
+    const auto program = [](int32_t imm) {
+        Assembler a(kEntry);
+        a.addi(T0, Zero, imm);
+        a.ebreak();
+        return a.finish();
+    };
+    const uint32_t newWord = program(7)[0];
+    const Capability root = Capability::memoryRoot();
+    const std::pair<const char *, std::function<TrapCause(Machine &)>>
+        stores[] = {
+            {"data",
+             [&](Machine &m) {
+                 return m.storeData(root, kEntry, 4, newWord, false);
+             }},
+            {"cap",
+             [&](Machine &m) {
+                 return m.storeCap(root, kEntry,
+                                   root.withAddress(newWord)
+                                       .withTagCleared(),
+                                   false);
+             }},
+            {"zero",
+             [&](Machine &m) {
+                 return m.zeroMemory(root, kEntry, 8, false);
+             }},
+        };
+    for (const auto &[kind, store] : stores) {
+        for (const bool viaSnapshot : {false, true}) {
+            Machine machine(smallConfig(CoreConfig::ibex()));
+            machine.loadProgram(program(1), kEntry);
+            machine.resetCpu(kEntry);
+            machine.run(16);
+            ASSERT_EQ(machine.readRegInt(T0), 1u);
+
+            ASSERT_EQ(store(machine), TrapCause::None) << kind;
+            if (viaSnapshot) {
+                ASSERT_TRUE(machine.restoreImage(machine.saveImage()));
+            }
+            machine.resetCpu(kEntry);
+            machine.run(16);
+            EXPECT_EQ(machine.readRegInt(T0),
+                      std::string(kind) == "zero" ? 0u : 7u)
+                << kind << " viaSnapshot " << viaSnapshot;
+        }
+    }
+}
+
+TEST(MachineExec, RevokerWindowIsClampedToSram)
+{
+    // Guest stores program the background revoker's window and kick
+    // it. A window with no SRAM in it (start 0x0, end 0x1000) starts
+    // nothing; one that straddles the start of SRAM sweeps only its
+    // SRAM part. Either way the registers read back what was written
+    // and no sweep reads outside SRAM.
+    const auto programWindow = [](uint32_t start, uint32_t end) {
+        return runProgram([=](Assembler &a) {
+            a.li(T0, static_cast<int32_t>(mem::kRevokerMmioBase));
+            a.csetaddr(A2, A0, T0);
+            a.li(T1, static_cast<int32_t>(start));
+            a.sw(T1, A2, 0x0);
+            a.li(T1, static_cast<int32_t>(end));
+            a.sw(T1, A2, 0x4);
+            a.sw(T1, A2, 0xc); // kick
+            a.ebreak();
+        });
+    };
+
+    auto outside = programWindow(0x0, 0x1000);
+    ASSERT_EQ(outside->haltReason(), HaltReason::Breakpoint);
+    revoker::BackgroundRevoker &idle = outside->backgroundRevoker();
+    EXPECT_EQ(idle.kicksReceived.value(), 1u);
+    EXPECT_EQ(idle.epoch(), 0u) << "an empty window starts no sweep";
+    outside->idle(100'000);
+    EXPECT_EQ(idle.wordsExamined.value(), 0u);
+    EXPECT_EQ(idle.read32(0x0), 0x0u);
+    EXPECT_EQ(idle.read32(0x4), 0x1000u);
+
+    auto straddling =
+        programWindow(mem::kSramBase - 0x100, mem::kSramBase + 0x100);
+    ASSERT_EQ(straddling->haltReason(), HaltReason::Breakpoint);
+    straddling->idle(100'000);
+    revoker::BackgroundRevoker &swept = straddling->backgroundRevoker();
+    EXPECT_EQ(swept.epoch(), 2u) << "one sweep, completed";
+    EXPECT_EQ(swept.wordsExamined.value(), 0x100u / 8);
+    EXPECT_EQ(swept.read32(0x0), mem::kSramBase - 0x100);
 }
 
 TEST(MachineExec, StackHighWaterMarkTracksLowestStore)
