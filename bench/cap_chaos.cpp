@@ -1,555 +1,22 @@
 /**
  * @file
- * Revocation-storm chaos campaign for the kernel object-capability
- * table. Per core (Ibex and Flute) four adversarial scenarios run
- * against live workloads:
- *
- *  1. Scheduler storm: tasks bound to a Time derivation tree; the
- *     root is revoked on a deadline while descendants are scheduled.
- *     Every descendant must stop at the next scheduling point — a
- *     typed deferral, never a trap — while ambient tasks keep
- *     running.
- *  2. Channel storm: senders and receivers blocked in bounded waits
- *     on full/empty queues while their Channel capability is revoked
- *     mid-wait. Each must unblock promptly with a typed Revoked and
- *     leak nothing.
- *  3. Monitor storm: quarantine landed under a Monitor capability
- *     that dies mid-recovery; the restart must be refused typed and
- *     the target must heal through the ordinary lazy restart path.
- *  4. Random storm: seeded derive/transfer/revoke/schedule
- *     interleavings with CapTableCorrupt injections; after every
- *     revoke no descendant authority may survive, every scramble
- *     must be refused typed, and the derivation tree must stay
- *     acyclic with nested Time bounds throughout.
- *
- * Each scenario audits the heap back to its post-boot baseline after
- * reclaim. Emits BENCH_caps.json. Exit 0 iff every gate held on both
- * cores: zero safety violations, zero forged authority, zero leaked
- * bytes, all degradation typed.
+ * Revocation-storm chaos campaign (caps_harness.h) on Ibex and Flute.
+ * Emits BENCH_caps.json; exit 0 iff every gate held on both cores.
  */
 
-#include "fault/fault_injector.h"
-#include "rtos/kernel.h"
-#include "rtos/message_queue.h"
-#include "rtos/object_cap.h"
-#include "bench_stats.h"
-#include "sim/machine.h"
-#include "util/log.h"
-#include "util/rng.h"
+#include "caps_harness.h"
+#include "flags.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 using namespace cheriot;
-using cap::Capability;
-using rtos::CapResult;
-using rtos::Kernel;
-using rtos::MessageQueueService;
-using rtos::ObjectCapTable;
 
 namespace
 {
 
-struct BenchRow
-{
-    std::string core;
-    uint64_t revocations = 0;
-    uint64_t descendantsRevoked = 0;
-    uint64_t scheduledDeliveries = 0;
-    uint64_t timeCapDeferrals = 0;
-    uint64_t revokedWaits = 0;
-    uint64_t monitorRefusals = 0;
-    uint64_t corruptInjections = 0;
-    uint64_t corruptRefusals = 0;
-    uint64_t staleRefusals = 0;
-    uint64_t invariantViolations = 0;
-    uint64_t forgedGrants = 0;
-    int64_t leakedBytes = 0;
-    uint64_t traps = 0;
-    double hostSeconds = 0.0;
-    bool ok = false;
-    bench::StatsMap stats; ///< Merged simStats across scenarios.
-};
-
-sim::MachineConfig
-chaosConfig(const sim::CoreConfig &core)
-{
-    sim::MachineConfig mc;
-    mc.core = core;
-    mc.sramSize = 192u << 10;
-    mc.heapOffset = 128u << 10;
-    mc.heapSize = 64u << 10;
-    return mc;
-}
-
 void
-drainQuarantine(Kernel &kernel)
-{
-    for (int i = 0; i < 8 && kernel.allocator().quarantinedBytes() > 0;
-         ++i) {
-        kernel.allocator().synchronise();
-    }
-}
-
-uint64_t
-heapLevel(Kernel &kernel)
-{
-    return kernel.allocator().freeBytes() +
-           kernel.allocator().slackBytes();
-}
-
-/**
- * Scenario 1: revoke a parent Time capability on a deadline while
- * tasks bound to its descendants are scheduled. The gated tasks must
- * stop at the next scheduling point after delivery; the ambient task
- * must be unaffected; nothing may trap.
- */
-void
-schedulerStorm(const sim::CoreConfig &core, BenchRow &row)
-{
-    sim::Machine machine(chaosConfig(core));
-    Kernel kernel(machine);
-    kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
-    kernel.activate(kernel.createThread("main", 1, 4096));
-    rtos::Compartment &app = kernel.createCompartment("app");
-
-    ObjectCapTable &caps = kernel.objectCaps();
-    rtos::Scheduler &sched = kernel.scheduler();
-    const uint64_t trapsBefore = machine.trapCount();
-
-    uint64_t childRuns = 0;
-    uint64_t grandRuns = 0;
-    uint64_t ambientRuns = 0;
-    sched.addPeriodic("child", 2048, 2, [&] { ++childRuns; });
-    sched.addPeriodic("grand", 3072, 2, [&] { ++grandRuns; });
-    sched.addPeriodic("ambient", 2048, 1, [&] { ++ambientRuns; });
-
-    const Capability root = kernel.mintTimeCap(app, 0, 1ull << 40);
-    const Capability child = caps.deriveTime(root, 0, 1ull << 30);
-    const Capability grand = caps.deriveTime(child, 0, 1ull << 20);
-    if (!grand.tag() || !sched.bindTimeCap("child", child) ||
-        !sched.bindTimeCap("grand", grand)) {
-        row.invariantViolations++;
-        return;
-    }
-
-    sched.runFor(60'000);
-    if (childRuns == 0 || grandRuns == 0) {
-        // The live slices must actually grant before the storm.
-        row.invariantViolations++;
-    }
-
-    // The storm: the ROOT dies on a deadline mid-run. Recursive
-    // revoke must take both scheduled descendants with it.
-    caps.scheduleRevoke(root, machine.cycles() + 30'000);
-    sched.runFor(120'000);
-
-    const uint64_t childAtStop = childRuns;
-    const uint64_t grandAtStop = grandRuns;
-    const uint64_t ambientAtStop = ambientRuns;
-    sched.runFor(60'000);
-    if (childRuns != childAtStop || grandRuns != grandAtStop) {
-        // A task ran on a revoked slice: usable descendant authority
-        // survived the revoke.
-        row.forgedGrants++;
-    }
-    if (ambientRuns == ambientAtStop) {
-        row.invariantViolations++; // Ambient work must be unaffected.
-    }
-    const uint32_t rootId = caps.idOf(root);
-    if (rootId == ObjectCapTable::kNoParent ||
-        !caps.subtreeDead(rootId)) {
-        row.invariantViolations++;
-    }
-
-    row.revocations += caps.revocations.value();
-    row.descendantsRevoked += caps.descendantsRevoked.value();
-    row.scheduledDeliveries += caps.scheduledRevocations.value();
-    row.timeCapDeferrals += sched.timeCapDeferrals.value();
-    row.traps += machine.trapCount() - trapsBefore;
-    bench::mergeStats(row.stats, machine.simStats().snapshot());
-    if (sched.timeCapDeferrals.value() == 0) {
-        row.invariantViolations++; // Degradation must be typed.
-    }
-}
-
-/**
- * Scenario 2: revoke Channel capabilities under full queues with
- * blocked senders (and empty queues with blocked receivers). Each
- * wait must end with a typed Revoked at the next backoff retry, far
- * before its timeout, and the heap must return to baseline.
- */
-void
-channelStorm(const sim::CoreConfig &core, BenchRow &row)
-{
-    sim::Machine machine(chaosConfig(core));
-    Kernel kernel(machine);
-    kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
-    rtos::Thread &thread = kernel.createThread("main", 1, 4096);
-    kernel.activate(thread);
-    rtos::Compartment &app = kernel.createCompartment("app");
-
-    ObjectCapTable &caps = kernel.objectCaps();
-    MessageQueueService service(
-        kernel.guest(), kernel.allocator(),
-        kernel.loader().sealerFor(cap::kDataOtypeFree0));
-    service.setChannelAuthority(&caps);
-    const uint64_t trapsBefore = machine.trapCount();
-
-    const Capability msg = kernel.malloc(thread, 8);
-    kernel.guest().storeWord(msg, msg.base(), 0x600d);
-
-    drainQuarantine(kernel);
-    const uint64_t baseline = heapLevel(kernel);
-
-    for (int round = 0; round < 4; ++round) {
-        const Capability queue = service.create(8, 1);
-        const Capability rootChan =
-            kernel.mintChannelCap(app, queue, true, true);
-        // The blocked party holds a *derived* capability: revoking
-        // the root must kill it transitively, mid-wait.
-        const Capability derived = caps.deriveChannel(
-            rootChan, true, (round & 1) != 0);
-        if (!derived.tag()) {
-            row.invariantViolations++;
-            break;
-        }
-        MessageQueueService::Result result;
-        if ((round & 1) == 0) {
-            // Blocked sender: fill the queue first.
-            if (service.sendVia(rootChan, msg) !=
-                MessageQueueService::Result::Ok) {
-                row.invariantViolations++;
-            }
-            caps.scheduleRevoke(rootChan,
-                                machine.cycles() + 20'000);
-            const uint64_t before = machine.cycles();
-            result = service.sendViaTimeout(derived, msg, 1'000'000);
-            const uint64_t waited = machine.cycles() - before;
-            if (result == MessageQueueService::Result::Revoked &&
-                waited < 100'000) {
-                row.revokedWaits++;
-            } else {
-                row.invariantViolations++;
-            }
-        } else {
-            // Blocked receiver on an empty queue.
-            caps.scheduleRevoke(rootChan,
-                                machine.cycles() + 20'000);
-            const uint64_t before = machine.cycles();
-            result = service.receiveViaTimeout(derived, msg,
-                                               1'000'000);
-            const uint64_t waited = machine.cycles() - before;
-            if (result == MessageQueueService::Result::Revoked &&
-                waited < 100'000) {
-                row.revokedWaits++;
-            } else {
-                row.invariantViolations++;
-            }
-        }
-        // No usable authority survives on either token, typed both
-        // before and after reclaim.
-        if (service.sendVia(derived, msg) !=
-                MessageQueueService::Result::Revoked ||
-            service.sendVia(rootChan, msg) !=
-                MessageQueueService::Result::Revoked) {
-            row.forgedGrants++;
-        }
-        caps.reclaim();
-        if (service.sendVia(derived, msg) !=
-            MessageQueueService::Result::InvalidHandle) {
-            row.forgedGrants++;
-        }
-        service.destroy(queue);
-    }
-
-    row.staleRefusals += caps.staleTokensRefused.value();
-    drainQuarantine(kernel);
-    row.leakedBytes += static_cast<int64_t>(baseline) -
-                       static_cast<int64_t>(heapLevel(kernel));
-    row.traps += machine.trapCount() - trapsBefore;
-    bench::mergeStats(row.stats, machine.simStats().snapshot());
-}
-
-/**
- * Scenario 3: the Monitor capability dies between quarantine and
- * restart. The restart must be refused typed; the quarantined
- * compartment must still heal through the lazy restart path.
- */
-void
-monitorStorm(const sim::CoreConfig &core, BenchRow &row)
-{
-    sim::Machine machine(chaosConfig(core));
-    Kernel kernel(machine);
-    kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
-    kernel.activate(kernel.createThread("main", 1, 4096));
-    rtos::Compartment &supervisor =
-        kernel.createCompartment("supervisor");
-    rtos::Compartment &worker = kernel.createCompartment("worker");
-
-    ObjectCapTable &caps = kernel.objectCaps();
-    rtos::Watchdog &dog = kernel.watchdog();
-    const uint64_t trapsBefore = machine.trapCount();
-
-    const Capability monitor =
-        kernel.mintMonitorCap(supervisor, worker);
-    if (kernel.requestQuarantine(monitor, worker) != CapResult::Ok ||
-        !dog.shouldReject(worker, machine.cycles())) {
-        row.invariantViolations++;
-        return;
-    }
-    // The storm: revoke mid-recovery, then try to restart.
-    if (caps.revoke(monitor) != CapResult::Ok) {
-        row.invariantViolations++;
-    }
-    const CapResult verdict = kernel.requestRestart(monitor, worker);
-    if (verdict != CapResult::Revoked) {
-        row.forgedGrants += (verdict == CapResult::Ok) ? 1 : 0;
-        row.invariantViolations += (verdict == CapResult::Ok) ? 0 : 1;
-    }
-    // A revoked Monitor must not quarantine anybody either.
-    if (kernel.requestQuarantine(monitor, worker) == CapResult::Ok) {
-        row.forgedGrants++;
-    }
-    // The worker heals through the ordinary lazy path regardless.
-    machine.idle(8'192);
-    if (dog.shouldReject(worker, machine.cycles())) {
-        row.invariantViolations++;
-    }
-    row.monitorRefusals += dog.monitorActionsRefused.value();
-    row.revocations += caps.revocations.value();
-    row.traps += machine.trapCount() - trapsBefore;
-    bench::mergeStats(row.stats, machine.simStats().snapshot());
-}
-
-/**
- * Scenario 4: a seeded random derive/transfer/revoke/schedule storm
- * with CapTableCorrupt injections riding along. Tree invariants are
- * checked continuously; at the end everything is revoked, reclaimed,
- * and the heap must be back at baseline.
- */
-void
-randomStorm(const sim::CoreConfig &core, uint64_t seed, BenchRow &row)
-{
-    sim::Machine machine(chaosConfig(core));
-    Kernel kernel(machine);
-    kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
-    kernel.activate(kernel.createThread("main", 1, 4096));
-    rtos::Compartment &app = kernel.createCompartment("app");
-
-    ObjectCapTable &caps = kernel.objectCaps();
-    fault::FaultInjector injector(seed ^ 0xca9);
-    caps.attachInjector(&injector);
-    const uint64_t trapsBefore = machine.trapCount();
-
-    drainQuarantine(kernel);
-    const uint64_t baseline = heapLevel(kernel);
-
-    Rng rng = Rng::forStream(seed, 0x570);
-    std::vector<Capability> tokens;
-    tokens.push_back(kernel.mintTimeCap(app, 0, 1ull << 40));
-
-    uint64_t refusedAtArm = 0;
-    bool armed = false;
-    uint32_t armCount = 0;
-    uint64_t touches = 0;
-    const auto maybeArm = [&] {
-        if (armed || armCount >= 3) {
-            return;
-        }
-        fault::FaultPlan plan;
-        plan.site = fault::FaultSite::CapTableCorrupt;
-        plan.triggerTransaction = touches + 2 + rng.below(8);
-        plan.param = rng.next() | 1u;
-        injector.arm(plan);
-        refusedAtArm = caps.corruptEntriesRefused.value();
-        armed = true;
-        ++armCount;
-    };
-    maybeArm();
-
-    for (int op = 0; op < 400; ++op) {
-        // Keep the storm fed: without fresh roots an early root
-        // revoke would leave nothing but stale-token churn.
-        if ((op % 40) == 0) {
-            const Capability fresh =
-                kernel.mintTimeCap(app, 0, 1ull << 40);
-            if (fresh.tag()) {
-                tokens.push_back(fresh);
-            }
-        }
-        const bool firedBefore = injector.fired();
-        const Capability &pick =
-            tokens[rng.below(static_cast<uint32_t>(tokens.size()))];
-        switch (rng.below(6)) {
-          case 0:
-          case 1: { // Derive a fresh sub-slice.
-            const uint32_t pid = caps.idOf(pick);
-            if (pid == ObjectCapTable::kNoParent ||
-                !caps.aliveAt(pid)) {
-                break;
-            }
-            uint64_t begin = 0, mark = 0, end = 0;
-            caps.timeBoundsAt(pid, &begin, &mark, &end);
-            if (mark + 2 >= end) {
-                break;
-            }
-            ++touches;
-            const Capability kid = caps.deriveTime(
-                pick, mark, mark + 1 + rng.below(1u << 12));
-            if (kid.tag()) {
-                tokens.push_back(kid);
-            }
-            break;
-          }
-          case 2:
-            ++touches;
-            caps.transfer(pick, rng.below(2));
-            break;
-          case 3: { // Immediate revoke: subtree must die with it.
-            ++touches;
-            const uint32_t id = caps.idOf(pick);
-            const CapResult verdict = caps.revoke(pick);
-            // A scramble landing on this very presentation is
-            // refused InvalidCap — typed, and the canary kill takes
-            // the subtree down anyway. Anything else must be Ok.
-            const bool corrupted =
-                injector.fired() && !firedBefore;
-            if (verdict != CapResult::Ok &&
-                !(corrupted && verdict == CapResult::InvalidCap)) {
-                row.invariantViolations++;
-            }
-            if (id != ObjectCapTable::kNoParent &&
-                !caps.subtreeDead(id)) {
-                row.invariantViolations++;
-            }
-            break;
-          }
-          case 4:
-            ++touches;
-            caps.scheduleRevoke(
-                pick, machine.cycles() + 1'000 + rng.below(30'000));
-            break;
-          case 5: { // Consumer check + clock advance.
-            ++touches;
-            const CapResult verdict = caps.checkTime(pick, 0);
-            if (verdict == CapResult::Ok) {
-                const uint32_t id = caps.idOf(pick);
-                if (id == ObjectCapTable::kNoParent ||
-                    !caps.aliveAt(id)) {
-                    row.forgedGrants++; // Granted on a dead entry.
-                }
-            }
-            machine.idle(500 + rng.below(4'000));
-            break;
-          }
-        }
-
-        if (!firedBefore && injector.fired()) {
-            // The scramble landed on this op: it must have been
-            // refused typed via the canary, never absorbed.
-            row.corruptInjections++;
-            if (caps.corruptEntriesRefused.value() != refusedAtArm + 1) {
-                row.forgedGrants++;
-            } else {
-                row.corruptRefusals++;
-            }
-            armed = false;
-            maybeArm();
-        }
-
-        // Periodic tree sweep over the *live* forest: acyclic, live
-        // parents, nested bounds. Dead entries are skipped — a
-        // corruption-killed entry's links are whatever the scramble
-        // left behind, which is exactly why they carry no authority.
-        if ((op & 15) == 0) {
-            for (uint32_t id = 0; id < caps.size(); ++id) {
-                if (!caps.aliveAt(id)) {
-                    continue;
-                }
-                const uint32_t parent = caps.parentOf(id);
-                if (parent == ObjectCapTable::kNoParent) {
-                    continue;
-                }
-                if (parent >= id) {
-                    row.invariantViolations++;
-                    continue;
-                }
-                if (!caps.aliveAt(parent)) {
-                    row.invariantViolations++;
-                }
-                uint64_t cb = 0, cm = 0, ce = 0;
-                uint64_t pb = 0, pm = 0, pe = 0;
-                caps.timeBoundsAt(id, &cb, &cm, &ce);
-                caps.timeBoundsAt(parent, &pb, &pm, &pe);
-                if (cb < pb || ce > pe || ce > pm) {
-                    row.invariantViolations++;
-                }
-            }
-        }
-    }
-
-    // Teardown: deliver what is pending, kill everything, reclaim,
-    // and audit the heap back to baseline. The injector is detached
-    // first so a still-armed plan cannot fire uncounted.
-    caps.attachInjector(nullptr);
-    machine.idle(40'000);
-    for (const Capability &token : tokens) {
-        if (caps.revoke(token) != CapResult::Ok) {
-            row.invariantViolations++;
-        }
-    }
-    for (uint32_t id = 0; id < caps.size(); ++id) {
-        if (caps.aliveAt(id)) {
-            row.invariantViolations++; // Revocation must be total.
-        }
-    }
-    caps.reclaim();
-    drainQuarantine(kernel);
-    row.leakedBytes += static_cast<int64_t>(baseline) -
-                       static_cast<int64_t>(heapLevel(kernel));
-
-    row.revocations += caps.revocations.value();
-    row.descendantsRevoked += caps.descendantsRevoked.value();
-    row.scheduledDeliveries += caps.scheduledRevocations.value();
-    row.staleRefusals += caps.staleTokensRefused.value();
-    row.traps += machine.trapCount() - trapsBefore;
-    bench::mergeStats(row.stats, machine.simStats().snapshot());
-}
-
-BenchRow
-runCore(const sim::CoreConfig &core, const std::string &name,
-        uint64_t seed)
-{
-    BenchRow row;
-    row.core = name;
-    const auto startWall = std::chrono::steady_clock::now();
-
-    schedulerStorm(core, row);
-    channelStorm(core, row);
-    monitorStorm(core, row);
-    for (uint64_t round = 0; round < 3; ++round) {
-        randomStorm(core, seed + round, row);
-    }
-
-    const auto wall = std::chrono::steady_clock::now() - startWall;
-    row.hostSeconds =
-        std::chrono::duration_cast<std::chrono::duration<double>>(wall)
-            .count();
-    row.ok = row.invariantViolations == 0 && row.forgedGrants == 0 &&
-             row.leakedBytes == 0 && row.traps == 0 &&
-             row.revokedWaits >= 4 && row.timeCapDeferrals > 0 &&
-             row.scheduledDeliveries > 0 && row.monitorRefusals > 0 &&
-             row.corruptInjections > 0 &&
-             row.corruptRefusals == row.corruptInjections;
-    return row;
-}
-
-void
-printRow(const BenchRow &row)
+printRow(const bench::CapsRow &row)
 {
     std::printf(
         "%-6s revokes=%llu (desc=%llu sched=%llu) deferrals=%llu "
@@ -571,101 +38,29 @@ printRow(const BenchRow &row)
         row.ok ? "OK" : "FAILED");
 }
 
-void
-writeJson(const std::vector<BenchRow> &rows, const std::string &path,
-          bool ok)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        warn("cap_chaos: cannot write %s", path.c_str());
-        return;
-    }
-    bench::StatsMap merged;
-    for (const BenchRow &row : rows) {
-        bench::mergeStats(merged, row.stats);
-    }
-    std::fprintf(out, "{\n  \"bench\": \"cap_chaos\",\n");
-    std::fprintf(out, "  \"ok\": %s,\n  ", ok ? "true" : "false");
-    bench::writeStatsBlock(out, merged, "  ");
-    std::fprintf(out, ",\n  \"rows\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const BenchRow &r = rows[i];
-        std::fprintf(
-            out,
-            "    {\"core\": \"%s\", \"revocations\": %llu, "
-            "\"descendants_revoked\": %llu, "
-            "\"scheduled_deliveries\": %llu, "
-            "\"time_cap_deferrals\": %llu, \"revoked_waits\": %llu, "
-            "\"monitor_refusals\": %llu, "
-            "\"corrupt_injections\": %llu, "
-            "\"corrupt_refusals\": %llu, \"stale_refusals\": %llu, "
-            "\"invariant_violations\": %llu, \"forged_grants\": %llu, "
-            "\"leaked_bytes\": %lld, \"traps\": %llu, "
-            "\"host_seconds\": %.3f, \"ok\": %s}%s\n",
-            r.core.c_str(),
-            static_cast<unsigned long long>(r.revocations),
-            static_cast<unsigned long long>(r.descendantsRevoked),
-            static_cast<unsigned long long>(r.scheduledDeliveries),
-            static_cast<unsigned long long>(r.timeCapDeferrals),
-            static_cast<unsigned long long>(r.revokedWaits),
-            static_cast<unsigned long long>(r.monitorRefusals),
-            static_cast<unsigned long long>(r.corruptInjections),
-            static_cast<unsigned long long>(r.corruptRefusals),
-            static_cast<unsigned long long>(r.staleRefusals),
-            static_cast<unsigned long long>(r.invariantViolations),
-            static_cast<unsigned long long>(r.forgedGrants),
-            static_cast<long long>(r.leakedBytes),
-            static_cast<unsigned long long>(r.traps), r.hostSeconds,
-            r.ok ? "true" : "false", i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    uint64_t seed = 0x0bedc0de;
-    std::string outPath = "BENCH_caps.json";
-    std::string statsPath;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            statsPath = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: cap_chaos [--seed N] [--out FILE] "
-                         "[--stats-json FILE]\n");
-            return 2;
-        }
-    }
+    bench::Flags flags("cap_chaos", "[--seed N] [--out FILE]", argc,
+                       argv);
+    const uint64_t seed = flags.u64("--seed", bench::kCapChaosSeed);
+    const std::string outPath = flags.str("--out", "BENCH_caps.json");
+    flags.done();
 
     std::printf("object-capability revocation-storm campaign "
                 "(seed 0x%llx)\n\n",
                 static_cast<unsigned long long>(seed));
-    std::vector<BenchRow> rows;
-    rows.push_back(runCore(sim::CoreConfig::ibex(), "ibex", seed));
-    printRow(rows.back());
-    rows.push_back(runCore(sim::CoreConfig::flute(), "flute", seed));
-    printRow(rows.back());
-
+    bench::Report report{"cap_chaos"};
     bool ok = true;
-    for (const auto &row : rows) {
+    for (const bench::CapsRow &row : bench::runCapsRows(seed)) {
+        printRow(row);
+        report.rows.push_back(bench::Fields::of(row));
         ok = ok && row.ok;
     }
-    writeJson(rows, outPath, ok);
-    if (!statsPath.empty()) {
-        bench::StatsMap merged;
-        for (const auto &row : rows) {
-            bench::mergeStats(merged, row.stats);
-        }
-        bench::writeStatsJson(statsPath, "cap_chaos", merged);
+    if (!report.write(outPath, ok)) {
+        return 2;
     }
     std::printf("\nwrote %s\ncap_chaos %s\n", outPath.c_str(),
                 ok ? "OK" : "FAILED");

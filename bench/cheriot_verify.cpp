@@ -19,8 +19,9 @@
  * and the corpus expecting 1.
  */
 
-#include "bench_stats.h"
+#include "flags.h"
 #include "net/net_stack.h"
+#include "report.h"
 #include "rtos/kernel.h"
 #include "verify/callgraph.h"
 #include "verify/corpus.h"
@@ -30,7 +31,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -40,18 +40,6 @@ namespace
 {
 
 using namespace cheriot;
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: cheriot_verify [--workload coremark|iot|alloc|stress|all]\n"
-        "                      [--corpus] [--selftest] [--policy FILE]\n"
-        "                      [--json FILE] [--graph dot|json]\n"
-        "                      [--verbose]\n");
-    return 2;
-}
 
 /** One verified image plus its wall-clock cost. */
 struct TimedReport
@@ -166,66 +154,33 @@ verifyStress(const verify::Policy &policy)
     return timed;
 }
 
-/** Findings per class for one report, in FindingClass order. */
-std::vector<size_t>
-classCounts(const verify::Report &report)
+void
+describe(const TimedReport &timed, bench::Fields &f)
 {
-    std::vector<size_t> counts(6, 0);
-    for (const auto &f : report.findings) {
-        counts[static_cast<size_t>(f.cls)] += 1;
+    const verify::Report &r = timed.report;
+    std::vector<size_t> counts(6, 0); // Findings per FindingClass.
+    for (const auto &finding : r.findings) {
+        counts[static_cast<size_t>(finding.cls)] += 1;
     }
-    return counts;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<TimedReport> &reports)
-{
-    std::ofstream out(path);
-    if (!out) {
-        return false;
+    bench::Fields findings;
+    for (size_t cls = 0; cls < counts.size(); ++cls) {
+        findings.put(verify::findingClassName(
+                         static_cast<verify::FindingClass>(cls)),
+                     counts[cls]);
     }
-    bench::StatsMap merged;
-    for (const auto &timed : reports) {
-        bench::mergeStats(merged, timed.stats);
-    }
-    out << "{\"bench\": \"cheriot_verify\", \"stats\": {";
-    {
-        bool firstStat = true;
-        for (const auto &entry : merged) {
-            out << (firstStat ? "" : ", ") << "\"" << entry.first
-                << "\": " << entry.second;
-            firstStat = false;
-        }
-    }
-    out << "}, \"images\": [";
-    bool first = true;
-    for (const auto &timed : reports) {
-        const verify::Report &r = timed.report;
-        const auto counts = classCounts(r);
-        out << (first ? "" : ", ") << "{\"name\": \"" << r.image
-            << "\", \"findings\": {";
-        for (size_t cls = 0; cls < counts.size(); ++cls) {
-            out << (cls == 0 ? "" : ", ") << "\""
-                << verify::findingClassName(
-                       static_cast<verify::FindingClass>(cls))
-                << "\": " << counts[cls];
-        }
-        out << "}, \"findings_total\": " << r.findings.size()
-            << ", \"states_explored\": " << r.statesExplored
-            << ", \"instructions_analyzed\": " << r.instructionsAnalyzed
-            << ", \"fixpoint_iterations\": " << r.fixpointIterations
-            << ", \"call_graph_functions\": " << r.callGraphFunctions
-            << ", \"call_graph_edges\": " << r.callGraphEdges
-            << ", \"summaries_computed\": " << r.summariesComputed
-            << ", \"summary_applications\": " << r.summaryApplications
-            << ", \"budget_exhausted\": "
-            << (r.budgetExhausted ? "true" : "false")
-            << ", \"wall_ms\": " << timed.wallMs << "}";
-        first = false;
-    }
-    out << "]}\n";
-    return static_cast<bool>(out);
+    f.put("name", r.image)
+        .put("findings", findings)
+        .put("findings_total", r.findings.size())
+        .put("states_explored", r.statesExplored)
+        .put("instructions_analyzed", r.instructionsAnalyzed)
+        .put("fixpoint_iterations", r.fixpointIterations)
+        .put("call_graph_functions", r.callGraphFunctions)
+        .put("call_graph_edges", r.callGraphEdges)
+        .put("summaries_computed", r.summariesComputed)
+        .put("summary_applications", r.summaryApplications)
+        .put("budget_exhausted", r.budgetExhausted)
+        .host("wall_ms", timed.wallMs)
+        .put("stats", timed.stats);
 }
 
 /** Run the corpus; returns 2 on a broken detection contract, else the
@@ -311,53 +266,42 @@ runCorpus(bool verbose)
 int
 main(int argc, char **argv)
 {
-    std::string workload;
-    std::string jsonPath;
-    std::string graphMode;
-    bool corpus = false;
-    bool selftest = false;
-    bool verbose = false;
-    verify::Policy policy = verify::Policy::defaultPolicy();
+    bench::Flags flags("cheriot_verify",
+                       "[--workload coremark|iot|alloc|stress|all] "
+                       "[--corpus] [--selftest] [--policy FILE] "
+                       "[--json FILE] [--graph dot|json] [--verbose]",
+                       argc, argv);
+    std::string workload = flags.str("--workload");
+    const bool corpus = flags.has("--corpus");
+    const bool selftest = flags.has("--selftest");
+    const bool verbose = flags.has("--verbose");
+    const std::string jsonPath = flags.str("--json");
+    const std::string graphMode = flags.str("--graph");
+    if (!graphMode.empty() && graphMode != "dot" && graphMode != "json") {
+        flags.refuse("unknown graph format '" + graphMode + "'");
+    }
+    const std::string policyPath = flags.str("--policy");
+    flags.done();
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--workload" && i + 1 < argc) {
-            workload = argv[++i];
-        } else if (arg == "--corpus") {
-            corpus = true;
-        } else if (arg == "--selftest") {
-            selftest = true;
-        } else if (arg == "--json" && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (arg == "--graph" && i + 1 < argc) {
-            graphMode = argv[++i];
-            if (graphMode != "dot" && graphMode != "json") {
-                return usage();
-            }
-        } else if (arg == "--policy" && i + 1 < argc) {
-            const std::string path = argv[++i];
-            std::ifstream in(path);
-            if (!in) {
-                std::fprintf(stderr, "cheriot_verify: cannot read %s\n",
-                             path.c_str());
-                return 2;
-            }
-            std::stringstream buffer;
-            buffer << in.rdbuf();
-            std::string error;
-            const auto parsed =
-                verify::Policy::parse(buffer.str(), &error, path);
-            if (!parsed) {
-                std::fprintf(stderr, "cheriot_verify: bad policy: %s\n",
-                             error.c_str());
-                return 2;
-            }
-            policy = *parsed;
-        } else if (arg == "--verbose") {
-            verbose = true;
-        } else {
-            return usage();
+    verify::Policy policy = verify::Policy::defaultPolicy();
+    if (!policyPath.empty()) {
+        std::ifstream in(policyPath);
+        if (!in) {
+            std::fprintf(stderr, "cheriot_verify: cannot read %s\n",
+                         policyPath.c_str());
+            return 2;
         }
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        std::string error;
+        const auto parsed =
+            verify::Policy::parse(buffer.str(), &error, policyPath);
+        if (!parsed) {
+            std::fprintf(stderr, "cheriot_verify: bad policy: %s\n",
+                         error.c_str());
+            return 2;
+        }
+        policy = *parsed;
     }
     if (selftest) {
         // Corpus contract check: exit 0 iff every seeded violation is
@@ -383,7 +327,7 @@ main(int argc, char **argv)
         reports.push_back(verifyStress(policy));
     }
     if (!all && !workload.empty() && reports.empty()) {
-        return usage();
+        flags.refuse("unknown workload '" + workload + "'");
     }
 
     int exitCode = 0;
@@ -395,9 +339,11 @@ main(int argc, char **argv)
     }
 
     if (!jsonPath.empty() && !reports.empty()) {
-        if (!writeJson(jsonPath, reports)) {
-            std::fprintf(stderr, "cheriot_verify: cannot write %s\n",
-                         jsonPath.c_str());
+        bench::Report json{"cheriot_verify"};
+        for (const auto &timed : reports) {
+            json.rows.push_back(bench::Fields::of(timed));
+        }
+        if (!json.write(jsonPath, exitCode == 0)) {
             return 2;
         }
     }

@@ -15,13 +15,15 @@
 
 #include "debug/gdb_server.h"
 #include "debug/gdb_socket.h"
+#include "flags.h"
 #include "rtos/kernel.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <string>
 #include <unistd.h>
+#include <vector>
 
 using namespace cheriot;
 using namespace cheriot::workloads;
@@ -29,30 +31,23 @@ using namespace cheriot::workloads;
 int
 main(int argc, char **argv)
 {
+    bench::Flags flags("e2e_iot",
+                       "[SECONDS] [--seconds S] [--gdb PORT] "
+                       "[--fault-probe CYCLES]",
+                       argc, argv);
     IotAppConfig config;
-    long gdbPort = -1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--gdb") == 0 && i + 1 < argc) {
-            // Serve one GDB client on 127.0.0.1:<port> (0 picks an
-            // ephemeral port). The run blocks until it attaches.
-            gdbPort = std::strtol(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--fault-probe") == 0 &&
-                   i + 1 < argc) {
-            // Inject a capability bounds fault this many measured
-            // cycles in — the debugger walkthrough's break target.
-            config.faultProbeAtCycle =
-                std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--seconds") == 0 &&
-                   i + 1 < argc) {
-            config.simSeconds = std::atof(argv[++i]);
-        } else if (argv[i][0] != '-') {
-            config.simSeconds = std::atof(argv[i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: e2e_iot [SECONDS] [--seconds S] "
-                         "[--gdb PORT] [--fault-probe CYCLES]\n");
-            return 2;
-        }
+    config.simSeconds = flags.real("--seconds", config.simSeconds);
+    // Serve one GDB client on 127.0.0.1:<port> (0 picks an ephemeral
+    // port). The run blocks until it attaches.
+    constexpr uint64_t kNoGdb = UINT64_MAX;
+    const uint64_t gdbPort = flags.u64("--gdb", kNoGdb, 0, UINT16_MAX);
+    // Inject a capability bounds fault this many measured cycles in —
+    // the debugger walkthrough's break target.
+    config.faultProbeAtCycle =
+        flags.u64("--fault-probe", config.faultProbeAtCycle);
+    const std::vector<std::string> args = flags.done(1);
+    if (!args.empty()) {
+        config.simSeconds = flags.parse<double>(args[0], "SECONDS");
     }
 
     // With --gdb, the first scheduler pause accepts one client and
@@ -63,7 +58,7 @@ main(int argc, char **argv)
     std::unique_ptr<debug::GdbServer> gdbServer;
     std::unique_ptr<debug::GdbSocket> gdbSocket;
     int gdbFd = -1;
-    if (gdbPort >= 0) {
+    if (gdbPort != kNoGdb) {
         config.debugPoll = [&](sim::Machine &machine,
                                rtos::Kernel &kernel) {
             if (gdbServer == nullptr) {

@@ -18,88 +18,40 @@
  */
 
 #include "fault/campaign.h"
+#include "flags.h"
 #include "util/log.h"
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 using namespace cheriot;
-
-namespace
-{
-
-uint64_t
-parseU64(const char *arg, const char *flag)
-{
-    char *end = nullptr;
-    const uint64_t value = std::strtoull(arg, &end, 0);
-    if (end == arg || *end != '\0') {
-        std::fprintf(stderr, "fault_campaign: bad value for %s: %s\n",
-                     flag, arg);
-        std::exit(2);
-    }
-    return value;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::Flags flags("fault_campaign",
+                       "[--injections N] [--seed S] [--start-index I] "
+                       "[--repro-dir DIR] [--repro-all] "
+                       "[--workload both|iot|coremark] [--verbose]",
+                       argc, argv);
     fault::CampaignConfig config;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto nextValue = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "fault_campaign: %s needs a value\n", arg);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--injections") == 0) {
-            config.injections =
-                static_cast<uint32_t>(parseU64(nextValue(), arg));
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            config.seed = parseU64(nextValue(), arg);
-        } else if (std::strcmp(arg, "--start-index") == 0) {
-            config.startIndex =
-                static_cast<uint32_t>(parseU64(nextValue(), arg));
-        } else if (std::strcmp(arg, "--repro-dir") == 0) {
-            config.reproDir = nextValue();
-        } else if (std::strcmp(arg, "--repro-all") == 0) {
-            config.reproAll = true;
-        } else if (std::strcmp(arg, "--workload") == 0) {
-            const char *value = nextValue();
-            if (std::strcmp(value, "both") == 0) {
-                config.workload = fault::CampaignWorkload::Both;
-            } else if (std::strcmp(value, "iot") == 0) {
-                config.workload = fault::CampaignWorkload::Iot;
-            } else if (std::strcmp(value, "coremark") == 0) {
-                config.workload = fault::CampaignWorkload::CoreMark;
-            } else {
-                std::fprintf(stderr,
-                             "fault_campaign: unknown workload '%s'\n",
-                             value);
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--verbose") == 0) {
-            config.verbose = true;
-        } else if (std::strcmp(arg, "--help") == 0) {
-            std::printf("usage: fault_campaign [--injections N] "
-                        "[--seed S] [--start-index I] "
-                        "[--repro-dir DIR] [--repro-all] "
-                        "[--workload both|iot|coremark] "
-                        "[--verbose]\n");
-            return 0;
-        } else {
-            std::fprintf(stderr, "fault_campaign: unknown flag '%s'\n",
-                        arg);
-            return 2;
-        }
+    config.injections = static_cast<uint32_t>(
+        flags.u64("--injections", config.injections, 0, UINT32_MAX));
+    config.seed = flags.u64("--seed", config.seed);
+    config.startIndex = static_cast<uint32_t>(
+        flags.u64("--start-index", config.startIndex, 0, UINT32_MAX));
+    config.reproDir = flags.str("--repro-dir", config.reproDir);
+    config.reproAll = flags.has("--repro-all");
+    const std::string workload = flags.str("--workload", "both");
+    if (workload == "iot") {
+        config.workload = fault::CampaignWorkload::Iot;
+    } else if (workload == "coremark") {
+        config.workload = fault::CampaignWorkload::CoreMark;
+    } else if (workload != "both") {
+        flags.refuse("unknown workload '" + workload + "'");
     }
+    config.verbose = flags.has("--verbose");
+    flags.done();
 
     // Verbose surfaces the per-run classification lines (logged at
     // Info); the default keeps only warnings, e.g. watchdog actions.

@@ -17,20 +17,21 @@
  * whole-state digest must equal a twin run that never had a debugger
  * attached — the observation-only contract, enforced end to end.
  *
- * Emits BENCH_gdb.json with the unified "stats" block. Exit 0 iff
- * every scripted expectation held.
+ * Emits BENCH_gdb.json: one row with the session's packet count, the
+ * digest verdict and the machine's stats. Exit 0 iff every scripted
+ * expectation held.
  */
 
-#include "bench_stats.h"
 #include "debug/gdb_server.h"
 #include "debug/gdb_socket.h"
 #include "debug/rsp.h"
+#include "flags.h"
 #include "isa/assembler.h"
+#include "report.h"
 #include "sim/machine.h"
 #include "util/log.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -217,15 +218,9 @@ machineConfig()
 int
 main(int argc, char **argv)
 {
-    std::string outPath = "BENCH_gdb.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outPath = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: gdb_smoke [--out FILE]\n");
-            return 2;
-        }
-    }
+    bench::Flags flags("gdb_smoke", "[--out FILE]", argc, argv);
+    const std::string outPath = flags.str("--out", "BENCH_gdb.json");
+    flags.done();
 
     // Two-pass assembly: learn B's address, then place the sentry.
     uint32_t bAddress = kEntry;
@@ -375,19 +370,14 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(packets),
                 debuggedDigest, twinDigest, ok ? "OK" : "FAILED");
 
-    std::FILE *out = std::fopen(outPath.c_str(), "w");
-    if (out != nullptr) {
-        std::fprintf(out, "{\n  \"bench\": \"gdb_smoke\",\n");
-        std::fprintf(out, "  \"ok\": %s,\n", ok ? "true" : "false");
-        std::fprintf(out, "  \"packets\": %llu,\n",
-                     static_cast<unsigned long long>(packets));
-        std::fprintf(out, "  \"digest_match\": %s,\n  ",
-                     debuggedDigest == twinDigest ? "true" : "false");
-        bench::writeStatsBlock(out, machine.simStats().snapshot(),
-                               "  ");
-        std::fprintf(out, "\n}\n");
-        std::fclose(out);
-        std::printf("wrote %s\n", outPath.c_str());
+    bench::Report report{"gdb_smoke"};
+    report.rows.emplace_back()
+        .put("packets", packets)
+        .put("digest_match", debuggedDigest == twinDigest)
+        .put("stats", machine.simStats().snapshot());
+    if (!report.write(outPath, ok)) {
+        return 2;
     }
+    std::printf("wrote %s\n", outPath.c_str());
     return ok ? 0 : 1;
 }

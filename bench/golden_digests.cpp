@@ -22,14 +22,19 @@
  *     application tier), an IoT checkpoint taken mid-run (both cores
  *     x both revocation modes), the kernel stream after seeded
  *     object-capability and token/quota storms, and one repro record
- *     file per campaign workload.
+ *     file per campaign workload;
+ *   - the deterministic fields of every fleet_chaos row (with and
+ *     without --rogue) and cap_chaos row, at their CTest smoke sizes.
  *
  * Usage: golden_digests FILE          compare against FILE (exit 1 on
  *                                     any difference)
  *        golden_digests --write FILE  regenerate FILE
  */
 
+#include "caps_harness.h"
 #include "fault/campaign.h"
+#include "flags.h"
+#include "fleet_harness.h"
 #include "net_harness.h"
 #include "rtos/kernel.h"
 #include "sim/fleet.h"
@@ -42,7 +47,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -63,6 +67,8 @@ constexpr double kIotSeconds = 1.0;
 constexpr uint64_t kNetPackets = 2000;
 constexpr uint64_t kFleetSeed = 7;
 constexpr uint32_t kFleetRounds = 60;
+constexpr uint32_t kFleetChaosNodes = 6;
+constexpr uint32_t kFleetChaosRounds = 120;
 
 __attribute__((format(printf, 1, 2))) std::string
 format(const char *fmt, ...)
@@ -454,6 +460,28 @@ reproLines(std::vector<std::string> &out,
     }
 }
 
+/** One line per harness row: fleet_chaos and fleet_chaos --rogue as
+ * the fleet_smoke and rogue_smoke CTests run them, cap_chaos at its
+ * default seed. */
+void
+harnessRowLines(std::vector<std::string> &out)
+{
+    for (const bool rogue : {false, true}) {
+        for (const bench::FleetRow &row : bench::runFleetRows(
+                 kFleetChaosNodes, kFleetChaosRounds,
+                 bench::kFleetChaosSeed, rogue)) {
+            out.push_back(std::string(rogue ? "fleet_chaos --rogue "
+                                            : "fleet_chaos ") +
+                          bench::Fields::of(row).deterministicLine());
+        }
+    }
+    for (const bench::CapsRow &row :
+         bench::runCapsRows(bench::kCapChaosSeed)) {
+        out.push_back("cap_chaos " +
+                      bench::Fields::of(row).deterministicLine());
+    }
+}
+
 std::vector<std::string>
 readLines(const std::string &path, bool *ok)
 {
@@ -474,22 +502,9 @@ readLines(const std::string &path, bool *ok)
 int
 main(int argc, char **argv)
 {
-    bool write = false;
-    std::string path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--write") == 0) {
-            write = true;
-        } else if (path.empty() && argv[i][0] != '-') {
-            path = argv[i];
-        } else {
-            path.clear();
-            break;
-        }
-    }
-    if (path.empty()) {
-        std::fprintf(stderr, "usage: golden_digests [--write] FILE\n");
-        return 2;
-    }
+    bench::Flags flags("golden_digests", "[--write] FILE", argc, argv);
+    const bool write = flags.has("--write");
+    const std::string path = flags.done(1, 1)[0];
 
     std::vector<std::string> golden;
     if (!write) {
@@ -522,6 +537,7 @@ main(int argc, char **argv)
         reproLines(lines, scratch);
         std::filesystem::remove_all(scratch);
     }
+    harnessRowLines(lines);
 
     bool ok = true;
     if (sites.size() != fault::kFaultSiteCount) {

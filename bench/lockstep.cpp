@@ -17,6 +17,7 @@
  *   lockstep [--iterations N] [--sim-seconds F] [--cross] [--verbose]
  */
 
+#include "flags.h"
 #include "snapshot/lockstep.h"
 #include "util/log.h"
 #include "workloads/coremark/coremark.h"
@@ -24,8 +25,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 
 using namespace cheriot;
@@ -134,37 +133,16 @@ runIotLockstep(double simSeconds)
 int
 main(int argc, char **argv)
 {
-    uint32_t iterations = 20;
-    double simSeconds = 0.25;
-    bool cross = false;
-    bool verbose = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto nextValue = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "lockstep: %s needs a value\n", arg);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--iterations") == 0) {
-            iterations = static_cast<uint32_t>(
-                std::strtoul(nextValue(), nullptr, 0));
-        } else if (std::strcmp(arg, "--sim-seconds") == 0) {
-            simSeconds = std::strtod(nextValue(), nullptr);
-        } else if (std::strcmp(arg, "--cross") == 0) {
-            cross = true;
-        } else if (std::strcmp(arg, "--verbose") == 0) {
-            verbose = true;
-        } else if (std::strcmp(arg, "--help") == 0) {
-            std::printf("usage: lockstep [--iterations N] "
-                        "[--sim-seconds F] [--cross] [--verbose]\n");
-            return 0;
-        } else {
-            std::fprintf(stderr, "lockstep: unknown flag '%s'\n", arg);
-            return 2;
-        }
-    }
+    bench::Flags flags("lockstep",
+                       "[--iterations N] [--sim-seconds F] [--cross] "
+                       "[--verbose]",
+                       argc, argv);
+    const uint32_t iterations = static_cast<uint32_t>(
+        flags.u64("--iterations", 20, 0, UINT32_MAX));
+    const double simSeconds = flags.real("--sim-seconds", 0.25);
+    const bool cross = flags.has("--cross");
+    const bool verbose = flags.has("--verbose");
+    flags.done();
     setLogLevel(verbose ? LogLevel::Info : LogLevel::Warn);
 
     int status = runCoreMarkLockstep(iterations, false);

@@ -11,10 +11,10 @@
 #ifndef CHERIOT_BENCH_NET_HARNESS_H
 #define CHERIOT_BENCH_NET_HARNESS_H
 
-#include "bench_stats.h"
 #include "mem/memory_map.h"
 #include "net/net_stack.h"
 #include "net/nic_device.h"
+#include "report.h"
 #include "rtos/kernel.h"
 #include "util/log.h"
 
@@ -47,6 +47,28 @@ struct NetRow
     StatsMap stats; ///< simStats snapshot at end of run.
     uint32_t finalDigest = 0; ///< Machine::stateDigest at end of run.
 };
+
+inline void
+describe(const NetRow &r, Fields &f)
+{
+    f.put("core", r.core)
+        .put("packets", r.packetsAccepted)
+        .put("bytes", r.bytesAccepted)
+        .host("host_seconds", r.hostSeconds)
+        .host("packets_per_sec", r.packetsPerSec)
+        .put("cycles_per_packet", r.cyclesPerPacket)
+        .put("nic_rx_drops", r.nicRxDrops)
+        .put("nic_rx_errors", r.nicRxErrors)
+        .put("parse_drops", r.parseDrops)
+        .put("acks_sent", r.acksSent)
+        .put("nic_tx_packets", r.nicTxPackets)
+        .put("max_quarantine_bytes", r.maxQuarantineBytes)
+        .put("leaked_bytes", r.leakedBytes)
+        .put("callee_faults", r.calleeFaults)
+        .put("traps", r.traps)
+        .put("ok", r.ok)
+        .put("stats", r.stats);
+}
 
 inline NetRow
 runNetCore(const sim::CoreConfig &core, const std::string &name,

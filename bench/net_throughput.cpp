@@ -17,13 +17,12 @@
  * target packets accepted, zero leaked bytes, zero callee faults.
  */
 
+#include "flags.h"
 #include "net_harness.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
+#include <utility>
 
 using namespace cheriot;
 
@@ -46,100 +45,32 @@ printRow(const bench::NetRow &row)
                 row.ok ? "OK" : "FAILED");
 }
 
-void
-writeJson(const std::vector<bench::NetRow> &rows,
-          const std::string &path, bool ok)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        warn("net_throughput: cannot write %s", path.c_str());
-        return;
-    }
-    bench::StatsMap merged;
-    for (const bench::NetRow &row : rows) {
-        bench::mergeStats(merged, row.stats);
-    }
-    std::fprintf(out, "{\n  \"bench\": \"net_throughput\",\n");
-    std::fprintf(out, "  \"ok\": %s,\n  ", ok ? "true" : "false");
-    bench::writeStatsBlock(out, merged, "  ");
-    std::fprintf(out, ",\n  \"rows\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const bench::NetRow &r = rows[i];
-        std::fprintf(
-            out,
-            "    {\"core\": \"%s\", \"packets\": %llu, "
-            "\"bytes\": %llu, \"host_seconds\": %.3f, "
-            "\"packets_per_sec\": %.0f, \"cycles_per_packet\": %.2f, "
-            "\"nic_rx_drops\": %llu, \"nic_rx_errors\": %llu, "
-            "\"parse_drops\": %llu, \"acks_sent\": %llu, "
-            "\"nic_tx_packets\": %llu, \"max_quarantine_bytes\": %llu, "
-            "\"leaked_bytes\": %lld, \"callee_faults\": %llu, "
-            "\"traps\": %llu, \"ok\": %s}%s\n",
-            r.core.c_str(),
-            static_cast<unsigned long long>(r.packetsAccepted),
-            static_cast<unsigned long long>(r.bytesAccepted),
-            r.hostSeconds, r.packetsPerSec, r.cyclesPerPacket,
-            static_cast<unsigned long long>(r.nicRxDrops),
-            static_cast<unsigned long long>(r.nicRxErrors),
-            static_cast<unsigned long long>(r.parseDrops),
-            static_cast<unsigned long long>(r.acksSent),
-            static_cast<unsigned long long>(r.nicTxPackets),
-            static_cast<unsigned long long>(r.maxQuarantineBytes),
-            static_cast<long long>(r.leakedBytes),
-            static_cast<unsigned long long>(r.calleeFaults),
-            static_cast<unsigned long long>(r.traps),
-            r.ok ? "true" : "false", i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    uint64_t packets = 1'000'000;
-    std::string outPath = "BENCH_net.json";
-    std::string statsPath;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--packets") == 0 && i + 1 < argc) {
-            packets = std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            statsPath = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: net_throughput [--packets N] "
-                         "[--out FILE] [--stats-json FILE]\n");
-            return 2;
-        }
-    }
+    bench::Flags flags("net_throughput", "[--packets N] [--out FILE]",
+                       argc, argv);
+    const uint64_t packets = flags.u64("--packets", 1'000'000);
+    const std::string outPath = flags.str("--out", "BENCH_net.json");
+    flags.done();
 
     std::printf("NIC + zero-copy stack throughput: %llu packets per "
                 "core\n\n",
                 static_cast<unsigned long long>(packets));
-    std::vector<bench::NetRow> rows;
-    rows.push_back(
-        bench::runNetCore(sim::CoreConfig::ibex(), "ibex", packets));
-    printRow(rows.back());
-    rows.push_back(
-        bench::runNetCore(sim::CoreConfig::flute(), "flute", packets));
-    printRow(rows.back());
-
+    bench::Report report{"net_throughput"};
     bool ok = true;
-    for (const auto &row : rows) {
+    for (const auto &[core, name] :
+         {std::pair{sim::CoreConfig::ibex(), "ibex"},
+          std::pair{sim::CoreConfig::flute(), "flute"}}) {
+        const bench::NetRow row = bench::runNetCore(core, name, packets);
+        printRow(row);
+        report.rows.push_back(bench::Fields::of(row));
         ok = ok && row.ok;
     }
-    writeJson(rows, outPath, ok);
-    if (!statsPath.empty()) {
-        bench::StatsMap merged;
-        for (const auto &row : rows) {
-            bench::mergeStats(merged, row.stats);
-        }
-        bench::writeStatsJson(statsPath, "net_throughput", merged);
+    if (!report.write(outPath, ok)) {
+        return 2;
     }
     std::printf("\nwrote %s\nnet_throughput %s\n", outPath.c_str(),
                 ok ? "OK" : "FAILED");

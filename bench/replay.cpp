@@ -13,43 +13,28 @@
  */
 
 #include "fault/campaign.h"
+#include "flags.h"
 #include "util/log.h"
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 using namespace cheriot;
 
 int
 main(int argc, char **argv)
 {
-    const char *path = nullptr;
-    bool verbose = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--verbose") == 0) {
-            verbose = true;
-        } else if (std::strcmp(argv[i], "--help") == 0) {
-            std::printf("usage: replay <record.snap> [--verbose]\n");
-            return 0;
-        } else if (path == nullptr) {
-            path = argv[i];
-        } else {
-            std::fprintf(stderr, "replay: unexpected argument '%s'\n",
-                         argv[i]);
-            return 2;
-        }
-    }
-    if (path == nullptr) {
-        std::fprintf(stderr, "usage: replay <record.snap> [--verbose]\n");
-        return 2;
-    }
+    bench::Flags flags("replay", "<record.snap> [--verbose]", argc, argv);
+    const bool verbose = flags.has("--verbose");
+    const std::string path = flags.done(1, 1)[0];
     setLogLevel(verbose ? LogLevel::Info : LogLevel::Warn);
 
     fault::ReproRecord record;
     if (!fault::readReproRecord(path, &record)) {
         std::fprintf(stderr,
-                     "replay: %s is not a valid repro record\n", path);
+                     "replay: %s is not a valid repro record\n",
+                     path.c_str());
         return 2;
     }
 

@@ -22,13 +22,13 @@
  *                   [--attack-cycles N] [--seed S] [--verbose]
  */
 
+#include "flags.h"
 #include "workloads/stress/stress_workloads.h"
 #include "util/log.h"
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 #include <vector>
 
 using namespace cheriot;
@@ -38,19 +38,6 @@ using workloads::StressScenario;
 
 namespace
 {
-
-uint64_t
-parseU64(const char *arg, const char *flag)
-{
-    char *end = nullptr;
-    const uint64_t value = std::strtoull(arg, &end, 0);
-    if (end == arg || *end != '\0') {
-        std::fprintf(stderr, "stress_campaign: bad value for %s: %s\n",
-                     flag, arg);
-        std::exit(2);
-    }
-    return value;
-}
 
 void
 printResult(const StressResult &r)
@@ -122,75 +109,42 @@ explainFailure(const StressResult &r)
 int
 main(int argc, char **argv)
 {
+    bench::Flags flags("stress_campaign",
+                       "[--scenario all|storm|flood|frag|noisy] "
+                       "[--mode hardware|software|metadata] "
+                       "[--attack-cycles N] [--seed S] [--verbose]",
+                       argc, argv);
     std::vector<StressScenario> scenarios = {
         StressScenario::MallocStorm,
         StressScenario::QuarantineFlood,
         StressScenario::Fragmentation,
         StressScenario::NoisyNeighbor,
     };
-    StressConfig base;
-    bool verbose = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto nextValue = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "stress_campaign: %s needs a value\n", arg);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--scenario") == 0) {
-            const char *value = nextValue();
-            if (std::strcmp(value, "all") == 0) {
-                // Default set.
-            } else if (std::strcmp(value, "storm") == 0) {
-                scenarios = {StressScenario::MallocStorm};
-            } else if (std::strcmp(value, "flood") == 0) {
-                scenarios = {StressScenario::QuarantineFlood};
-            } else if (std::strcmp(value, "frag") == 0) {
-                scenarios = {StressScenario::Fragmentation};
-            } else if (std::strcmp(value, "noisy") == 0) {
-                scenarios = {StressScenario::NoisyNeighbor};
-            } else {
-                std::fprintf(stderr,
-                             "stress_campaign: unknown scenario '%s'\n",
-                             value);
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--mode") == 0) {
-            const char *value = nextValue();
-            if (std::strcmp(value, "hardware") == 0) {
-                base.mode = alloc::TemporalMode::HardwareRevocation;
-            } else if (std::strcmp(value, "software") == 0) {
-                base.mode = alloc::TemporalMode::SoftwareRevocation;
-            } else if (std::strcmp(value, "metadata") == 0) {
-                base.mode = alloc::TemporalMode::MetadataOnly;
-            } else {
-                std::fprintf(stderr,
-                             "stress_campaign: unknown mode '%s'\n",
-                             value);
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--attack-cycles") == 0) {
-            base.attackCycles = parseU64(nextValue(), arg);
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            base.seed = parseU64(nextValue(), arg);
-        } else if (std::strcmp(arg, "--verbose") == 0) {
-            verbose = true;
-        } else if (std::strcmp(arg, "--help") == 0) {
-            std::printf("usage: stress_campaign "
-                        "[--scenario all|storm|flood|frag|noisy] "
-                        "[--mode hardware|software|metadata] "
-                        "[--attack-cycles N] [--seed S] [--verbose]\n");
-            return 0;
-        } else {
-            std::fprintf(stderr, "stress_campaign: unknown flag '%s'\n",
-                         arg);
-            return 2;
-        }
+    const std::string scenario = flags.str("--scenario", "all");
+    if (scenario == "storm") {
+        scenarios = {StressScenario::MallocStorm};
+    } else if (scenario == "flood") {
+        scenarios = {StressScenario::QuarantineFlood};
+    } else if (scenario == "frag") {
+        scenarios = {StressScenario::Fragmentation};
+    } else if (scenario == "noisy") {
+        scenarios = {StressScenario::NoisyNeighbor};
+    } else if (scenario != "all") {
+        flags.refuse("unknown scenario '" + scenario + "'");
     }
+    StressConfig base;
+    const std::string mode = flags.str("--mode", "hardware");
+    if (mode == "software") {
+        base.mode = alloc::TemporalMode::SoftwareRevocation;
+    } else if (mode == "metadata") {
+        base.mode = alloc::TemporalMode::MetadataOnly;
+    } else if (mode != "hardware") {
+        flags.refuse("unknown mode '" + mode + "'");
+    }
+    base.attackCycles = flags.u64("--attack-cycles", base.attackCycles);
+    base.seed = flags.u64("--seed", base.seed);
+    const bool verbose = flags.has("--verbose");
+    flags.done();
 
     setLogLevel(verbose ? LogLevel::Info : LogLevel::Error);
 

@@ -12,10 +12,12 @@
  * lookup).
  */
 
+#include "flags.h"
 #include "workloads/coremark/coremark.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <vector>
 
 using namespace cheriot;
 using namespace cheriot::workloads;
@@ -55,8 +57,12 @@ printRow(const CoreMarkTableRow &row, double paperCaps,
 int
 main(int argc, char **argv)
 {
+    bench::Flags flags("table3_coremark", "[ITERATIONS]", argc, argv);
+    const std::vector<std::string> args = flags.done(1);
     const uint32_t iterations =
-        argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 200;
+        args.empty() ? 200
+                     : static_cast<uint32_t>(flags.parse(
+                           args[0], "ITERATIONS", 1, UINT32_MAX));
 
     std::printf("Table 3: CoreMark results for the two cores\n");
     std::printf("(score = iterations per million cycles; paper reports "

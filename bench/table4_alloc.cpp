@@ -20,11 +20,12 @@
  *    registers per context switch while blocked on the revoker).
  */
 
+#include "flags.h"
 #include "workloads/allocbench/alloc_bench.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 using namespace cheriot;
 using namespace cheriot::workloads;
@@ -98,9 +99,12 @@ main(int argc, char **argv)
 {
     // A smaller total keeps quick runs fast; the default matches the
     // paper's 1 MiB.
+    bench::Flags flags("table4_alloc", "[KIB]", argc, argv);
+    const std::vector<std::string> args = flags.done(1);
     const uint64_t totalBytes =
-        argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) << 10
-                 : 1u << 20;
+        args.empty() ? 1u << 20
+                     : flags.parse(args[0], "KIB", 1, UINT64_MAX >> 10)
+                           << 10;
 
     std::printf("Table 4 / Figures 5-6: allocator microbenchmark\n");
     std::printf("(1 MiB allocated+freed per cell; 256 KiB heap; "

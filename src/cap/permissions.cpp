@@ -249,10 +249,7 @@ permsToString(PermSet perms)
             out += entry.name;
         }
     }
-    if (out.empty()) {
-        out = "-";
-    }
-    return out;
+    return out.empty() ? std::string("-") : out;
 }
 
 } // namespace cheriot::cap
