@@ -32,7 +32,8 @@ class Flags
 {
   public:
     Flags(const char *prog, const char *usage, int argc, char **argv)
-        : prog_(prog), usage_(usage), args_(argv + 1, argv + argc),
+        : prog_(prog), usage_(usage),
+          args_(argc > 0 ? argv + 1 : argv, argv + argc),
           used_(args_.size(), false)
     {
         if (has("--help")) {
