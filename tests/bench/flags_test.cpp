@@ -43,8 +43,8 @@ class Argv
 
 TEST(BenchFlags, ReadsValuesSwitchesAndDefaults)
 {
-    Argv argv{"--n", "0x10", "--on", "--s", "text", "--t", "2.5",
-              "--seed", "0x57d8a935b079de99"};
+    Argv argv{"--n", "3", "--on", "--s", "text", "--t", "2.5",
+              "--seed", "0x57d8a935b079de99", "--n", "0x10"};
     Flags flags = argv.flags();
     EXPECT_EQ(flags.u64("--n", 1), 16u);
     EXPECT_EQ(flags.u64("--seed", 0), 0x57d8a935b079de99u);
@@ -101,6 +101,9 @@ TEST(BenchFlags, RefusesOutOfRangeAndSurplusArguments)
     Argv extra{"a", "b"};
     EXPECT_EXIT(extra.flags().done(1), ::testing::ExitedWithCode(2),
                 "unexpected argument 'b'");
+    Argv none{};
+    EXPECT_EXIT(none.flags().done(1, 1), ::testing::ExitedWithCode(2),
+                "missing an argument");
     Argv real{"--t", "nan"};
     EXPECT_EXIT(real.flags().real("--t", 0.0),
                 ::testing::ExitedWithCode(2), "bad value for --t: 'nan'");
