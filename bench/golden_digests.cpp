@@ -26,9 +26,16 @@
  *   - the deterministic fields of every fleet_chaos row (with and
  *     without --rogue) and cap_chaos row, at their CTest smoke sizes.
  *
- * Usage: golden_digests FILE          compare against FILE (exit 1 on
- *                                     any difference)
- *        golden_digests --write FILE  regenerate FILE
+ * With --table4 it records a second, separate set instead: every cell
+ * of the Table 4 panel on both cores (8 configurations x 13 sizes) at
+ * 256 KiB allocated per cell. That size still sweeps in every
+ * revocation cell; it takes about as long as the main set, so the two
+ * run as separate CTests.
+ *
+ * Usage: golden_digests [--table4] FILE          compare against FILE
+ *                                                (exit 1 on any
+ *                                                difference)
+ *        golden_digests [--table4] --write FILE  regenerate FILE
  */
 
 #include "caps_harness.h"
@@ -40,6 +47,7 @@
 #include "sim/fleet.h"
 #include "snapshot/checkpoint.h"
 #include "util/rng.h"
+#include "workloads/allocbench/alloc_bench.h"
 #include "workloads/coremark/coremark.h"
 #include "workloads/iot/iot_app.h"
 
@@ -69,6 +77,7 @@ constexpr uint64_t kFleetSeed = 7;
 constexpr uint32_t kFleetRounds = 60;
 constexpr uint32_t kFleetChaosNodes = 6;
 constexpr uint32_t kFleetChaosRounds = 120;
+constexpr uint64_t kTable4Bytes = 256u << 10;
 
 __attribute__((format(printf, 1, 2))) std::string
 format(const char *fmt, ...)
@@ -482,6 +491,31 @@ harnessRowLines(std::vector<std::string> &out)
     }
 }
 
+/** One line per Table 4 cell: both cores, every configuration and
+ * allocation size, kTable4Bytes allocated and freed per cell. */
+void
+table4Lines(std::vector<std::string> &out)
+{
+    for (const sim::CoreConfig &core :
+         {sim::CoreConfig::flute(), sim::CoreConfig::ibex()}) {
+        const workloads::AllocBenchPanel panel =
+            workloads::runAllocBenchPanel(core, {}, kTable4Bytes);
+        for (const auto &row : panel.rows) {
+            for (size_t i = 0; i < row.cells.size(); ++i) {
+                const workloads::AllocBenchResult &cell = row.cells[i];
+                out.push_back(format(
+                    "table4 %s %s hwm=%d size=%u cycles=%" PRIu64
+                    " allocations=%" PRIu64 " sweeps=%" PRIu64
+                    " bytesZeroedOnStack=%" PRIu64 " ok=%d",
+                    panel.coreName.c_str(),
+                    alloc::temporalModeName(row.mode), row.hwm ? 1 : 0,
+                    panel.sizes[i], cell.cycles, cell.allocations,
+                    cell.sweeps, cell.bytesZeroedOnStack, cell.ok ? 1 : 0));
+            }
+        }
+    }
+}
+
 std::vector<std::string>
 readLines(const std::string &path, bool *ok)
 {
@@ -502,7 +536,9 @@ readLines(const std::string &path, bool *ok)
 int
 main(int argc, char **argv)
 {
-    bench::Flags flags("golden_digests", "[--write] FILE", argc, argv);
+    bench::Flags flags("golden_digests", "[--table4] [--write] FILE", argc,
+                       argv);
+    const bool table4 = flags.has("--table4");
     const bool write = flags.has("--write");
     const std::string path = flags.done(1, 1)[0];
 
@@ -519,28 +555,32 @@ main(int argc, char **argv)
 
     std::vector<std::string> lines;
     std::set<uint32_t> sites;
-    coreMarkLines(lines);
-    iotLines(lines);
-    campaignLines(lines, sites);
-    netLines(lines);
-    fleetLines(lines);
-    kernelStreamLines(lines);
-    {
-        // Checkpoint and repro files need a directory; their bytes,
-        // not their names, are what the record pins.
-        const std::filesystem::path scratch =
-            std::filesystem::temp_directory_path() /
-            format("cheriot-golden-%d", static_cast<int>(getpid()));
-        std::filesystem::remove_all(scratch);
-        std::filesystem::create_directories(scratch);
-        iotCheckpointLines(lines, scratch);
-        reproLines(lines, scratch);
-        std::filesystem::remove_all(scratch);
+    if (table4) {
+        table4Lines(lines);
+    } else {
+        coreMarkLines(lines);
+        iotLines(lines);
+        campaignLines(lines, sites);
+        netLines(lines);
+        fleetLines(lines);
+        kernelStreamLines(lines);
+        {
+            // Checkpoint and repro files need a directory; their
+            // bytes, not their names, are what the record pins.
+            const std::filesystem::path scratch =
+                std::filesystem::temp_directory_path() /
+                format("cheriot-golden-%d", static_cast<int>(getpid()));
+            std::filesystem::remove_all(scratch);
+            std::filesystem::create_directories(scratch);
+            iotCheckpointLines(lines, scratch);
+            reproLines(lines, scratch);
+            std::filesystem::remove_all(scratch);
+        }
+        harnessRowLines(lines);
     }
-    harnessRowLines(lines);
 
     bool ok = true;
-    if (sites.size() != fault::kFaultSiteCount) {
+    if (!table4 && sites.size() != fault::kFaultSiteCount) {
         std::printf("campaign injections drew %zu of %u fault sites\n",
                     sites.size(), fault::kFaultSiteCount);
         ok = false;
@@ -548,9 +588,15 @@ main(int argc, char **argv)
 
     if (write) {
         std::ofstream out(path);
-        out << "# Golden end-state digests (seed 0x"
-            << format("%" PRIx64, kCampaignSeed)
-            << "). Regenerate with: golden_digests --write FILE\n";
+        if (table4) {
+            out << "# Golden Table 4 cells (" << (kTable4Bytes >> 10)
+                << " KiB per cell). Regenerate with: golden_digests "
+                   "--table4 --write FILE\n";
+        } else {
+            out << "# Golden end-state digests (seed 0x"
+                << format("%" PRIx64, kCampaignSeed)
+                << "). Regenerate with: golden_digests --write FILE\n";
+        }
         for (const std::string &line : lines) {
             out << line << '\n';
         }
@@ -575,10 +621,13 @@ main(int argc, char **argv)
             }
         }
     }
-    std::printf("golden_digests: %zu lines, %zu mismatches, %zu/%u fault "
-                "sites\n",
-                lines.size(), mismatches, sites.size(),
-                fault::kFaultSiteCount);
+    std::printf("golden_digests: %zu lines, %zu mismatches", lines.size(),
+                mismatches);
+    if (!table4) {
+        std::printf(", %zu/%u fault sites", sites.size(),
+                    fault::kFaultSiteCount);
+    }
+    std::printf("\n");
     ok = ok && mismatches == 0;
     std::printf("golden_digests %s\n", ok ? "OK" : "FAILED");
     return ok ? 0 : 1;
