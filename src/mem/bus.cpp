@@ -6,13 +6,8 @@ namespace cheriot::mem
 {
 
 BusResult
-Bus::transact(unsigned beats, fault::FaultInjector *injector)
+Bus::injectFaults(unsigned beats, fault::FaultInjector *injector)
 {
-    transactions++;
-    this->beats += beats;
-    if (injector == nullptr) {
-        return BusResult{};
-    }
     BusResult result;
     uint32_t extraBeats = 0;
     uint32_t drops = injector->busTransactionFaults(&extraBeats);

@@ -98,9 +98,18 @@ class Bus
 
     /**
      * Run one transaction of @p beats beats. @p injector may inject
-     * drops (replayed with backoff) or latency; null means fault-free.
+     * drops (replayed with backoff) or latency; null means fault-free,
+     * and then the transaction is two counter bumps, inline.
      */
-    BusResult transact(unsigned beats, fault::FaultInjector *injector);
+    BusResult transact(unsigned beats, fault::FaultInjector *injector)
+    {
+        transactions++;
+        this->beats += beats;
+        if (injector == nullptr) {
+            return BusResult{};
+        }
+        return injectFaults(beats, injector);
+    }
 
     /** @name Snapshot state (the bus itself is stateless; counters) @{ */
     template <class Self, class Archive>
@@ -128,6 +137,9 @@ class Bus
     StatGroup &stats() { return stats_; }
 
   private:
+    /** The rest of transact() with an injector attached. */
+    BusResult injectFaults(unsigned beats, fault::FaultInjector *injector);
+
     BusWidth width_;
     StatGroup stats_{"bus"};
 };

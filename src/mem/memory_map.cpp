@@ -1,47 +1,26 @@
 #include "mem/memory_map.h"
 
-#include "util/log.h"
-
 namespace cheriot::mem
 {
 
 uint8_t
-PhysicalMemory::read8(uint32_t addr)
+PhysicalMemory::mmioRead8(uint32_t addr)
 {
-    if (isSram(addr, 1)) {
-        return sram_.read8(addr);
-    }
     // Sub-word MMIO access reads the containing register and extracts.
     const uint32_t word = mmio_.read32(addr & ~3u);
     return static_cast<uint8_t>(word >> ((addr & 3u) * 8));
 }
 
 uint16_t
-PhysicalMemory::read16(uint32_t addr)
+PhysicalMemory::mmioRead16(uint32_t addr)
 {
-    if (isSram(addr, 2)) {
-        return sram_.read16(addr);
-    }
     const uint32_t word = mmio_.read32(addr & ~3u);
     return static_cast<uint16_t>(word >> ((addr & 2u) * 8));
 }
 
-uint32_t
-PhysicalMemory::read32(uint32_t addr)
-{
-    if (isSram(addr, 4)) {
-        return sram_.read32(addr);
-    }
-    return mmio_.read32(addr);
-}
-
 void
-PhysicalMemory::write8(uint32_t addr, uint8_t value)
+PhysicalMemory::mmioWrite8(uint32_t addr, uint8_t value)
 {
-    if (isSram(addr, 1)) {
-        sram_.write8(addr, value);
-        return;
-    }
     // Read-modify-write for sub-word MMIO stores.
     const uint32_t aligned = addr & ~3u;
     uint32_t word = mmio_.read32(aligned);
@@ -51,12 +30,8 @@ PhysicalMemory::write8(uint32_t addr, uint8_t value)
 }
 
 void
-PhysicalMemory::write16(uint32_t addr, uint16_t value)
+PhysicalMemory::mmioWrite16(uint32_t addr, uint16_t value)
 {
-    if (isSram(addr, 2)) {
-        sram_.write16(addr, value);
-        return;
-    }
     const uint32_t aligned = addr & ~3u;
     uint32_t word = mmio_.read32(aligned);
     const unsigned shift = (addr & 2u) * 8;
@@ -64,22 +39,9 @@ PhysicalMemory::write16(uint32_t addr, uint16_t value)
     mmio_.write32(aligned, word);
 }
 
-void
-PhysicalMemory::write32(uint32_t addr, uint32_t value)
-{
-    if (isSram(addr, 4)) {
-        sram_.write32(addr, value);
-        return;
-    }
-    mmio_.write32(addr, value);
-}
-
 RawCapBits
-PhysicalMemory::readCap(uint32_t addr)
+PhysicalMemory::mmioReadCap(uint32_t addr)
 {
-    if (isSram(addr, 8)) {
-        return sram_.readCap(addr);
-    }
     const uint32_t lo = mmio_.read32(addr);
     const uint32_t hi = mmio_.read32(addr + 4);
     RawCapBits out;
@@ -91,13 +53,9 @@ PhysicalMemory::readCap(uint32_t addr)
 }
 
 void
-PhysicalMemory::writeCap(uint32_t addr, uint64_t capBits, bool tag)
+PhysicalMemory::mmioWriteCap(uint32_t addr, uint64_t capBits)
 {
-    if (isSram(addr, 8)) {
-        sram_.writeCap(addr, capBits, tag);
-        return;
-    }
-    (void)tag; // Tags never reach MMIO.
+    // Tags never reach MMIO.
     mmio_.write32(addr, static_cast<uint32_t>(capBits));
     mmio_.write32(addr + 4, static_cast<uint32_t>(capBits >> 32));
 }

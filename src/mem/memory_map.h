@@ -67,21 +67,73 @@ class PhysicalMemory
         return isSram(addr, bytes) || isMmio(addr, bytes);
     }
 
-    /** @name Routed data access @{ */
-    uint8_t read8(uint32_t addr);
-    uint16_t read16(uint32_t addr);
-    uint32_t read32(uint32_t addr);
-    void write8(uint32_t addr, uint8_t value);
-    void write16(uint32_t addr, uint16_t value);
-    void write32(uint32_t addr, uint32_t value);
+    /** @name Routed data access
+     * Inline: an SRAM access goes straight to the granule; MMIO takes
+     * the out-of-line device routes. @{ */
+    uint8_t read8(uint32_t addr)
+    {
+        return isSram(addr, 1) ? sram_.read8(addr) : mmioRead8(addr);
+    }
+    uint16_t read16(uint32_t addr)
+    {
+        return isSram(addr, 2) ? sram_.read16(addr) : mmioRead16(addr);
+    }
+    uint32_t read32(uint32_t addr)
+    {
+        return isSram(addr, 4) ? sram_.read32(addr) : mmio_.read32(addr);
+    }
+    void write8(uint32_t addr, uint8_t value)
+    {
+        if (isSram(addr, 1)) {
+            sram_.write8(addr, value);
+        } else {
+            mmioWrite8(addr, value);
+        }
+    }
+    void write16(uint32_t addr, uint16_t value)
+    {
+        if (isSram(addr, 2)) {
+            sram_.write16(addr, value);
+        } else {
+            mmioWrite16(addr, value);
+        }
+    }
+    void write32(uint32_t addr, uint32_t value)
+    {
+        if (isSram(addr, 4)) {
+            sram_.write32(addr, value);
+        } else {
+            mmio_.write32(addr, value);
+        }
+    }
     /** @} */
 
     /** Capability granule read; MMIO reads are always untagged. */
-    RawCapBits readCap(uint32_t addr);
+    RawCapBits readCap(uint32_t addr)
+    {
+        return isSram(addr, 8) ? sram_.readCap(addr) : mmioReadCap(addr);
+    }
     /** Capability granule write; tags never reach MMIO. */
-    void writeCap(uint32_t addr, uint64_t bits, bool tag);
+    void writeCap(uint32_t addr, uint64_t bits, bool tag)
+    {
+        if (isSram(addr, 8)) {
+            sram_.writeCap(addr, bits, tag);
+        } else {
+            mmioWriteCap(addr, bits);
+        }
+    }
 
   private:
+    /** @name MMIO routes (sub-word and capability-sized accesses go
+     * through the containing 32-bit registers) @{ */
+    uint8_t mmioRead8(uint32_t addr);
+    uint16_t mmioRead16(uint32_t addr);
+    void mmioWrite8(uint32_t addr, uint8_t value);
+    void mmioWrite16(uint32_t addr, uint16_t value);
+    RawCapBits mmioReadCap(uint32_t addr);
+    void mmioWriteCap(uint32_t addr, uint64_t bits);
+    /** @} */
+
     TaggedMemory sram_;
     MmioBus mmio_;
 };

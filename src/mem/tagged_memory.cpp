@@ -23,60 +23,14 @@ TaggedMemory::TaggedMemory(uint32_t base, uint32_t size)
     stats_.registerCounter("tagClears", tagClears);
 }
 
-uint32_t
-TaggedMemory::offsetOf(uint32_t addr, uint32_t bytes, uint32_t align) const
+void
+TaggedMemory::badAccess(uint32_t addr, uint32_t bytes, uint32_t align) const
 {
     if (!contains(addr, bytes)) {
         panic("SRAM access at 0x%08x (+%u) outside [0x%08x, 0x%08x)", addr,
               bytes, base_, base_ + size_);
     }
-    if (addr % align != 0) {
-        panic("SRAM access at 0x%08x not %u-byte aligned", addr, align);
-    }
-    return addr - base_;
-}
-
-uint8_t
-TaggedMemory::read8(uint32_t addr) const
-{
-    const uint32_t off = offsetOf(addr, 1, 1);
-    const_cast<Counter &>(reads)++;
-    return data_[off];
-}
-
-uint16_t
-TaggedMemory::read16(uint32_t addr) const
-{
-    const uint32_t off = offsetOf(addr, 2, 2);
-    const_cast<Counter &>(reads)++;
-    uint16_t value;
-    std::memcpy(&value, &data_[off], sizeof(value));
-    return value;
-}
-
-uint32_t
-TaggedMemory::read32(uint32_t addr) const
-{
-    const uint32_t off = offsetOf(addr, 4, 4);
-    const_cast<Counter &>(reads)++;
-    uint32_t value;
-    std::memcpy(&value, &data_[off], sizeof(value));
-    return value;
-}
-
-uint32_t
-TaggedMemory::peek32(uint32_t addr) const
-{
-    const uint32_t off = offsetOf(addr, 4, 4);
-    uint32_t value;
-    std::memcpy(&value, &data_[off], sizeof(value));
-    return value;
-}
-
-uint8_t
-TaggedMemory::peek8(uint32_t addr) const
-{
-    return data_[offsetOf(addr, 1, 1)];
+    panic("SRAM access at 0x%08x not %u-byte aligned", addr, align);
 }
 
 void
@@ -91,81 +45,6 @@ TaggedMemory::debugWrite8(uint32_t addr, uint8_t value)
     // machine state bit-identical to an undebugged run.
     microTags_[off / 8] &= static_cast<uint8_t>(
         ~((off % 8) < 4 ? 0x1 : 0x2));
-}
-
-void
-TaggedMemory::write8(uint32_t addr, uint8_t value)
-{
-    const uint32_t off = offsetOf(addr, 1, 1);
-    writes++;
-    data_[off] = value;
-    const uint32_t granule = off / 8;
-    const uint8_t halfMask = (off % 8) < 4 ? 0x1 : 0x2;
-    if (microTags_[granule] & halfMask) {
-        tagClears++;
-    }
-    microTags_[granule] &= ~halfMask;
-}
-
-void
-TaggedMemory::write16(uint32_t addr, uint16_t value)
-{
-    const uint32_t off = offsetOf(addr, 2, 2);
-    writes++;
-    std::memcpy(&data_[off], &value, sizeof(value));
-    const uint32_t granule = off / 8;
-    const uint8_t halfMask = (off % 8) < 4 ? 0x1 : 0x2;
-    if (microTags_[granule] & halfMask) {
-        tagClears++;
-    }
-    microTags_[granule] &= ~halfMask;
-}
-
-void
-TaggedMemory::write32(uint32_t addr, uint32_t value)
-{
-    const uint32_t off = offsetOf(addr, 4, 4);
-    writes++;
-    std::memcpy(&data_[off], &value, sizeof(value));
-    const uint32_t granule = off / 8;
-    const uint8_t halfMask = (off % 8) < 4 ? 0x1 : 0x2;
-    if (microTags_[granule] & halfMask) {
-        tagClears++;
-    }
-    microTags_[granule] &= ~halfMask;
-}
-
-RawCapBits
-TaggedMemory::readCap(uint32_t addr) const
-{
-    const uint32_t off = offsetOf(addr, 8, 8);
-    const_cast<Counter &>(capReads)++;
-    uint64_t bits;
-    std::memcpy(&bits, &data_[off], sizeof(bits));
-    const uint8_t tags = microTags_[off / 8];
-    RawCapBits out;
-    out.bits = bits;
-    out.halfTag0 = (tags & 0x1) != 0;
-    out.halfTag1 = (tags & 0x2) != 0;
-    out.tag = out.halfTag0 && out.halfTag1;
-    return out;
-}
-
-void
-TaggedMemory::writeCap(uint32_t addr, uint64_t capBits, bool tag)
-{
-    const uint32_t off = offsetOf(addr, 8, 8);
-    capWrites++;
-    std::memcpy(&data_[off], &capBits, sizeof(capBits));
-    microTags_[off / 8] = tag ? 0x3 : 0x0;
-}
-
-void
-TaggedMemory::clearCapTag(uint32_t addr)
-{
-    const uint32_t off = offsetOf(addr, 8, 8);
-    capWrites++;
-    microTags_[off / 8] = 0;
 }
 
 bool

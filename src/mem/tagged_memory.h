@@ -19,6 +19,7 @@
 #include "util/stats.h"
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace cheriot::mem
@@ -57,10 +58,27 @@ class TaggedMemory
     }
 
     /** @name Data access (clears the touched half's micro-tag on
-     * write) @{ */
-    uint8_t read8(uint32_t addr) const;
-    uint16_t read16(uint32_t addr) const;
-    uint32_t read32(uint32_t addr) const;
+     * write). Inline: every checked access of the machine lands here
+     * after its one validation. @{ */
+    uint8_t read8(uint32_t addr) const
+    {
+        const uint32_t off = offsetOf(addr, 1, 1);
+        const_cast<Counter &>(reads)++;
+        return data_[off];
+    }
+    uint16_t read16(uint32_t addr) const
+    {
+        const uint32_t off = offsetOf(addr, 2, 2);
+        const_cast<Counter &>(reads)++;
+        uint16_t value;
+        std::memcpy(&value, &data_[off], sizeof(value));
+        return value;
+    }
+    uint32_t read32(uint32_t addr) const
+    {
+        const_cast<Counter &>(reads)++;
+        return peek32(addr);
+    }
     /**
      * Word read that bypasses the access counters. For simulator
      * plumbing whose access *timing* is not architectural — decode
@@ -68,10 +86,16 @@ class TaggedMemory
      * straight run versus a restored one, and must not perturb
      * counters that are part of the serialized machine state.
      */
-    uint32_t peek32(uint32_t addr) const;
+    uint32_t peek32(uint32_t addr) const
+    {
+        const uint32_t off = offsetOf(addr, 4, 4);
+        uint32_t value;
+        std::memcpy(&value, &data_[off], sizeof(value));
+        return value;
+    }
     /** Byte read bypassing the access counters (debugger reads must
      * not perturb serialized counter state). */
-    uint8_t peek8(uint32_t addr) const;
+    uint8_t peek8(uint32_t addr) const { return data_[offsetOf(addr, 1, 1)]; }
     /**
      * Debugger byte write: stores the byte and clears the covering
      * half's micro-tag (the tag-clearing rule holds for debugger
@@ -81,18 +105,63 @@ class TaggedMemory
      * change.
      */
     void debugWrite8(uint32_t addr, uint8_t value);
-    void write8(uint32_t addr, uint8_t value);
-    void write16(uint32_t addr, uint16_t value);
-    void write32(uint32_t addr, uint32_t value);
+    void write8(uint32_t addr, uint8_t value)
+    {
+        const uint32_t off = offsetOf(addr, 1, 1);
+        data_[off] = value;
+        noteDataWrite(off);
+    }
+    void write16(uint32_t addr, uint16_t value)
+    {
+        const uint32_t off = offsetOf(addr, 2, 2);
+        std::memcpy(&data_[off], &value, sizeof(value));
+        noteDataWrite(off);
+    }
+    void write32(uint32_t addr, uint32_t value)
+    {
+        const uint32_t off = offsetOf(addr, 4, 4);
+        std::memcpy(&data_[off], &value, sizeof(value));
+        noteDataWrite(off);
+    }
     /** @} */
 
     /** @name Capability access (8-byte aligned granules) @{ */
-    RawCapBits readCap(uint32_t addr) const;
+    RawCapBits readCap(uint32_t addr) const
+    {
+        const_cast<Counter &>(capReads)++;
+        return peekCap(addr);
+    }
+    /** Capability granule read bypassing the access counters; the
+     * background revoker's whole-word sweep counts its reads itself. */
+    RawCapBits peekCap(uint32_t addr) const
+    {
+        const uint32_t off = offsetOf(addr, 8, 8);
+        uint64_t bits;
+        std::memcpy(&bits, &data_[off], sizeof(bits));
+        const uint8_t tags = microTags_[off / 8];
+        RawCapBits out;
+        out.bits = bits;
+        out.halfTag0 = (tags & 0x1) != 0;
+        out.halfTag1 = (tags & 0x2) != 0;
+        out.tag = out.halfTag0 && out.halfTag1;
+        return out;
+    }
     /** Store a capability image; sets both micro-tags to @p tag. */
-    void writeCap(uint32_t addr, uint64_t bits, bool tag);
+    void writeCap(uint32_t addr, uint64_t bits, bool tag)
+    {
+        const uint32_t off = offsetOf(addr, 8, 8);
+        capWrites++;
+        std::memcpy(&data_[off], &bits, sizeof(bits));
+        microTags_[off / 8] = tag ? 0x3 : 0x0;
+    }
     /** Clear the granule's tag without touching data (revoker
      * writeback optimization: a single tag-clearing write). */
-    void clearCapTag(uint32_t addr);
+    void clearCapTag(uint32_t addr)
+    {
+        const uint32_t off = offsetOf(addr, 8, 8);
+        capWrites++;
+        microTags_[off / 8] = 0;
+    }
     /** @} */
 
     /** Architectural tag of the granule containing @p addr. */
@@ -149,7 +218,28 @@ class TaggedMemory
     Counter tagClears;  ///< Tags cleared by data writes.
 
   private:
-    uint32_t offsetOf(uint32_t addr, uint32_t bytes, uint32_t align) const;
+    /** Offset of an in-range, naturally aligned access; anything else
+     * is an internal error (the caller checks architecturally). */
+    uint32_t offsetOf(uint32_t addr, uint32_t bytes, uint32_t align) const
+    {
+        if (!contains(addr, bytes) || addr % align != 0) [[unlikely]] {
+            badAccess(addr, bytes, align);
+        }
+        return addr - base_;
+    }
+    [[noreturn, gnu::cold]] void badAccess(uint32_t addr, uint32_t bytes,
+                                           uint32_t align) const;
+    /** A data write at @p off clears the micro-tag of its half. */
+    void noteDataWrite(uint32_t off)
+    {
+        writes++;
+        const uint32_t granule = off / 8;
+        const uint8_t halfMask = (off % 8) < 4 ? 0x1 : 0x2;
+        if (microTags_[granule] & halfMask) {
+            tagClears++;
+        }
+        microTags_[granule] &= ~halfMask;
+    }
 
     uint32_t base_;
     uint32_t size_;

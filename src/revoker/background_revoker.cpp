@@ -126,28 +126,85 @@ BackgroundRevoker::tick(bool memPortFree)
 }
 
 void
-BackgroundRevoker::advance(uint64_t cycles, uint64_t busyPrefix)
+BackgroundRevoker::sweepFreeCycles(uint64_t freeCycles)
 {
-    // Busy cycles and idle cycles change nothing, so only the free
-    // cycles of a sweep cost host time.
-    if (!sweeping() || busyPrefix >= cycles) {
-        return;
-    }
-    uint64_t freeCycles = cycles - busyPrefix;
     if (injector_ != nullptr && injector_->revokerStalled()) {
         stallCycles += freeCycles;
         return;
     }
     const bool epochHeld =
         injector_ != nullptr && injector_->suppressEpochIncrement();
-    for (; freeCycles > 0 && sweeping(); --freeCycles) {
+    while (freeCycles > 0 && sweeping()) {
+        if (!slots_[0].valid && !slots_[1].valid) {
+            freeCycles -= sweepWholeWords(freeCycles);
+            if (freeCycles == 0) {
+                return;
+            }
+        }
+        // The cycle-by-cycle cases: a word that does not fit the
+        // cycles left, a slot a snoop reloaded, and the completion.
         beat();
+        --freeCycles;
         if (epochHeld && drained()) {
             // A stuck epoch holds the completion: every further beat
             // retries finishSweep() and changes nothing.
             return;
         }
     }
+}
+
+uint64_t
+BackgroundRevoker::sweepWholeWords(uint64_t budget)
+{
+    // No store lands inside a window, so each word's fate is fixed by
+    // SRAM and the bitmap as they stand now. beat() would issue every
+    // word into slot 0 (the first free slot), load it, examine it and,
+    // if its base is revoked, spend the next cycle on the writeback.
+    const uint32_t end = sweepEnd();
+    const unsigned fullBeats = mem::capBeats(busWidth_);
+    // The second-half skip peeks at the word when it issues: a second
+    // capability read besides the one that examines it.
+    const bool peeks = skipSecondHalf_ && fullBeats == 2;
+    uint64_t used = 0;
+    uint64_t words = 0;
+    uint64_t tagged = 0;
+    uint64_t revoked = 0;
+    bool lastRevoked = false;
+    while (cursor_ < end) {
+        const mem::RawCapBits raw = sram_.peekCap(cursor_);
+        const unsigned beats = peeks && !raw.halfTag0 ? 1 : fullBeats;
+        const bool stale =
+            raw.tag && bitmap_.peekRevoked(
+                           cap::Capability::fromBits(raw.bits, true).base());
+        const unsigned cost = beats + (stale ? 1 : 0);
+        if (cost > budget - used) {
+            break;
+        }
+        if (stale) {
+            sram_.clearCapTag(cursor_);
+            ++revoked;
+        }
+        used += cost;
+        ++words;
+        tagged += raw.tag ? 1 : 0;
+        lastRevoked = stale;
+        cursor_ += cap::kCapabilitySize;
+    }
+    if (words == 0) {
+        return 0;
+    }
+    sram_.capReads += words * (peeks ? 2 : 1);
+    bitmap_.lookups += tagged;
+    wordsExamined += words;
+    tagsInvalidated += revoked;
+    portCycles += used;
+    // Retired slots keep their fields, and those are serialized.
+    Slot &slot = slots_[0];
+    slot.addr = cursor_ - cap::kCapabilitySize;
+    slot.beatsLeft = 0;
+    slot.loaded = true;
+    slot.needsWriteback = lastRevoked;
+    return used;
 }
 
 bool
@@ -203,11 +260,8 @@ BackgroundRevoker::loadBeat()
 }
 
 void
-BackgroundRevoker::snoopStore(uint32_t addr, uint32_t bytes)
+BackgroundRevoker::reloadSnooped(uint32_t addr, uint32_t bytes)
 {
-    if (!sweeping()) {
-        return;
-    }
     const uint32_t granule = addr & ~7u;
     const uint32_t lastGranule = (addr + bytes - 1) & ~7u;
     for (Slot &slot : slots_) {

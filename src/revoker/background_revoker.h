@@ -100,15 +100,27 @@ class BackgroundRevoker : public mem::MmioDevice
      * tick(i >= busyPrefix), provided the attached injector's stall
      * and stuck-epoch state does not change inside the window (the
      * machine ends every window at an injector event). Costs nothing
-     * while idle, one step per free cycle while sweeping.
+     * while idle (inline); while sweeping, the free cycles go a whole
+     * word at a time (see sweepWholeWords).
      */
-    void advance(uint64_t cycles, uint64_t busyPrefix);
+    void advance(uint64_t cycles, uint64_t busyPrefix)
+    {
+        if (sweeping() && busyPrefix < cycles) {
+            sweepFreeCycles(cycles - busyPrefix);
+        }
+    }
 
     /**
      * Snoop a store from the main pipeline: if it hits a word
-     * currently in flight, that word must be reloaded.
+     * currently in flight, that word must be reloaded. Inline while no
+     * sweep is running.
      */
-    void snoopStore(uint32_t addr, uint32_t bytes);
+    void snoopStore(uint32_t addr, uint32_t bytes)
+    {
+        if (sweeping()) {
+            reloadSnooped(addr, bytes);
+        }
+    }
 
     /** @name Snapshot state (window, epoch, cursor, in-flight slots) @{ */
     template <class Self, class Archive>
@@ -171,6 +183,17 @@ class BackgroundRevoker : public mem::MmioDevice
 
     void startSweep();
     void finishSweep();
+    /** advance() over @p freeCycles free cycles of a running sweep. */
+    void sweepFreeCycles(uint64_t freeCycles);
+    /**
+     * From an empty pipeline, process whole words while the next one
+     * fits in @p budget free cycles; returns the cycles used. A word
+     * costs its load beats plus one tag-clearing write when its base
+     * is revoked, and leaves every counter and slot 0 exactly as that
+     * many beat() calls would.
+     */
+    uint64_t sweepWholeWords(uint64_t budget);
+    void reloadSnooped(uint32_t addr, uint32_t bytes);
     /** One free, unstalled cycle of the sweep pipeline. */
     bool beat();
     /** Advance the first pending load by one beat, if any. */

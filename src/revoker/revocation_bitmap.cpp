@@ -22,23 +22,6 @@ RevocationBitmap::RevocationBitmap(uint32_t heapBase, uint32_t heapSize,
     stats_.registerCounter("lookups", lookups);
 }
 
-uint32_t
-RevocationBitmap::bitIndexOf(uint32_t addr) const
-{
-    return (addr - heapBase_) / granule_;
-}
-
-bool
-RevocationBitmap::isRevoked(uint32_t addr) const
-{
-    lookups++;
-    if (!covers(addr)) {
-        return false;
-    }
-    const uint32_t index = bitIndexOf(addr);
-    return bit(words_[index / 32], index % 32);
-}
-
 void
 RevocationBitmap::setRange(uint32_t addr, uint32_t bytes)
 {

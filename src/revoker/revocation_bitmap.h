@@ -16,6 +16,7 @@
 
 #include "mem/mmio.h"
 #include "snapshot/serializer.h"
+#include "util/bits.h"
 #include "util/stats.h"
 
 #include <cstdint>
@@ -53,7 +54,21 @@ class RevocationBitmap : public mem::MmioDevice
 
     /** Revocation bit for the granule containing @p addr.
      * Addresses outside the window are never revoked. */
-    bool isRevoked(uint32_t addr) const;
+    bool isRevoked(uint32_t addr) const
+    {
+        lookups++;
+        return peekRevoked(addr);
+    }
+    /** isRevoked() without counting the lookup; the background
+     * revoker's whole-word sweep counts its lookups itself. */
+    bool peekRevoked(uint32_t addr) const
+    {
+        if (!covers(addr)) {
+            return false;
+        }
+        const uint32_t index = bitIndexOf(addr);
+        return bit(words_[index / 32], index % 32);
+    }
 
     /** Paint revocation bits over [addr, addr+bytes). */
     void setRange(uint32_t addr, uint32_t bytes);
@@ -94,7 +109,10 @@ class RevocationBitmap : public mem::MmioDevice
     StatGroup &stats() { return stats_; }
 
   private:
-    uint32_t bitIndexOf(uint32_t addr) const;
+    uint32_t bitIndexOf(uint32_t addr) const
+    {
+        return (addr - heapBase_) / granule_;
+    }
 
     uint32_t heapBase_;
     uint32_t heapSize_;

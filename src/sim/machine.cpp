@@ -143,22 +143,17 @@ Machine::heapBase() const
 }
 
 void
-Machine::advance(uint64_t cycleCount, uint64_t memPortBusy)
+Machine::advanceToInjectorEvents(uint64_t cycleCount, uint64_t memPortBusy)
 {
     for (uint64_t done = 0; done < cycleCount;) {
-        uint64_t window = cycleCount - done;
-        if (injector_ != nullptr) {
-            window = std::min(window, injector_->nextEventCycle(cycles()) -
-                                          cycles());
-        }
+        const uint64_t window = std::min(
+            cycleCount - done, injector_->nextEventCycle(cycles()) - cycles());
         const uint64_t busy =
             memPortBusy > done ? std::min(memPortBusy - done, window) : 0;
         bgRevoker_.advance(window, busy);
         cycles_ += window;
         done += window;
-        if (injector_ != nullptr) {
-            injector_->tick(cycles());
-        }
+        injector_->tick(cycles());
     }
     timer_.tick(cycles());
 }
@@ -580,7 +575,7 @@ Machine::debugWriteMem(uint32_t addr, const std::vector<uint8_t> &data)
 }
 
 void
-Machine::invalidateDecode(uint32_t addr, uint32_t bytes)
+Machine::dropDecoded(uint32_t addr, uint32_t bytes)
 {
     // Clamp to the decoded range; an address below SRAM wraps to a
     // huge word index and one above it lies past decodedHigh_.

@@ -217,8 +217,21 @@ class Machine
      * inside a window — stores, MMIO kicks and interrupts all happen
      * between calls — so each window is one step of the revoker and
      * one injector tick, equal to ticking both once per cycle.
+     *
+     * Machine state picks the path: with no injector attached the
+     * whole call is one window, inline, and while the revoker is idle
+     * it only adds the cycles and ticks the timer.
      */
-    void advance(uint64_t cycleCount, uint64_t memPortBusy = 0);
+    void advance(uint64_t cycleCount, uint64_t memPortBusy = 0)
+    {
+        if (injector_ != nullptr) {
+            advanceToInjectorEvents(cycleCount, memPortBusy);
+            return;
+        }
+        bgRevoker_.advance(cycleCount, memPortBusy);
+        cycles_ += cycleCount;
+        timer_.tick(cycles());
+    }
     /** Idle cycles: the port is entirely free. */
     void idle(uint64_t cycleCount) { advance(cycleCount, 0); }
     /** @} */
@@ -352,6 +365,9 @@ class Machine
   private:
     friend class Executor;
 
+    /** advance() with an injector attached: windows end at its
+     * events, and it is ticked at the end of each. */
+    void advanceToInjectorEvents(uint64_t cycleCount, uint64_t memPortBusy);
     void execute(const isa::Inst &inst, uint32_t pc);
     bool takePendingInterrupt();
     const isa::Inst &decodeAt(uint32_t pc);
@@ -395,8 +411,15 @@ class Machine
     uint32_t decodedLow_ = UINT32_MAX;
     uint32_t decodedHigh_ = 0;
     /** Drop cached decodes of the SRAM words [addr, addr + bytes)
-     * touches; a range outside SRAM has none. */
-    void invalidateDecode(uint32_t addr, uint32_t bytes);
+     * touches; a range outside SRAM has none. Inline while nothing is
+     * decoded. */
+    void invalidateDecode(uint32_t addr, uint32_t bytes)
+    {
+        if (decodedLow_ < decodedHigh_) {
+            dropDecoded(addr, bytes);
+        }
+    }
+    void dropDecoded(uint32_t addr, uint32_t bytes);
     /** The image layout behind save() and restore(). */
     template <class Self, class Image>
     static bool transferImage(Self &self, Image &image);
