@@ -257,6 +257,10 @@ class Compartment
     {}
 
     const std::string &name() const { return name_; }
+    /** The switcher's cycle-attribution index for this compartment,
+     * set by the kernel that hosts it. */
+    uint32_t attributionIndex() const { return attributionIndex_; }
+    void setAttributionIndex(uint32_t index) { attributionIndex_ = index; }
     const cap::Capability &codeCap() const { return codeCap_; }
     const cap::Capability &globalsCap() const { return globalsCap_; }
 
@@ -315,6 +319,7 @@ class Compartment
 
   private:
     std::string name_;
+    uint32_t attributionIndex_ = 0;
     cap::Capability codeCap_;
     cap::Capability globalsCap_;
     std::vector<Export> exports_;

@@ -97,10 +97,9 @@ Kernel::createCompartment(const std::string &name, uint32_t codeSize,
         loader_.allocExactRegion(globalsSize, &globalsSize);
     // Globals capabilities deliberately lack Store-Local (§5.2): a
     // compartment can never capture a stack reference in its globals.
-    compartments_.push_back(std::make_unique<Compartment>(
+    return adoptCompartment(std::make_unique<Compartment>(
         name, loader_.codeCap(codeBase, codeSize),
         loader_.dataCap(globalsBase, globalsSize, /*storeLocal=*/false)));
-    return *compartments_.back();
 }
 
 Thread &
@@ -128,6 +127,7 @@ Kernel::createThread(const std::string &name, uint8_t priority,
 Compartment &
 Kernel::adoptCompartment(std::unique_ptr<Compartment> c)
 {
+    c->setAttributionIndex(switcher_.attributionIndex(c->name()));
     compartments_.push_back(std::move(c));
     return *compartments_.back();
 }

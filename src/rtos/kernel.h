@@ -95,10 +95,10 @@ class Kernel
     Thread &createThread(const std::string &name, uint8_t priority,
                          uint32_t stackSize);
 
-    /** Register an externally constructed compartment verbatim (test
-     * seam for building deliberately violating images; the normal
-     * path is createCompartment, whose capabilities are always
-     * well-formed). */
+    /** Register an externally constructed compartment verbatim, only
+     * giving it its cycle-attribution index (test seam for building
+     * deliberately violating images; the normal path is
+     * createCompartment, whose capabilities are always well-formed). */
     Compartment &adoptCompartment(std::unique_ptr<Compartment> c);
 
     /**

@@ -20,40 +20,54 @@ Switcher::attachSimStats(debug::SimStats &stats)
 {
     simStats_ = &stats;
     stats.attach(stats_);
-    for (auto &entry : compartmentCycles_) {
-        stats.attachCounter("compartment." + entry.first + ".cycles",
-                            entry.second);
+    for (const Target &target : targets_) {
+        if (target.charged) {
+            stats.attachCounter("compartment." + target.name + ".cycles",
+                                target.cycles);
+        }
     }
 }
 
-Counter &
-Switcher::cyclesFor(const std::string &name)
+uint32_t
+Switcher::attributionIndex(const std::string &name)
 {
-    auto it = compartmentCycles_.find(name);
-    if (it == compartmentCycles_.end()) {
-        it = compartmentCycles_.emplace(name, Counter{}).first;
-        if (simStats_ != nullptr) {
-            simStats_->attachCounter("compartment." + name + ".cycles",
-                                     it->second);
-        }
+    const auto it =
+        std::find_if(targets_.begin(), targets_.end(),
+                     [&](const Target &t) { return t.name == name; });
+    if (it != targets_.end()) {
+        return static_cast<uint32_t>(it - targets_.begin());
     }
-    return it->second;
+    targets_.emplace_back(name);
+    return static_cast<uint32_t>(targets_.size() - 1);
 }
 
 uint64_t
 Switcher::cyclesAttributedTo(const std::string &name) const
 {
-    const auto it = compartmentCycles_.find(name);
-    return it == compartmentCycles_.end() ? 0 : it->second.value();
+    for (const Target &target : targets_) {
+        if (target.name == name) {
+            return target.cycles.value();
+        }
+    }
+    return 0;
 }
 
 void
-Switcher::switchTo(const std::string &name)
+Switcher::switchTo(uint32_t target)
 {
     const uint64_t now = guest_.machine().cycles();
-    cyclesFor(currentCompartment_) += now - attributionMark_;
+    Target &outgoing = targets_[current_];
+    if (!outgoing.charged) {
+        outgoing.charged = true;
+        if (simStats_ != nullptr) {
+            simStats_->attachCounter("compartment." + outgoing.name +
+                                         ".cycles",
+                                     outgoing.cycles);
+        }
+    }
+    outgoing.cycles += now - attributionMark_;
     attributionMark_ = now;
-    currentCompartment_ = name;
+    current_ = target;
     compartmentSwitches++;
 }
 
@@ -157,8 +171,8 @@ Switcher::call(Kernel &kernel, Thread &thread, const Import &import,
     // Everything up to here (the switcher prologue) is charged to the
     // caller; from the switch until the matching return, cycles are
     // attributed to the callee — including any error handler it runs.
-    const std::string attributionCaller = currentCompartment_;
-    switchTo(import.compartment->name());
+    const uint32_t attributionCaller = current_;
+    switchTo(import.compartment->attributionIndex());
 
     // --- Callee runs ----------------------------------------------------
     CompartmentContext context{kernel, thread, *import.compartment, guest_,

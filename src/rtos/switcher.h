@@ -26,7 +26,7 @@
 #include "snapshot/serializer.h"
 #include "util/stats.h"
 
-#include <map>
+#include <deque>
 #include <string>
 
 namespace cheriot::debug
@@ -116,17 +116,35 @@ class Switcher
      * qCheriot.compartment query. */
     const std::string &currentCompartment() const
     {
-        return currentCompartment_;
+        return targets_[current_].name;
     }
 
     /** Cycles attributed so far to @p name (0 if never scheduled). */
     uint64_t cyclesAttributedTo(const std::string &name) const;
 
+    /** Attribution index of @p name, interned on first use ("kernel"
+     * is 0). The kernel gives each compartment its index when it
+     * creates it; compartments that share a name share a target. */
+    uint32_t attributionIndex(const std::string &name);
+
   private:
-    /** Charge cycles since the last switch to the outgoing
-     * compartment and make @p name the attribution target. */
-    void switchTo(const std::string &name);
-    Counter &cyclesFor(const std::string &name);
+    /** A cycle-attribution target: a compartment name or "kernel". */
+    struct Target
+    {
+        explicit Target(std::string targetName)
+            : name(std::move(targetName))
+        {}
+
+        std::string name;
+        Counter cycles;
+        /** Charged at least once; only then is the counter published
+         * as "compartment.<name>.cycles". */
+        bool charged = false;
+    };
+
+    /** Charge cycles since the last switch to the outgoing target and
+     * make @p target the attribution target. */
+    void switchTo(uint32_t target);
     /** Zero the dirty part of the unused stack; returns bytes zeroed. */
     uint32_t zeroStack(Thread &thread, uint32_t sp);
 
@@ -143,10 +161,10 @@ class Switcher
 
     GuestContext &guest_;
     StatGroup stats_{"switcher"};
-    /** Per-compartment cycle attribution (std::map for stable Counter
+    /** Attribution targets by index (std::deque for stable Counter
      * addresses — SimStats holds pointers into it). */
-    std::map<std::string, Counter> compartmentCycles_;
-    std::string currentCompartment_{"kernel"};
+    std::deque<Target> targets_{Target{"kernel"}};
+    uint32_t current_ = 0;
     uint64_t attributionMark_ = 0;
     debug::SimStats *simStats_ = nullptr;
 };

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 namespace cheriot::rtos
 {
 namespace
@@ -229,6 +232,75 @@ TEST(Switcher, CrossCompartmentCallHasBoundedCost)
     // round trip should be O(hundreds) of cycles, not thousands.
     EXPECT_GT(cost, 100u);
     EXPECT_LT(cost, 2000u);
+}
+
+TEST(Switcher, CyclesAreAttributedToTheCompartmentOnTheCore)
+{
+    Machine machine(config());
+    Kernel kernel(machine);
+    Compartment &outer = kernel.createCompartment("outer");
+    Compartment &inner = kernel.createCompartment("inner");
+    // A second compartment with the same name shares its target.
+    Compartment &twin = kernel.createCompartment("inner");
+    Thread &thread = kernel.createThread("main", 1, 4096);
+    kernel.activate(thread);
+    Switcher &switcher = kernel.switcher();
+
+    const auto body = [&](const char *name, uint32_t cycles) {
+        return Export{name,
+                      [&switcher, name, cycles](CompartmentContext &ctx,
+                                                ArgVec &) {
+                          EXPECT_EQ(switcher.currentCompartment(),
+                                    ctx.compartment.name());
+                          ctx.mem.chargeExecution(cycles);
+                          return CallResult::ofInt(0);
+                      },
+                      false};
+    };
+    const uint32_t innerIdx = inner.addExport(body("inner", 50));
+    const uint32_t twinIdx = twin.addExport(body("twin", 30));
+    const uint32_t outerIdx = outer.addExport(
+        {"outer",
+         [&](CompartmentContext &ctx, ArgVec &) {
+             ctx.mem.chargeExecution(100);
+             ctx.kernel.call(ctx.thread, ctx.kernel.importOf(inner, innerIdx),
+                             {});
+             EXPECT_EQ(switcher.currentCompartment(), "outer");
+             return ctx.kernel.call(ctx.thread,
+                                    ctx.kernel.importOf(twin, twinIdx), {});
+         },
+         false});
+
+    const auto attributed = [&] {
+        std::map<std::string, uint64_t> out;
+        for (const auto &[name, value] : machine.simStats().snapshot()) {
+            if (name.rfind("compartment.", 0) == 0) {
+                out[name] = value;
+            }
+        }
+        return out;
+    };
+    EXPECT_EQ(switcher.currentCompartment(), "kernel");
+    EXPECT_TRUE(attributed().empty()) << "published on first charge";
+
+    EXPECT_TRUE(
+        kernel.call(thread, kernel.importOf(outer, outerIdx), {}).ok());
+    EXPECT_EQ(switcher.currentCompartment(), "kernel");
+    // The callee bodies' cycles, exactly: prologues and epilogues are
+    // charged to the caller.
+    EXPECT_EQ(switcher.cyclesAttributedTo("inner"), 80u);
+    EXPECT_GT(switcher.cyclesAttributedTo("outer"), 100u);
+    EXPECT_GT(switcher.cyclesAttributedTo("kernel"), 0u);
+    EXPECT_EQ(switcher.cyclesAttributedTo("nobody"), 0u);
+    const std::map<std::string, uint64_t> want = {
+        {"compartment.inner.cycles", 80},
+        {"compartment.kernel.cycles", switcher.cyclesAttributedTo("kernel")},
+        {"compartment.outer.cycles", switcher.cyclesAttributedTo("outer")},
+    };
+    EXPECT_EQ(attributed(), want);
+    EXPECT_LE(switcher.cyclesAttributedTo("kernel") +
+                  switcher.cyclesAttributedTo("outer") + 80,
+              machine.cycles());
 }
 
 TEST(Loader, CapabilityDerivationRules)
