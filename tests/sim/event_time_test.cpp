@@ -9,7 +9,12 @@
  *   - BackgroundRevoker::advance(n, busy) against n calls of
  *     tick(i >= busy), from seeded mid-sweep states on both bus
  *     widths, with and without the second-half skip, stalled, with a
- *     stuck epoch, and with snoops between windows;
+ *     stuck epoch, and with snoops between windows; and in the short
+ *     windows checked accesses leave (0-4 free cycles behind 1-2 busy
+ *     beats), where whole words stop fitting, with an unaligned end
+ *     register. The serialized revoker state and the whole SimStats
+ *     snapshot (which also holds the unserialized bitmap lookups and
+ *     completed sweeps) must match after every window;
  *   - FaultInjector::nextEventCycle(now) against the first cycle at
  *     which per-cycle tick() changes fired() or revokerStalled();
  *   - one Machine::advance(N, busy) against N single-cycle advances,
@@ -51,9 +56,11 @@ sweepConfig(const CoreConfig &core, FaultInjector *injector)
 }
 
 /** Plant seeded capabilities across the heap (a quarter of them to
- * revoked granules) and kick a sweep over it. */
+ * revoked granules) and kick a sweep over it, ending @p endShort bytes
+ * before the end of the heap. */
 void
-startSeededSweep(Machine &machine, uint64_t seed, bool skipSecondHalf)
+startSeededSweep(Machine &machine, uint64_t seed, bool skipSecondHalf,
+                 uint32_t endShort = 0)
 {
     Rng rng(seed);
     const uint32_t heap = machine.heapBase();
@@ -73,7 +80,7 @@ startSeededSweep(Machine &machine, uint64_t seed, bool skipSecondHalf)
     BackgroundRevoker &engine = machine.backgroundRevoker();
     engine.setSkipSecondHalfLoad(skipSecondHalf);
     engine.write32(0x0, heap);
-    engine.write32(0x4, heap + size);
+    engine.write32(0x4, heap + size - endShort);
     engine.write32(0xc, 1);
 }
 
@@ -169,6 +176,8 @@ checkRevokerWindows(const CoreConfig &core, bool skipSecondHalf,
         ASSERT_EQ(revokerState(fast), revokerState(ref))
             << "window " << window << " (n=" << n << ", busy=" << busy
             << ")";
+        ASSERT_EQ(a.simStats().snapshot(), b.simStats().snapshot())
+            << "window " << window;
         if (rng.chance(1, 3)) {
             storeBetweenWindows(rng, a, b);
         }
@@ -207,6 +216,109 @@ TEST(EventTime, RevokerAdvanceEqualsPerCycleTicks)
                 }
             }
         }
+    }
+}
+
+/** A whole sweep in the windows checked accesses leave behind them:
+ * 1-2 busy beats, then 0-4 free cycles, with now and then a long
+ * stretch of free cycles (a switcher entry path). */
+void
+checkShortWindows(const CoreConfig &core, bool skipSecondHalf,
+                  uint32_t endShort, uint64_t seed)
+{
+    Machine a(sweepConfig(core, nullptr));
+    Machine b(sweepConfig(core, nullptr));
+    startSeededSweep(a, seed, skipSecondHalf, endShort);
+    startSeededSweep(b, seed, skipSecondHalf, endShort);
+    BackgroundRevoker &fast = a.backgroundRevoker();
+    BackgroundRevoker &ref = b.backgroundRevoker();
+    ASSERT_TRUE(fast.sweeping());
+
+    Rng rng(seed ^ 0x5407);
+    int window = 0;
+    for (; fast.sweeping() && window < 40'000; ++window) {
+        const uint64_t busy = 1 + rng.below(2);
+        const uint64_t free = rng.chance(1, 16) ? 120 : rng.below(5);
+        fast.advance(busy + free, busy);
+        for (uint64_t i = 0; i < busy + free; ++i) {
+            ref.tick(i >= busy);
+        }
+        ASSERT_EQ(revokerState(fast), revokerState(ref))
+            << "window " << window << " (free=" << free << ")";
+        ASSERT_EQ(a.simStats().snapshot(), b.simStats().snapshot())
+            << "window " << window;
+        if (rng.chance(1, 4)) {
+            storeBetweenWindows(rng, a, b);
+        }
+    }
+    EXPECT_FALSE(fast.sweeping()) << "sweep unfinished after " << window;
+    EXPECT_GT(fast.tagsInvalidated.value(), 0u);
+    EXPECT_EQ(a.stateDigest(), b.stateDigest());
+}
+
+TEST(EventTime, WholeWordSweepEqualsPerCycleTicksInShortWindows)
+{
+    for (const CoreConfig &core : {CoreConfig::ibex(), CoreConfig::flute()}) {
+        for (const bool skip : {false, true}) {
+            // An aligned end register, and ends 3 and 12 bytes short:
+            // the last word is still swept whole.
+            for (const uint32_t endShort : {0u, 3u, 12u}) {
+                for (uint64_t seed = 1; seed <= 2; ++seed) {
+                    SCOPED_TRACE(core.name + " skip=" +
+                                 (skip ? "1" : "0") + " endShort=" +
+                                 std::to_string(endShort) + " seed=" +
+                                 std::to_string(seed));
+                    checkShortWindows(core, skip, endShort, seed);
+                }
+            }
+        }
+    }
+}
+
+TEST(EventTime, RevokedWordWritebackCanFallInTheNextWindow)
+{
+    for (const CoreConfig &core : {CoreConfig::ibex(), CoreConfig::flute()}) {
+        SCOPED_TRACE(core.name);
+        Machine a(sweepConfig(core, nullptr));
+        Machine b(sweepConfig(core, nullptr));
+        const uint32_t slot = a.heapBase() + 0x100;
+        const uint32_t target = a.heapBase() + 0x200;
+        for (Machine *m : {&a, &b}) {
+            const Capability ref =
+                Capability::memoryRoot().withAddress(target).withBounds(16);
+            ASSERT_EQ(m->storeCap(Capability::memoryRoot(), slot, ref,
+                                  /*charge=*/false),
+                      TrapCause::None);
+            m->revocationBitmap().setRange(target, 16);
+            BackgroundRevoker &engine = m->backgroundRevoker();
+            engine.write32(0x0, slot);
+            engine.write32(0x4, slot + 16);
+            engine.write32(0xc, 1);
+        }
+        BackgroundRevoker &fast = a.backgroundRevoker();
+        BackgroundRevoker &ref = b.backgroundRevoker();
+        const uint64_t loadBeats = mem::capBeats(core.bus);
+        // Window 1 ends right after the revoked word's last load beat.
+        const uint64_t busy = 2;
+        fast.advance(busy + loadBeats, busy);
+        for (uint64_t i = 0; i < busy + loadBeats; ++i) {
+            ref.tick(i >= busy);
+        }
+        EXPECT_EQ(revokerState(fast), revokerState(ref));
+        EXPECT_EQ(a.simStats().snapshot(), b.simStats().snapshot());
+        EXPECT_TRUE(a.memory().sram().tagAt(slot)) << "written back early";
+        EXPECT_EQ(fast.tagsInvalidated.value(), 0u);
+        // Window 2's first free cycle is the writeback; the rest sweep
+        // the untagged word after it and complete.
+        fast.advance(busy + 8, busy);
+        for (uint64_t i = 0; i < busy + 8; ++i) {
+            ref.tick(i >= busy);
+        }
+        EXPECT_EQ(revokerState(fast), revokerState(ref));
+        EXPECT_EQ(a.simStats().snapshot(), b.simStats().snapshot());
+        EXPECT_FALSE(a.memory().sram().tagAt(slot));
+        EXPECT_EQ(fast.tagsInvalidated.value(), 1u);
+        EXPECT_FALSE(fast.sweeping());
     }
 }
 
