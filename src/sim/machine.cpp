@@ -113,9 +113,6 @@ Machine::Machine(const MachineConfig &config)
         bgRevoker_.setFaultInjector(injector_);
     }
 
-    decodeCache_.resize(config.sramSize / 4);
-    decodeValid_.resize(config.sramSize / 4, false);
-
     stats_.registerCounter("cycles", cycles_);
     stats_.registerCounter("instructions", instructionsRetired);
     stats_.registerCounter("loads", loads);
@@ -463,6 +460,10 @@ const isa::Inst &
 Machine::decodeAt(uint32_t pc)
 {
     const uint32_t index = (pc - mem::kSramBase) / 4;
+    if (decodeValid_.empty()) {
+        decodeCache_.resize(config_.sramSize / 4);
+        decodeValid_.resize(config_.sramSize / 4, false);
+    }
     if (!decodeValid_[index]) {
         // peek32, not read32: the cache fills lazily, so which fetches
         // miss depends on restore history — a counted read here would

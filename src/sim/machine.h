@@ -401,7 +401,9 @@ class Machine
      * load-to-use stall model); kNumRegs means none. */
     unsigned pendingLoadReg_ = isa::kNumRegs;
 
-    /** Lazily filled decode cache over SRAM. Every checked store
+    /** Lazily filled decode cache over SRAM, allocated on the first
+     * fetch: a machine that runs no guest code (the RTOS and network
+     * stack are host C++) never holds one. Every checked store
      * and debugger write drops the words it covers, so a fetch always
      * decodes what memory holds. Valid entries all lie in the word
      * range [decodedLow_, decodedHigh_), so a store elsewhere (data,
