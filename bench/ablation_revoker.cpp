@@ -16,7 +16,6 @@
  */
 
 #include "revoker/software_revoker.h"
-#include "rtos/guest_context.h"
 #include "sim/machine.h"
 
 #include <cstdio>
@@ -36,9 +35,8 @@ sweepCost(const sim::CoreConfig &core, uint32_t unroll,
     config.heapOffset = 16u << 10;
     config.heapSize = 256u << 10;
     sim::Machine machine(config);
-    rtos::GuestContext guest(machine);
-    rtos::SweepContext port(guest, cap::Capability::memoryRoot());
-    revoker::SoftwareRevoker revoker(port, machine.heapBase(), 256u << 10,
+    revoker::SoftwareRevoker revoker(machine, cap::Capability::memoryRoot(),
+                                     machine.heapBase(), 256u << 10,
                                      batchWords, unroll);
     const uint64_t start = machine.cycles();
     revoker.requestSweep();

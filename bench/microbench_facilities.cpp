@@ -96,9 +96,8 @@ uint64_t
 softwareSweepCycles()
 {
     sim::Machine machine(benchMachineConfig(true));
-    rtos::GuestContext guest(machine);
-    rtos::SweepContext port(guest, cap::Capability::memoryRoot());
-    revoker::SoftwareRevoker revoker(port, machine.heapBase(), 256u << 10);
+    revoker::SoftwareRevoker revoker(machine, cap::Capability::memoryRoot(),
+                                     machine.heapBase(), 256u << 10);
     const uint64_t startCycles = machine.cycles();
     revoker.requestSweep();
     return machine.cycles() - startCycles;

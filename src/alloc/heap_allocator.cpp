@@ -556,7 +556,12 @@ HeapAllocator::removeClaimRecord(uint32_t record, uint32_t prev)
                                .withAddress(record)
                                .withBoundsExact(16);
     if (free(box) != FreeResult::Ok) {
-        panic("allocator: claim-record release failed");
+        // A spuriously painted revocation bit (injected
+        // over-revocation, an availability fault) makes free() refuse
+        // the box as AlreadyFreed and count it in rejectedFrees. The
+        // record is unlinked already; the box stays allocated and
+        // internal, off the free lists.
+        setInternal(record, true);
     }
 }
 

@@ -317,7 +317,8 @@ class HeapAllocator
      * it is the list head). */
     uint32_t findClaimRecord(uint32_t chunk, uint32_t *prev);
 
-    /** Unlink and release a claim record. */
+    /** Unlink and release a claim record. A box free() refuses (its
+     * revocation bit was painted) stays allocated and internal. */
     void removeClaimRecord(uint32_t record, uint32_t prev);
 
     rtos::GuestContext &guest_;

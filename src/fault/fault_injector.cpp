@@ -207,8 +207,6 @@ FaultInjector::arm(const FaultPlan &plan)
 void
 FaultInjector::fire(uint64_t nowCycle)
 {
-    fired_ = true;
-    faultsInjected++;
     switch (plan_.site) {
       case FaultSite::TagClear:
         if (sram_ != nullptr) {
@@ -218,13 +216,7 @@ FaultInjector::fire(uint64_t nowCycle)
         break;
       case FaultSite::DataFlip:
         if (sram_ != nullptr) {
-            // Poison before the flip: the granule counts as disturbed
-            // whether or not the fail-safe micro-tag clear applies.
-            if (sram_->tagAt(plan_.addr)) {
-                poisoned_.insert(plan_.addr & ~7u);
-            }
-            sram_->injectDataFlip(plan_.addr, plan_.param,
-                                  /*failSafe=*/!allowForgery_);
+            flipBit(plan_.addr, plan_.param);
             bitsFlipped++;
         }
         break;
@@ -279,8 +271,8 @@ FaultInjector::tick(uint64_t nowCycle)
     if (stalled_ && nowCycle >= stallDeadline_) {
         stalled_ = false;
     }
-    if (armed_ && !fired_ && isCycleTriggered(plan_.site) &&
-        nowCycle >= plan_.triggerCycle) {
+    if (fireEvent(plan_.site, isCycleTriggered(plan_.site) &&
+                                  nowCycle >= plan_.triggerCycle)) {
         fire(nowCycle);
     }
 }
@@ -310,24 +302,38 @@ FaultInjector::takeSpuriousFault(uint32_t *cause)
     return true;
 }
 
+void
+FaultInjector::flipBit(uint32_t addr, uint32_t bit)
+{
+    // Poison before the flip: the granule counts as disturbed whether
+    // or not the fail-safe micro-tag clear applies.
+    if (sram_->tagAt(addr)) {
+        poisoned_.insert(addr & ~7u);
+    }
+    sram_->injectDataFlip(addr, bit, /*failSafe=*/!allowForgery_);
+}
+
+bool
+FaultInjector::fireEvent(FaultSite site, bool reached)
+{
+    if (!armed_ || fired_ || plan_.site != site || !reached) {
+        return false;
+    }
+    fired_ = true;
+    faultsInjected++;
+    return true;
+}
+
 uint32_t
 FaultInjector::busTransactionFaults(uint32_t *extraBeats)
 {
     const uint64_t ordinal = busTransactions_++;
-    if (!armed_ || fired_) {
-        return 0;
-    }
-    if (plan_.site == FaultSite::BusDrop &&
-        ordinal >= plan_.triggerTransaction) {
-        fired_ = true;
-        faultsInjected++;
+    const bool reached = ordinal >= plan_.triggerTransaction;
+    if (fireEvent(FaultSite::BusDrop, reached)) {
         busDrops += plan_.param;
         return plan_.param;
     }
-    if (plan_.site == FaultSite::BusDelay &&
-        ordinal >= plan_.triggerTransaction) {
-        fired_ = true;
-        faultsInjected++;
+    if (fireEvent(FaultSite::BusDelay, reached)) {
         busDelays++;
         *extraBeats += plan_.param;
     }
@@ -337,11 +343,9 @@ FaultInjector::busTransactionFaults(uint32_t *extraBeats)
 void
 FaultInjector::mallocBackoffStarted(uint64_t nowCycle)
 {
-    if (!armed_ || fired_ || plan_.site != FaultSite::MallocStall) {
+    if (!fireEvent(FaultSite::MallocStall, true)) {
         return;
     }
-    fired_ = true;
-    faultsInjected++;
     mallocStalls++;
     revokerStalls++;
     stalled_ = true;
@@ -352,41 +356,30 @@ void
 FaultInjector::nicDeliveryStarting(uint32_t descAddr)
 {
     const uint64_t ordinal = nicDeliveries_++;
-    if (!armed_ || fired_ || sram_ == nullptr ||
-        plan_.site != FaultSite::NicRingCorrupt ||
-        ordinal < plan_.triggerTransaction) {
+    if (!fireEvent(FaultSite::NicRingCorrupt,
+                   sram_ != nullptr &&
+                       ordinal >= plan_.triggerTransaction)) {
         return;
     }
-    fired_ = true;
-    faultsInjected++;
     nicDescriptorFlips++;
     // The descriptor is exactly one granule; flip a bit of it right
     // before the device fetches it.
-    if (sram_->tagAt(descAddr)) {
-        poisoned_.insert(descAddr & ~7u);
-    }
-    sram_->injectDataFlip(descAddr, plan_.param % 64,
-                          /*failSafe=*/!allowForgery_);
+    flipBit(descAddr, plan_.param % 64);
 }
 
 void
 FaultInjector::nicDmaLanded(uint32_t addr, uint32_t bytes)
 {
-    if (!armed_ || fired_ || sram_ == nullptr || bytes == 0 ||
-        plan_.site != FaultSite::NicDmaCorrupt ||
-        nicDeliveries_ <= plan_.triggerTransaction) {
+    // The delivery count nicDeliveryStarting has already bumped.
+    if (!fireEvent(FaultSite::NicDmaCorrupt,
+                   sram_ != nullptr && bytes != 0 &&
+                       nicDeliveries_ > plan_.triggerTransaction)) {
         return;
     }
-    fired_ = true;
-    faultsInjected++;
     nicPayloadFlips++;
     const uint32_t granules = (bytes + 7) / 8;
-    const uint32_t target = (addr & ~7u) + 8 * (plan_.param % granules);
-    if (sram_->tagAt(target)) {
-        poisoned_.insert(target & ~7u);
-    }
-    sram_->injectDataFlip(target, (plan_.param >> 8) % 64,
-                          /*failSafe=*/!allowForgery_);
+    flipBit((addr & ~7u) + 8 * (plan_.param % granules),
+            (plan_.param >> 8) % 64);
 }
 
 bool
@@ -398,12 +391,10 @@ FaultInjector::nicLinkFrameArriving()
         nicLinkDrops++;
         return true;
     }
-    if (!armed_ || fired_ || plan_.site != FaultSite::NicLinkDrop ||
-        ordinal < plan_.triggerTransaction) {
+    if (!fireEvent(FaultSite::NicLinkDrop,
+                   ordinal >= plan_.triggerTransaction)) {
         return false;
     }
-    fired_ = true;
-    faultsInjected++;
     nicLinkDrops++;
     linkDropBurstLeft_ = plan_.param > 0 ? plan_.param - 1 : 0;
     return true;
@@ -413,12 +404,10 @@ bool
 FaultInjector::switchTick(uint32_t *portSel, uint32_t *stallTicks)
 {
     const uint64_t ordinal = switchTicks_++;
-    if (!armed_ || fired_ || plan_.site != FaultSite::SwitchPortStall ||
-        ordinal < plan_.triggerTransaction) {
+    if (!fireEvent(FaultSite::SwitchPortStall,
+                   ordinal >= plan_.triggerTransaction)) {
         return false;
     }
-    fired_ = true;
-    faultsInjected++;
     switchPortStalls++;
     *portSel = plan_.addr;
     *stallTicks = plan_.param;
@@ -426,50 +415,37 @@ FaultInjector::switchTick(uint32_t *portSel, uint32_t *stallTicks)
 }
 
 bool
-FaultInjector::flowStateTouched(uint32_t *param)
+FaultInjector::scrambleOnTouch(FaultSite site, uint64_t *touches,
+                               Counter &flips, uint32_t *param)
 {
-    const uint64_t ordinal = flowTouches_++;
-    if (!armed_ || fired_ || plan_.site != FaultSite::FlowStateCorrupt ||
-        ordinal < plan_.triggerTransaction) {
+    const uint64_t ordinal = (*touches)++;
+    if (!fireEvent(site, ordinal >= plan_.triggerTransaction)) {
         return false;
     }
-    fired_ = true;
-    faultsInjected++;
-    flowStateFlips++;
+    flips++;
     *param = plan_.param;
     return true;
+}
+
+bool
+FaultInjector::flowStateTouched(uint32_t *param)
+{
+    return scrambleOnTouch(FaultSite::FlowStateCorrupt, &flowTouches_,
+                           flowStateFlips, param);
 }
 
 bool
 FaultInjector::brokerQueueTouched(uint32_t *param)
 {
-    const uint64_t ordinal = brokerTouches_++;
-    if (!armed_ || fired_ ||
-        plan_.site != FaultSite::BrokerQueueCorrupt ||
-        ordinal < plan_.triggerTransaction) {
-        return false;
-    }
-    fired_ = true;
-    faultsInjected++;
-    brokerQueueFlips++;
-    *param = plan_.param;
-    return true;
+    return scrambleOnTouch(FaultSite::BrokerQueueCorrupt, &brokerTouches_,
+                           brokerQueueFlips, param);
 }
 
 bool
 FaultInjector::capTableTouched(uint32_t *param)
 {
-    const uint64_t ordinal = capTouches_++;
-    if (!armed_ || fired_ ||
-        plan_.site != FaultSite::CapTableCorrupt ||
-        ordinal < plan_.triggerTransaction) {
-        return false;
-    }
-    fired_ = true;
-    faultsInjected++;
-    capTableFlips++;
-    *param = plan_.param;
-    return true;
+    return scrambleOnTouch(FaultSite::CapTableCorrupt, &capTouches_,
+                           capTableFlips, param);
 }
 
 void

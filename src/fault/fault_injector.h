@@ -280,7 +280,21 @@ class FaultInjector
     Counter safetyViolations;   ///< MUST stay zero outside forgery mode.
 
   private:
+    /** Deliver a cycle-triggered plan. */
     void fire(uint64_t nowCycle);
+    /** The fire-once rule every hook shares: an armed, unfired plan
+     * for @p site that has @p reached its trigger fires now. Marks
+     * the plan fired, counts it in faultsInjected and returns true;
+     * the caller delivers the fault. */
+    bool fireEvent(FaultSite site, bool reached);
+    /** Flip bit @p bit of the granule at @p addr through the
+     * fail-safe back door, poisoning it if it held a tag. */
+    void flipBit(uint32_t addr, uint32_t bit);
+    /** The flow, broker and cap-table hooks: bump @p touches (the
+     * site's own ordinal stream), and on firing count @p flips and
+     * hand out the scramble pattern. */
+    bool scrambleOnTouch(FaultSite site, uint64_t *touches, Counter &flips,
+                         uint32_t *param);
 
     uint64_t seed_;
     Rng streams_[kFaultSiteCount];

@@ -21,56 +21,31 @@
 
 #include <cstdint>
 
+namespace cheriot::sim
+{
+class Machine;
+}
+
 namespace cheriot::revoker
 {
-
-/**
- * Memory and timing services the software revoker needs from the
- * platform. Implemented by the RTOS guest context so that sweeps go
- * through the real load filter and are charged real cycles.
- */
-class SweepPort
-{
-  public:
-    virtual ~SweepPort() = default;
-
-    /** Capability load through the load filter; charges cycles. */
-    virtual cap::Capability sweepLoadCap(uint32_t addr) = 0;
-
-    /** Capability store; charges cycles. */
-    virtual void sweepStoreCap(uint32_t addr, const cap::Capability &value) = 0;
-
-    /** Charge @p instructions of register-register work. */
-    virtual void sweepChargeExecution(uint32_t instructions) = 0;
-
-    /**
-     * Batch boundary: re-enable interrupts briefly so the system
-     * stays responsive (the revoker "disables interrupts to
-     * incrementally sweep parts of memory with a reasonable batch
-     * size").
-     */
-    virtual void sweepInterruptWindow() = 0;
-
-    /**
-     * Charge the load-to-use bubble a store immediately following
-     * its load suffers — incurred only when the sweep loop is not
-     * unrolled (§3.3.2: "this loop is unrolled to load two
-     * capabilities, avoiding the pipeline bubbles").
-     */
-    virtual void sweepLoadToUseStall() = 0;
-};
 
 class SoftwareRevoker : public Revoker
 {
   public:
     /**
-     * @param port        platform services.
+     * @param machine     the machine whose checked capability loads
+     *                    and stores the sweep runs through, so every
+     *                    word passes the real load filter and is
+     *                    charged real cycles.
+     * @param authority   capability authorising the sweep's loads and
+     *                    stores (load/store capability and SL).
      * @param sweepBase   first byte of the swept window.
      * @param sweepSize   bytes to sweep (multiple of 8).
      * @param batchWords  capability words per interrupts-off batch.
      * @param unroll      loop unrolling factor (≥ 1; paper uses 2).
      */
-    SoftwareRevoker(SweepPort &port, uint32_t sweepBase, uint32_t sweepSize,
+    SoftwareRevoker(sim::Machine &machine, const cap::Capability &authority,
+                    uint32_t sweepBase, uint32_t sweepSize,
                     uint32_t batchWords = 64, uint32_t unroll = 2);
 
     uint32_t epoch() const override { return epoch_; }
@@ -98,7 +73,8 @@ class SoftwareRevoker : public Revoker
     StatGroup &stats() { return stats_; }
 
   private:
-    SweepPort &port_;
+    sim::Machine &machine_;
+    cap::Capability authority_;
     uint32_t sweepBase_;
     uint32_t sweepSize_;
     uint32_t batchWords_;

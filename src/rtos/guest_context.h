@@ -19,7 +19,6 @@
 #define CHERIOT_RTOS_GUEST_CONTEXT_H
 
 #include "cap/capability.h"
-#include "revoker/software_revoker.h"
 #include "sim/machine.h"
 
 namespace cheriot::rtos
@@ -73,50 +72,6 @@ class GuestContext
 
   private:
     sim::Machine &machine_;
-};
-
-/**
- * SweepPort implementation: lets the software revoker sweep a window
- * through the real load filter with real cycle charging.
- */
-class SweepContext : public revoker::SweepPort
-{
-  public:
-    SweepContext(GuestContext &guest, cap::Capability authority)
-        : guest_(guest), authority_(authority)
-    {}
-
-    cap::Capability sweepLoadCap(uint32_t addr) override
-    {
-        return guest_.loadCap(authority_, addr);
-    }
-
-    void sweepStoreCap(uint32_t addr, const cap::Capability &value) override
-    {
-        guest_.storeCap(authority_, addr, value);
-    }
-
-    void sweepChargeExecution(uint32_t instructions) override
-    {
-        guest_.chargeExecution(instructions);
-    }
-
-    void sweepInterruptWindow() override
-    {
-        // Re-enable interrupts for a couple of cycles between batches
-        // so the system stays responsive; modelled as a short idle.
-        guest_.machine().idle(2);
-    }
-
-    void sweepLoadToUseStall() override
-    {
-        guest_.machine().advance(
-            guest_.machine().config().loadToUsePenalty, 0);
-    }
-
-  private:
-    GuestContext &guest_;
-    cap::Capability authority_;
 };
 
 } // namespace cheriot::rtos

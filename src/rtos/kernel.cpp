@@ -233,9 +233,8 @@ Kernel::initHeap(alloc::TemporalMode mode, uint64_t quarantineThreshold)
         // stack regions.
         Capability sweepAuth = loader_.dataCap(
             sweepBase, sweepEnd - sweepBase, /*storeLocal=*/true);
-        sweepContext_ = std::make_unique<SweepContext>(guest_, sweepAuth);
         softwareRevoker_ = std::make_unique<revoker::SoftwareRevoker>(
-            *sweepContext_, sweepBase, sweepEnd - sweepBase);
+            machine_, sweepAuth, sweepBase, sweepEnd - sweepBase);
         revoker = softwareRevoker_.get();
     } else if (mode == alloc::TemporalMode::HardwareRevocation) {
         Capability revokerMmio = loader_.mmioCap(mem::kRevokerMmioBase,

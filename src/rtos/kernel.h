@@ -268,7 +268,6 @@ class Kernel
     std::vector<std::unique_ptr<Thread>> threads_;
     std::vector<cap::Capability> trustedStacks_;
 
-    std::unique_ptr<SweepContext> sweepContext_;
     std::unique_ptr<revoker::SoftwareRevoker> softwareRevoker_;
     std::unique_ptr<HardwareRevokerHandle> hardwareRevoker_;
     std::unique_ptr<alloc::HeapAllocator> allocator_;

@@ -87,6 +87,16 @@ Machine::execute(const Inst &inst, uint32_t pc)
     auto trap = [&](TrapCause cause, uint32_t tval) {
         raiseTrap(cause, tval);
     };
+    // A checked access's tail: trap at the access address, or fall
+    // through (the access charged its own cycles).
+    auto accessed = [&](TrapCause cause, uint32_t addr) {
+        if (cause != TrapCause::None) {
+            trap(cause, addr);
+            return false;
+        }
+        pcc_.setAddress(nextPc);
+        return true;
+    };
 
     // Memory authorities: in baseline RV32E mode an almighty implicit
     // capability stands in for the absent checks.
@@ -205,15 +215,11 @@ Machine::execute(const Inst &inst, uint32_t pc)
         const bool sign = inst.op == Op::Lb || inst.op == Op::Lh;
         const uint32_t addr = v1 + inst.imm;
         uint32_t value = 0;
-        const TrapCause cause =
-            loadData(authority(), addr, bytes, sign, &value);
-        if (cause != TrapCause::None) {
-            trap(cause, addr);
-            return;
+        if (accessed(loadData(authority(), addr, bytes, sign, &value),
+                     addr)) {
+            writeRegInt(inst.rd, value);
+            pendingLoadReg_ = inst.rd;
         }
-        writeRegInt(inst.rd, value);
-        pendingLoadReg_ = inst.rd;
-        pcc_.setAddress(nextPc);
         return;
       }
 
@@ -221,12 +227,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
         const unsigned bytes = inst.op == Op::Sb ? 1
                                : inst.op == Op::Sh ? 2 : 4;
         const uint32_t addr = v1 + inst.imm;
-        const TrapCause cause = storeData(authority(), addr, bytes, v2);
-        if (cause != TrapCause::None) {
-            trap(cause, addr);
-            return;
-        }
-        pcc_.setAddress(nextPc);
+        accessed(storeData(authority(), addr, bytes, v2), addr);
         return;
       }
 
@@ -237,14 +238,10 @@ Machine::execute(const Inst &inst, uint32_t pc)
         }
         const uint32_t addr = v1 + inst.imm;
         Capability value;
-        const TrapCause cause = loadCap(rs1, addr, &value);
-        if (cause != TrapCause::None) {
-            trap(cause, addr);
-            return;
+        if (accessed(loadCap(rs1, addr, &value), addr)) {
+            writeReg(inst.rd, value);
+            pendingLoadReg_ = inst.rd;
         }
-        writeReg(inst.rd, value);
-        pendingLoadReg_ = inst.rd;
-        pcc_.setAddress(nextPc);
         return;
       }
 
@@ -254,12 +251,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
             return;
         }
         const uint32_t addr = v1 + inst.imm;
-        const TrapCause cause = storeCap(rs1, addr, rs2);
-        if (cause != TrapCause::None) {
-            trap(cause, addr);
-            return;
-        }
-        pcc_.setAddress(nextPc);
+        accessed(storeCap(rs1, addr, rs2), addr);
         return;
       }
 

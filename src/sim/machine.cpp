@@ -114,7 +114,7 @@ Machine::Machine(const MachineConfig &config)
     }
 
     stats_.registerCounter("cycles", cycles_);
-    stats_.registerCounter("instructions", instructionsRetired);
+    stats_.registerCounter("instructions", instructions_);
     stats_.registerCounter("loads", loads);
     stats_.registerCounter("stores", stores);
     stats_.registerCounter("capLoads", capLoads);
@@ -156,140 +156,120 @@ Machine::advanceToInjectorEvents(uint64_t cycleCount, uint64_t memPortBusy)
 }
 
 TrapCause
-Machine::loadData(const Capability &auth, uint32_t addr, unsigned bytes,
-                  bool signExtend, uint32_t *out, bool charge)
+Machine::noteAccess(TrapCause cause, bool isWrite, uint32_t addr,
+                    uint32_t bytes)
 {
-    const TrapCause cause = checkAccess(auth, addr, bytes, cap::PermLoad);
-    if (cause != TrapCause::None) {
-        if (runControl_ != nullptr) {
+    if (runControl_ != nullptr) {
+        if (cause != TrapCause::None) {
             runControl_->noteCapCheckFail(cause, addr, pcc_.address());
+        } else {
+            runControl_->noteMemAccess(isWrite, addr, bytes);
         }
+    }
+    return cause;
+}
+
+template <class Body>
+TrapCause
+Machine::access(TrapCause cause, uint32_t addr, unsigned bytes,
+                bool isWrite, unsigned beats, unsigned cycles, bool charge,
+                Body &&body)
+{
+    if (noteAccess(cause, isWrite, addr, bytes) != TrapCause::None) {
         return cause;
     }
-    if (runControl_ != nullptr) {
-        runControl_->noteMemAccess(/*isWrite=*/false, addr, bytes);
-    }
-    const unsigned beats = mem::dataBeats(config_.core.bus, bytes);
     mem::BusResult bt;
     if (charge) {
         bt = bus_.transact(beats, injector_);
         if (!bt.ok) {
             // Retries exhausted: the cycles burnt replaying are real,
-            // the data never arrives.
-            advance(config_.core.dataLoadCycles(bytes) + bt.extraCycles,
-                    beats + bt.extraCycles);
-            return TrapCause::LoadAccessFault;
+            // but the data never arrives or the write never reaches
+            // the SRAM.
+            advance(cycles + bt.extraCycles, beats + bt.extraCycles);
+            return isWrite ? TrapCause::StoreAccessFault
+                           : TrapCause::LoadAccessFault;
         }
     }
-    uint32_t raw = 0;
-    switch (bytes) {
-      case 1: raw = memory_.read8(addr); break;
-      case 2: raw = memory_.read16(addr); break;
-      case 4: raw = memory_.read32(addr); break;
-      default: panic("loadData: bad size %u", bytes);
+    body();
+    if (isWrite) {
+        storeEffects(addr, bytes);
     }
-    if (signExtend && bytes < 4) {
-        raw = static_cast<uint32_t>(signExtend32(raw, bytes * 8));
-    }
-    *out = raw;
-    loads++;
     if (charge) {
-        advance(config_.core.dataLoadCycles(bytes) + bt.extraCycles,
-                beats + bt.extraCycles);
+        advance(cycles + bt.extraCycles, beats + bt.extraCycles);
     }
     return TrapCause::None;
+}
+
+TrapCause
+Machine::loadData(const Capability &auth, uint32_t addr, unsigned bytes,
+                  bool signExtend, uint32_t *out, bool charge)
+{
+    return access(
+        checkAccess(auth, addr, bytes, cap::PermLoad), addr, bytes,
+        /*isWrite=*/false, mem::dataBeats(config_.core.bus, bytes),
+        config_.core.dataLoadCycles(bytes), charge, [&] {
+            uint32_t raw = 0;
+            switch (bytes) {
+              case 1: raw = memory_.read8(addr); break;
+              case 2: raw = memory_.read16(addr); break;
+              case 4: raw = memory_.read32(addr); break;
+              default: panic("loadData: bad size %u", bytes);
+            }
+            if (signExtend && bytes < 4) {
+                raw = static_cast<uint32_t>(signExtend32(raw, bytes * 8));
+            }
+            *out = raw;
+            loads++;
+        });
 }
 
 TrapCause
 Machine::storeData(const Capability &auth, uint32_t addr, unsigned bytes,
                    uint32_t value, bool charge)
 {
-    const TrapCause cause = checkAccess(auth, addr, bytes, cap::PermStore);
-    if (cause != TrapCause::None) {
-        if (runControl_ != nullptr) {
-            runControl_->noteCapCheckFail(cause, addr, pcc_.address());
-        }
-        return cause;
-    }
-    if (runControl_ != nullptr) {
-        runControl_->noteMemAccess(/*isWrite=*/true, addr, bytes);
-    }
-    const unsigned beats = mem::dataBeats(config_.core.bus, bytes);
-    mem::BusResult bt;
-    if (charge) {
-        bt = bus_.transact(beats, injector_);
-        if (!bt.ok) {
-            // The write never reached the SRAM.
-            advance(config_.core.dataStoreCycles(bytes) + bt.extraCycles,
-                    beats + bt.extraCycles);
-            return TrapCause::StoreAccessFault;
-        }
-    }
-    switch (bytes) {
-      case 1: memory_.write8(addr, static_cast<uint8_t>(value)); break;
-      case 2: memory_.write16(addr, static_cast<uint16_t>(value)); break;
-      case 4: memory_.write32(addr, value); break;
-      default: panic("storeData: bad size %u", bytes);
-    }
-    stores++;
-    invalidateDecode(addr, bytes);
-    bgRevoker_.snoopStore(addr, bytes);
-    if (config_.core.hwmEnabled) {
-        csrs_.noteStore(addr);
-    }
-    if (charge) {
-        advance(config_.core.dataStoreCycles(bytes) + bt.extraCycles,
-                beats + bt.extraCycles);
-    }
-    return TrapCause::None;
+    return access(
+        checkAccess(auth, addr, bytes, cap::PermStore), addr, bytes,
+        /*isWrite=*/true, mem::dataBeats(config_.core.bus, bytes),
+        config_.core.dataStoreCycles(bytes), charge, [&] {
+            switch (bytes) {
+              case 1: memory_.write8(addr, static_cast<uint8_t>(value)); break;
+              case 2:
+                memory_.write16(addr, static_cast<uint16_t>(value));
+                break;
+              case 4: memory_.write32(addr, value); break;
+              default: panic("storeData: bad size %u", bytes);
+            }
+            stores++;
+        });
 }
 
 TrapCause
 Machine::loadCap(const Capability &auth, uint32_t addr, Capability *out,
                  bool charge)
 {
-    const TrapCause cause = checkAccess(auth, addr, 8, cap::PermLoad);
-    if (cause != TrapCause::None) {
-        if (runControl_ != nullptr) {
-            runControl_->noteCapCheckFail(cause, addr, pcc_.address());
-        }
-        return cause;
-    }
-    if (runControl_ != nullptr) {
-        runControl_->noteMemAccess(/*isWrite=*/false, addr, 8);
-    }
-    const unsigned beats = mem::capBeats(config_.core.bus);
-    mem::BusResult bt;
-    if (charge) {
-        bt = bus_.transact(beats, injector_);
-        if (!bt.ok) {
-            advance(config_.core.capLoadCycles() + bt.extraCycles,
-                    beats + bt.extraCycles);
-            return TrapCause::LoadAccessFault;
-        }
-    }
-    const auto raw = memory_.readCap(addr);
-    Capability loaded = Capability::fromBits(raw.bits, raw.tag);
-    if (!auth.perms().has(cap::PermMemCap)) {
-        // Data-only authority: the value arrives untagged.
-        loaded = loaded.withTagCleared();
-    }
-    loaded = loaded.attenuatedForLoad(auth.perms());
-    loaded = filter_.filter(loaded);
-    if (injector_ != nullptr && loaded.tag() &&
-        injector_->isPoisoned(addr)) {
-        // The safety oracle: a corrupted granule produced a
-        // valid-looking capability that every architectural defence
-        // (micro-tags, attenuation, load filter) failed to strip.
-        injector_->noteSafetyViolation(addr);
-    }
-    *out = loaded;
-    capLoads++;
-    if (charge) {
-        advance(config_.core.capLoadCycles() + bt.extraCycles,
-                beats + bt.extraCycles);
-    }
-    return TrapCause::None;
+    return access(
+        checkAccess(auth, addr, 8, cap::PermLoad), addr, 8,
+        /*isWrite=*/false, mem::capBeats(config_.core.bus),
+        config_.core.capLoadCycles(), charge, [&] {
+            const auto raw = memory_.readCap(addr);
+            Capability loaded = Capability::fromBits(raw.bits, raw.tag);
+            if (!auth.perms().has(cap::PermMemCap)) {
+                // Data-only authority: the value arrives untagged.
+                loaded = loaded.withTagCleared();
+            }
+            loaded = loaded.attenuatedForLoad(auth.perms());
+            loaded = filter_.filter(loaded);
+            if (injector_ != nullptr && loaded.tag() &&
+                injector_->isPoisoned(addr)) {
+                // The safety oracle: a corrupted granule produced a
+                // valid-looking capability that every architectural
+                // defence (micro-tags, attenuation, load filter)
+                // failed to strip.
+                injector_->noteSafetyViolation(addr);
+            }
+            *out = loaded;
+            capLoads++;
+        });
 }
 
 TrapCause
@@ -308,41 +288,17 @@ Machine::storeCap(const Capability &auth, uint32_t addr,
             cause = TrapCause::CheriStoreLocalViolation;
         }
     }
-    if (cause != TrapCause::None) {
-        if (runControl_ != nullptr) {
-            runControl_->noteCapCheckFail(cause, addr, pcc_.address());
-        }
-        return cause;
-    }
-    if (runControl_ != nullptr) {
-        runControl_->noteMemAccess(/*isWrite=*/true, addr, 8);
-    }
-    const unsigned beats = mem::capBeats(config_.core.bus);
-    mem::BusResult bt;
-    if (charge) {
-        bt = bus_.transact(beats, injector_);
-        if (!bt.ok) {
-            advance(config_.core.capStoreCycles() + bt.extraCycles,
-                    beats + bt.extraCycles);
-            return TrapCause::StoreAccessFault;
-        }
-    }
-    memory_.writeCap(addr, value.toBits(), value.tag());
-    if (injector_ != nullptr) {
-        // A full-width rewrite replaces every corrupted bit.
-        injector_->notePoisonRepaired(addr);
-    }
-    capStores++;
-    invalidateDecode(addr, 8);
-    bgRevoker_.snoopStore(addr, 8);
-    if (config_.core.hwmEnabled) {
-        csrs_.noteStore(addr);
-    }
-    if (charge) {
-        advance(config_.core.capStoreCycles() + bt.extraCycles,
-                beats + bt.extraCycles);
-    }
-    return TrapCause::None;
+    return access(cause, addr, 8, /*isWrite=*/true,
+                  mem::capBeats(config_.core.bus),
+                  config_.core.capStoreCycles(), charge, [&] {
+                      memory_.writeCap(addr, value.toBits(), value.tag());
+                      if (injector_ != nullptr) {
+                          // A full-width rewrite replaces every
+                          // corrupted bit.
+                          injector_->notePoisonRepaired(addr);
+                      }
+                      capStores++;
+                  });
 }
 
 TrapCause
@@ -356,24 +312,15 @@ Machine::zeroMemory(const Capability &auth, uint32_t addr, uint32_t bytes,
     if (cause == TrapCause::None && !auth.inBounds(addr, bytes)) {
         cause = TrapCause::CheriBoundsViolation;
     }
-    if (cause != TrapCause::None) {
-        if (runControl_ != nullptr) {
-            runControl_->noteCapCheckFail(cause, addr, pcc_.address());
-        }
-        return cause;
-    }
-    if (!memory_.isSram(addr, bytes)) {
+    if (cause == TrapCause::None && !memory_.isSram(addr, bytes)) {
         return TrapCause::StoreAccessFault;
     }
-    if (runControl_ != nullptr) {
-        runControl_->noteMemAccess(/*isWrite=*/true, addr, bytes);
+    if (noteAccess(cause, /*isWrite=*/true, addr, bytes) !=
+        TrapCause::None) {
+        return cause;
     }
     memory_.sram().zeroRange(addr, bytes);
-    invalidateDecode(addr, bytes);
-    bgRevoker_.snoopStore(addr, bytes);
-    if (config_.core.hwmEnabled) {
-        csrs_.noteStore(addr);
-    }
+    storeEffects(addr, bytes);
     if (charge) {
         // Zeroing proceeds at bus rate: one beat per bus word, plus a
         // small loop overhead per beat (fused store+bump, modelled as
@@ -495,26 +442,35 @@ Machine::runControl(uint64_t maxInstructions, bool singleStep)
     if (runControl_ == nullptr) {
         panic("runControl: no RunControl installed");
     }
-    debug::RunControl &rc = *runControl_;
-    rc.clearStop();
-    const uint64_t startInstructions = instructions_;
+    runControl_->clearStop();
+    return runLoop(maxInstructions, runControl_, singleStep);
+}
+
+RunResult
+Machine::runLoop(uint64_t maxInstructions, debug::RunControl *rc,
+                 bool singleStep)
+{
+    const uint64_t startInstructions = instructions();
     const uint64_t startCycles = cycles();
     bool first = true;
     while (!halted() &&
-           instructions_ - startInstructions < maxInstructions) {
+           instructions() - startInstructions < maxInstructions) {
         const uint32_t pc = pcc_.address();
         // gdb resumes *from* a stop: a breakpoint at the resume PC
         // must not re-fire before the first instruction executes.
-        if (!first && rc.hitsBreakpoint(pc)) {
-            rc.stopWith(rc.hitsHwBreakpoint(pc)
-                            ? debug::StopReason::HwBreakpoint
-                            : debug::StopReason::SwBreakpoint,
-                        pc);
+        if (rc != nullptr && !first && rc->hitsBreakpoint(pc)) {
+            rc->stopWith(rc->hitsHwBreakpoint(pc)
+                             ? debug::StopReason::HwBreakpoint
+                             : debug::StopReason::SwBreakpoint,
+                         pc);
             break;
         }
         first = false;
         step();
-        if (rc.stopPending()) {
+        if (rc == nullptr) {
+            continue;
+        }
+        if (rc->stopPending()) {
             // A watchpoint or capability fault fired inside step();
             // the instruction (and any trap entry) has completed.
             break;
@@ -523,25 +479,24 @@ Machine::runControl(uint64_t maxInstructions, bool singleStep)
             // Guest EBREAK: hand control to the debugger instead of
             // staying halted — gdb treats it as a soft breakpoint.
             clearHalt();
-            rc.stopWith(debug::StopReason::SwBreakpoint,
-                        pcc_.address());
+            rc->stopWith(debug::StopReason::SwBreakpoint, pcc_.address());
             break;
         }
         if (singleStep) {
-            rc.stopWith(debug::StopReason::Step, pcc_.address());
+            rc->stopWith(debug::StopReason::Step, pcc_.address());
             break;
         }
-        if (rc.takeInterrupt()) {
-            rc.stopWith(debug::StopReason::Interrupt, pcc_.address());
+        if (rc->takeInterrupt()) {
+            rc->stopWith(debug::StopReason::Interrupt, pcc_.address());
             break;
         }
     }
-    if (!rc.stopPending() && halted()) {
-        rc.stopWith(debug::StopReason::Halted, pcc_.address());
+    if (rc != nullptr && !rc->stopPending() && halted()) {
+        rc->stopWith(debug::StopReason::Halted, pcc_.address());
     }
     RunResult result;
     result.reason = halted() ? halt_ : HaltReason::InstrLimit;
-    result.instructions = instructions_ - startInstructions;
+    result.instructions = instructions() - startInstructions;
     result.cycles = cycles() - startCycles;
     return result;
 }
@@ -595,22 +550,6 @@ Machine::dropDecoded(uint32_t addr, uint32_t bytes)
     }
 }
 
-RunResult
-Machine::run(uint64_t maxInstructions)
-{
-    const uint64_t startInstructions = instructions_;
-    const uint64_t startCycles = cycles();
-    while (!halted() &&
-           instructions_ - startInstructions < maxInstructions) {
-        step();
-    }
-    RunResult result;
-    result.reason = halted() ? halt_ : HaltReason::InstrLimit;
-    result.instructions = instructions_ - startInstructions;
-    result.cycles = cycles() - startCycles;
-    return result;
-}
-
 void
 Machine::step()
 {
@@ -649,7 +588,6 @@ Machine::step()
 
     const isa::Inst &inst = decodeAt(pc);
     instructions_++;
-    instructionsRetired++;
     if (traceHook_) {
         traceHook_(pc, inst);
     }
@@ -689,11 +627,14 @@ Machine::transferImage(Self &self, Image &image)
         a.cap(self.pcc_);
         CsrFile::transfer(self.csrs_, a);
         a.counter(self.cycles_);
-        a.u64(self.instructions_);
+        a.counter(self.instructions_);
         a.u8(self.halt_);
         a.u32(self.lastTrap_);
         a.u32(self.pendingLoadReg_);
-        a.counter(self.instructionsRetired);
+        // The retired count again, in the slot a second counter once
+        // held: the layout stays at version 4, and an image whose two
+        // copies differ is refused.
+        a.expectU64(self.instructions_.value());
         a.counter(self.loads);
         a.counter(self.stores);
         a.counter(self.capLoads);

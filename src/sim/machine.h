@@ -206,7 +206,7 @@ class Machine
 
     /** @name Time @{ */
     uint64_t cycles() const { return cycles_.value(); }
-    uint64_t instructions() const { return instructions_; }
+    uint64_t instructions() const { return instructions_.value(); }
     /**
      * Advance the clock. The first @p memPortBusy cycles have the
      * load-store unit occupied by the main pipeline; remaining cycles
@@ -258,7 +258,10 @@ class Machine
     /** Execute one instruction (taking pending interrupts first). */
     void step();
     /** Run until halt, trap-to-nowhere, or @p maxInstructions. */
-    RunResult run(uint64_t maxInstructions);
+    RunResult run(uint64_t maxInstructions)
+    {
+        return runLoop(maxInstructions, nullptr, false);
+    }
     /**
      * Run under debugger control: like run(), but the installed
      * RunControl's breakpoints are checked against the next PC before
@@ -351,7 +354,6 @@ class Machine
     debug::SimStats &simStats() { return simStats_; }
     const debug::SimStats &simStats() const { return simStats_; }
 
-    Counter instructionsRetired;
     Counter loads;
     Counter stores;
     Counter capLoads;
@@ -368,6 +370,11 @@ class Machine
     /** advance() with an injector attached: windows end at its
      * events, and it is ticked at the end of each. */
     void advanceToInjectorEvents(uint64_t cycleCount, uint64_t memPortBusy);
+    /** The one run loop: with @p rc null it only steps (run());
+     * otherwise it checks @p rc's breakpoints before and its stops
+     * after each instruction (runControl()). */
+    RunResult runLoop(uint64_t maxInstructions, debug::RunControl *rc,
+                      bool singleStep);
     void execute(const isa::Inst &inst, uint32_t pc);
     bool takePendingInterrupt();
     const isa::Inst &decodeAt(uint32_t pc);
@@ -376,6 +383,34 @@ class Machine
      * every checked access runs it. */
     TrapCause checkAccess(const cap::Capability &auth, uint32_t addr,
                           unsigned bytes, uint16_t needPerm) const;
+
+    /** @name The checked-access skeleton
+     * Each checked op computes its capability checks' @p cause, then
+     * runs access(): the RunControl notes, the bus transaction of
+     * @p beats (a failed one is charged @p cycles and faults),
+     * @p body (the load or store itself), the store side effects and
+     * the final charge. zeroMemory reuses the note and store helpers.
+     * @{ */
+    template <class Body>
+    TrapCause access(TrapCause cause, uint32_t addr, unsigned bytes,
+                     bool isWrite, unsigned beats, unsigned cycles,
+                     bool charge, Body &&body);
+    /** Tell the debugger about a checked access: a failed check when
+     * @p cause is not None, else the access. Returns @p cause. */
+    TrapCause noteAccess(TrapCause cause, bool isWrite, uint32_t addr,
+                         uint32_t bytes);
+    /** Decode invalidation, the revoker's snoop and the stack
+     * high-water mark for a store to [@p addr, @p addr + @p bytes).
+     * Inline: each runs inline while it has nothing to do. */
+    void storeEffects(uint32_t addr, uint32_t bytes)
+    {
+        invalidateDecode(addr, bytes);
+        bgRevoker_.snoopStore(addr, bytes);
+        if (config_.core.hwmEnabled) {
+            csrs_.noteStore(addr);
+        }
+    }
+    /** @} */
 
     MachineConfig config_;
     mem::PhysicalMemory memory_;
@@ -392,7 +427,7 @@ class Machine
     CsrFile csrs_;
 
     Counter cycles_;
-    uint64_t instructions_ = 0;
+    Counter instructions_;
     HaltReason halt_ = HaltReason::Running;
     TrapCause lastTrap_ = TrapCause::None;
     isa::DecodeError lastDecodeError_;

@@ -90,13 +90,4 @@ StatGroup::snapshot() const
     return result;
 }
 
-void
-StatGroup::resetAll()
-{
-    for (auto &[name, counter] : counters_) {
-        (void)name;
-        counter->reset();
-    }
-}
-
 } // namespace cheriot

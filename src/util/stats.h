@@ -65,7 +65,6 @@ class Counter
     void operator++(int) { ++value_; }
 
     uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
     /** Overwrite the value; only for snapshot restore. */
     void set(uint64_t value) { value_ = value; }
 
@@ -89,9 +88,6 @@ class StatGroup
 
     /** Snapshot of all counters as name → value. */
     std::map<std::string, uint64_t> snapshot() const;
-
-    /** Reset every registered counter to zero. */
-    void resetAll();
 
     const std::string &name() const { return name_; }
 

@@ -169,5 +169,48 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(temporalModeName(info.param));
     });
 
+/** An over-revoked claim record (its box's revocation bit painted, as
+ * an injected bitmap fault does): the last claim's free unlinks the
+ * record, and releasing the box is refused and counted instead of
+ * aborting. The box stays allocated and internal. */
+TEST(ClaimRecord, OverRevokedRecordBoxIsRefusedNotFatal)
+{
+    sim::MachineConfig config;
+    config.sramSize = 192u << 10;
+    config.heapOffset = 128u << 10;
+    config.heapSize = 64u << 10;
+    sim::Machine machine(config);
+    rtos::Kernel kernel(machine);
+    kernel.initHeap(TemporalMode::SoftwareRevocation);
+    kernel.activate(kernel.createThread("main", 1, 4096));
+    auto &allocator = kernel.allocator();
+    const Capability buffer = allocator.malloc(64);
+    ASSERT_EQ(allocator.claim(buffer), HeapAllocator::FreeResult::Ok);
+
+    const auto recordBox = [&] {
+        uint32_t box = 0;
+        allocator.forEachChunk(
+            [&](uint32_t chunk, uint32_t, bool inUse, bool internal) {
+                if (inUse && internal) {
+                    box = chunk + kPayloadOffset;
+                }
+            });
+        return box;
+    };
+    const uint32_t box = recordBox();
+    ASSERT_NE(box, 0u);
+    machine.revocationBitmap().setRange(box, 1);
+
+    const uint64_t rejected = allocator.rejectedFrees.value();
+    ASSERT_EQ(allocator.free(buffer), HeapAllocator::FreeResult::Ok);
+    EXPECT_EQ(allocator.claimCount(buffer), 0u);
+    EXPECT_EQ(allocator.rejectedFrees.value(), rejected + 1);
+    EXPECT_EQ(recordBox(), box);
+    // The allocation's own claim is the last: this free releases it.
+    EXPECT_EQ(allocator.free(buffer), HeapAllocator::FreeResult::Ok);
+    EXPECT_EQ(allocator.free(buffer),
+              HeapAllocator::FreeResult::NotAllocated);
+}
+
 } // namespace
 } // namespace cheriot::alloc

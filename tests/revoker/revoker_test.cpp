@@ -12,7 +12,6 @@
 #include "revoker/revocation_bitmap.h"
 #include "revoker/revoker.h"
 #include "revoker/software_revoker.h"
-#include "rtos/guest_context.h"
 #include "sim/machine.h"
 
 #include <gtest/gtest.h>
@@ -97,7 +96,7 @@ TEST(EpochRules, SafeToReuse)
 class SweepFixture : public ::testing::Test
 {
   protected:
-    SweepFixture() : machine(config()), guest(machine) {}
+    SweepFixture() : machine(config()) {}
 
     /** Stash a capability to heap address @p target at @p slot. */
     void plantCap(uint32_t slot, uint32_t target, uint32_t length)
@@ -121,7 +120,6 @@ class SweepFixture : public ::testing::Test
     }
 
     Machine machine;
-    rtos::GuestContext guest;
 };
 
 TEST_F(SweepFixture, SoftwareSweepInvalidatesOnlyStaleCaps)
@@ -136,8 +134,8 @@ TEST_F(SweepFixture, SoftwareSweepInvalidatesOnlyStaleCaps)
     plantCap(slotLive, liveObj, 32);
     machine.revocationBitmap().setRange(freedObj, 32);
 
-    rtos::SweepContext port(guest, Capability::memoryRoot());
-    SoftwareRevoker revoker(port, heap, 32u << 10);
+    SoftwareRevoker revoker(machine, Capability::memoryRoot(), heap,
+                            32u << 10);
     EXPECT_EQ(revoker.epoch(), 0u);
     const uint64_t before = machine.cycles();
     revoker.requestSweep();
@@ -151,9 +149,10 @@ TEST_F(SweepFixture, SoftwareSweepInvalidatesOnlyStaleCaps)
 
 TEST_F(SweepFixture, SoftwareSweepCostScalesWithWindow)
 {
-    rtos::SweepContext port(guest, Capability::memoryRoot());
-    SoftwareRevoker small(port, machine.heapBase(), 8u << 10);
-    SoftwareRevoker large(port, machine.heapBase(), 32u << 10);
+    SoftwareRevoker small(machine, Capability::memoryRoot(),
+                          machine.heapBase(), 8u << 10);
+    SoftwareRevoker large(machine, Capability::memoryRoot(),
+                          machine.heapBase(), 32u << 10);
 
     const uint64_t t0 = machine.cycles();
     small.requestSweep();

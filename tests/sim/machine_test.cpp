@@ -5,9 +5,11 @@
  * control flow, memory (with capability checks), sentries and traps.
  */
 
+#include "debug/run_control.h"
 #include "isa/assembler.h"
 #include "sim/machine.h"
 #include "snapshot/snapshot.h"
+#include "workloads/coremark/coremark.h"
 
 #include <gtest/gtest.h>
 
@@ -494,6 +496,98 @@ TEST(MachineExec, StoreLocalRequiresPermission)
     // And SL authority can store locals.
     EXPECT_EQ(machine.storeCap(root, machine.heapBase(), local),
               TrapCause::None);
+}
+
+/** run() over uneven slices until @p budget instructions or a halt,
+ * as one RunResult. */
+RunResult
+runInSlices(Machine &machine, uint64_t budget)
+{
+    static constexpr uint64_t kSlices[] = {1, 7, 3, 1000, 2, 65536};
+    RunResult total{HaltReason::InstrLimit, 0, 0};
+    for (size_t i = 0; total.instructions < budget && !machine.halted();
+         ++i) {
+        const RunResult slice =
+            machine.run(std::min(kSlices[i % std::size(kSlices)],
+                                 budget - total.instructions));
+        total.reason = slice.reason;
+        total.instructions += slice.instructions;
+        total.cycles += slice.cycles;
+    }
+    return total;
+}
+
+/**
+ * run() and runControl() are one loop: run() in uneven slices and
+ * runControl() under an empty RunControl give equal results and
+ * equal end states, whether the budget or the program ends the run.
+ * Returns the program's exit code.
+ */
+uint32_t
+expectOneRunLoop(const std::vector<uint32_t> &program, uint32_t entry)
+{
+    uint32_t exitCode = 0;
+    for (const uint64_t budget : {uint64_t{100}, uint64_t{1} << 26}) {
+        Machine sliced(smallConfig(CoreConfig::ibex()));
+        Machine controlled(smallConfig(CoreConfig::ibex()));
+        for (Machine *machine : {&sliced, &controlled}) {
+            machine->loadProgram(program, entry);
+            machine->resetCpu(entry);
+        }
+        debug::RunControl rc;
+        controlled.setRunControl(&rc);
+        const RunResult a = runInSlices(sliced, budget);
+        const RunResult b = controlled.runControl(budget, false);
+        EXPECT_EQ(a.reason, b.reason) << budget;
+        EXPECT_EQ(a.instructions, b.instructions) << budget;
+        EXPECT_EQ(a.cycles, b.cycles) << budget;
+        EXPECT_EQ(sliced.stateDigest(), controlled.stateDigest()) << budget;
+        EXPECT_EQ(b.reason, budget == 100 ? HaltReason::InstrLimit
+                                          : HaltReason::ConsoleExit);
+        exitCode = controlled.console().exitCode();
+    }
+    return exitCode;
+}
+
+TEST(RunLoop, SlicedRunAndRunControlAgreeOnCoreMark)
+{
+    workloads::CoreMarkConfig config;
+    config.iterations = 2;
+    workloads::CoreMarkBuilder builder(config);
+    expectOneRunLoop(builder.build(), builder.entry());
+}
+
+TEST(RunLoop, SlicedRunAndRunControlAgreeOnATrappingProgram)
+{
+    Assembler a(kEntry);
+    // A handler that counts traps in a5 and skips the faulting
+    // instruction (misaligned loads: not a capability fault, so the
+    // RunControl does not stop on them).
+    auto around = a.newLabel();
+    a.j(around);
+    a.addi(A5, A5, 1);
+    a.cspecialrw(A4, Scr::Mepcc, Zero);
+    a.cincaddrimm(A4, A4, 4);
+    a.cspecialrw(Zero, Scr::Mepcc, A4);
+    a.mret();
+    a.bind(around);
+    a.auipcc(A2, 0);
+    a.cincaddrimm(A2, A2,
+                  static_cast<int32_t>(kEntry + 4) -
+                      static_cast<int32_t>(a.pc()) + 4);
+    a.cspecialrw(Zero, Scr::Mtcc, A2);
+    a.li(T0, static_cast<int32_t>(kEntry + 0x2000));
+    a.csetaddr(A3, A0, T0);
+    a.li(T1, 40);
+    auto loop = a.here();
+    a.lw(T2, A3, 2);
+    a.addi(T1, T1, -1);
+    a.bne(T1, Zero, loop);
+    a.li(T0, static_cast<int32_t>(mem::kConsoleMmioBase));
+    a.csetaddr(A2, A0, T0);
+    a.sw(A5, A2, 4); // exit(trap count)
+    a.ebreak();      // not reached
+    EXPECT_EQ(expectOneRunLoop(a.finish(), kEntry), 40u);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include "alloc/quota.h"
 #include "fault/campaign.h"
+#include "isa/assembler.h"
 #include "rtos/kernel.h"
 #include "sim/fleet.h"
 #include "sim/machine.h"
@@ -157,6 +158,26 @@ cutSection(const SnapshotImage &image, const std::string &name)
     return out.finish();
 }
 
+/** @p image with @p patch applied to section @p name's payload,
+ * re-sealed so the section and image CRCs hold. */
+SnapshotImage
+resealed(const SnapshotImage &image, const std::string &name,
+         const std::function<void(std::vector<uint8_t> &)> &patch)
+{
+    const SnapshotReader in(image);
+    SnapshotWriter out;
+    for (const std::string &section : in.sectionNames()) {
+        Reader r = in.section(section);
+        std::vector<uint8_t> payload(r.remaining());
+        r.bytes(payload.data(), payload.size());
+        if (section == name) {
+            patch(payload);
+        }
+        out.beginSection(section).bytes(payload.data(), payload.size());
+    }
+    return out.finish();
+}
+
 sim::MachineConfig
 smallConfig()
 {
@@ -296,6 +317,43 @@ TEST(MalformedImage, EveryImageSectionCutShortIsRefused)
             << "fleet node section " << name;
     }
     EXPECT_TRUE(node.restoreImage(cutSection(nodeImage, "")));
+}
+
+TEST(MalformedImage, CpuSectionWithTwoRetiredCountsIsRefused)
+{
+    sim::Machine source(smallConfig());
+    const uint32_t entry = mem::kSramBase + 0x1000;
+    isa::Assembler a(entry);
+    a.addi(isa::T0, isa::Zero, 1);
+    a.addi(isa::T0, isa::T0, 1);
+    a.ebreak();
+    source.loadProgram(a.finish(), entry);
+    source.resetCpu(entry);
+    source.run(16);
+    ASSERT_EQ(source.instructions(), 3u);
+    const SnapshotImage image = source.saveImage();
+
+    // The cpu payload ends with the retired count's second copy and
+    // five more counters; the first copy sits 17 bytes before it,
+    // ahead of the halt reason, last trap and pending load register.
+    for (const size_t fromEnd : {6 * 8, 6 * 8 + 17}) {
+        uint64_t stored = 0;
+        resealed(image, "cpu", [&](std::vector<uint8_t> &cpu) {
+            Reader r(cpu.data() + cpu.size() - fromEnd, 8);
+            stored = r.u64();
+        });
+        EXPECT_EQ(stored, 3u) << fromEnd;
+        sim::Machine target(smallConfig());
+        EXPECT_FALSE(target.restoreImage(
+            resealed(image, "cpu", [&](std::vector<uint8_t> &cpu) {
+                cpu[cpu.size() - fromEnd] ^= 1;
+            })))
+            << fromEnd;
+    }
+    sim::Machine target(smallConfig());
+    EXPECT_TRUE(target.restoreImage(
+        resealed(image, "cpu", [](std::vector<uint8_t> &) {})));
+    EXPECT_EQ(target.instructions(), 3u);
 }
 
 TEST(MalformedImage, ReproRecordRefusesCutsAndAnImpossibleLength)
