@@ -13,6 +13,28 @@ namespace cheriot::alloc
 
 using cap::Capability;
 
+namespace
+{
+
+/** @name Blocking-malloc backoff (the backpressure loop)
+ * On exhaustion malloc kicks the revoker and waits with capped
+ * exponential backoff for quarantine to become releasable. The
+ * attempt budget is charged only to waits during which the
+ * revocation epoch made *no* progress — a healthy engine always
+ * advances and eventually empties quarantine, so the loop exits for
+ * a reason (memory found, or nothing left to reclaim); only a stalled
+ * engine burns the budget and forces OutOfMemory. @{ */
+constexpr uint32_t kBackoffMaxAttempts = 16;
+constexpr uint64_t kBackoffInitialCycles = 256;
+constexpr uint64_t kBackoffCapCycles = 16384;
+/** No-progress waits with a sweep stuck in flight before the loop
+ * escalates to the synchronous waiter (whose timeout kick is the
+ * engine-reset path for a wedged revoker). */
+constexpr uint32_t kBackoffStallEscalation = 4;
+/** @} */
+
+} // namespace
+
 const char *
 temporalModeName(TemporalMode mode)
 {
@@ -237,9 +259,9 @@ HeapAllocator::backoffUntil(const std::function<bool()> &satisfied)
     if (fault::FaultInjector *injector = machine.faultInjector()) {
         injector->mallocBackoffStarted(machine.cycles());
     }
-    uint64_t wait = config_.backoffInitialCycles;
+    uint64_t wait = kBackoffInitialCycles;
     uint32_t staleAttempts = 0;
-    while (staleAttempts < config_.backoffMaxAttempts) {
+    while (staleAttempts < kBackoffMaxAttempts) {
         const uint32_t epochBefore = currentEpoch();
         triggerSweep(/*waitForCompletion=*/false);
         if (backoffWait_) {
@@ -248,7 +270,7 @@ HeapAllocator::backoffUntil(const std::function<bool()> &satisfied)
             machine.idle(wait);
         }
         backoffWaitCycles += wait;
-        wait = std::min(wait * 2, config_.backoffCapCycles);
+        wait = std::min(wait * 2, kBackoffCapCycles);
         drainQuarantine();
         if (satisfied()) {
             return true;
@@ -260,7 +282,7 @@ HeapAllocator::backoffUntil(const std::function<bool()> &satisfied)
         }
         staleAttempts =
             currentEpoch() == epochBefore ? staleAttempts + 1 : 0;
-        if (staleAttempts == config_.backoffStallEscalation &&
+        if (staleAttempts == kBackoffStallEscalation &&
             revoker_->sweepInProgress()) {
             // A frozen epoch with a sweep in flight suggests a wedged
             // engine: escalate to the synchronous waiter, whose
@@ -281,7 +303,7 @@ HeapAllocator::backoffUntil(const std::function<bool()> &satisfied)
     backoffTimeouts++;
     warn("allocator: blocking malloc gave up after %u stale backoff "
          "attempts (epoch frozen at %u, %llu bytes quarantined)",
-         config_.backoffMaxAttempts, currentEpoch(),
+         kBackoffMaxAttempts, currentEpoch(),
          static_cast<unsigned long long>(quarantine_.bytes()));
     return false;
 }

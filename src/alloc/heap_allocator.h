@@ -57,23 +57,6 @@ struct AllocatorConfig
     TemporalMode mode = TemporalMode::SoftwareRevocation;
     /** Quarantined bytes that trigger a sweep (0 = heapSize/2). */
     uint64_t quarantineThreshold = 0;
-
-    /** @name Blocking-malloc backoff (the backpressure loop)
-     * On exhaustion malloc kicks the revoker and waits with capped
-     * exponential backoff for quarantine to become releasable. The
-     * attempt budget is charged only to waits during which the
-     * revocation epoch made *no* progress — a healthy engine always
-     * advances and eventually empties quarantine, so the loop exits
-     * for a reason (memory found, or nothing left to reclaim); only
-     * a stalled engine burns the budget and forces OutOfMemory. @{ */
-    uint32_t backoffMaxAttempts = 16;
-    uint64_t backoffInitialCycles = 256;
-    uint64_t backoffCapCycles = 16384;
-    /** No-progress waits with a sweep stuck in flight before the
-     * loop escalates to the synchronous waiter (whose timeout kick
-     * is the engine-reset path for a wedged revoker). */
-    uint32_t backoffStallEscalation = 4;
-    /** @} */
 };
 
 class HeapAllocator

@@ -5,8 +5,10 @@
 #include "workloads/coremark/coremark.h"
 #include "workloads/iot/iot_app.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 namespace cheriot::fault
@@ -445,19 +447,28 @@ printCampaignReport(const CampaignReport &report)
                 campaignWorkloadName(report.config.workload),
                 report.fired);
 
-    std::printf("%-16s", "site");
+    // The site column fits the longest site name plus one space.
+    int siteWidth = 0;
+    for (uint32_t s = 0; s < kFaultSiteCount; ++s) {
+        siteWidth = std::max(
+            siteWidth, static_cast<int>(std::strlen(
+                           faultSiteName(static_cast<FaultSite>(s)))));
+    }
+    siteWidth += 1;
+    std::printf("%-*s", siteWidth, "site");
     for (uint32_t o = 0; o < kOutcomeCount; ++o) {
         std::printf("%18s", outcomeName(static_cast<Outcome>(o)));
     }
     std::printf("\n");
     for (uint32_t s = 0; s < kFaultSiteCount; ++s) {
-        std::printf("%-16s", faultSiteName(static_cast<FaultSite>(s)));
+        std::printf("%-*s", siteWidth,
+                    faultSiteName(static_cast<FaultSite>(s)));
         for (uint32_t o = 0; o < kOutcomeCount; ++o) {
             std::printf("%18" PRIu64, report.matrix[s][o]);
         }
         std::printf("\n");
     }
-    std::printf("%-16s", "total");
+    std::printf("%-*s", siteWidth, "total");
     for (uint32_t o = 0; o < kOutcomeCount; ++o) {
         std::printf("%18" PRIu64, report.totals[o]);
     }

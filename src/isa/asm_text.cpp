@@ -1,30 +1,91 @@
 /**
  * @file
- * Textual assembly parser: the inverse of disassemble(). Accepts
- * exactly the rendering the disassembler emits (one instruction per
- * line, ABI register names, absolute branch/jump targets) so that
+ * Textual assembly in both directions: disassemble() renders one
+ * instruction per line (ABI register names, absolute branch/jump
+ * targets), and parseAssembly() accepts exactly that rendering, so
  * assemble -> encode -> decode -> disassemble -> reassemble round
- * trips are checkable across the whole instruction set.
+ * trips are checkable across the whole instruction set. Both switch
+ * on the op's encoding format.
  */
 
 #include "isa/encoding.h"
+#include "isa/op_table.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace cheriot::isa
 {
 
+std::string
+disassemble(const Inst &inst, uint32_t pc)
+{
+    if (inst.op == Op::Illegal) {
+        return "illegal";
+    }
+    const OpInfo &info = infoFor(inst.op);
+    const char *name = info.name;
+    const char *rd = regName(inst.rd);
+    const char *rs1 = regName(inst.rs1);
+    const char *rs2 = regName(inst.rs2);
+    const int32_t imm = inst.imm;
+    char buffer[96];
+    const size_t size = sizeof(buffer);
+    switch (info.fmt) {
+      case Fmt::R:
+        std::snprintf(buffer, size, "%s %s, %s, %s", name, rd, rs1, rs2);
+        break;
+      case Fmt::I:
+      case Fmt::IU:
+      case Fmt::IShift:
+        std::snprintf(buffer, size, "%s %s, %s, %d", name, rd, rs1, imm);
+        break;
+      case Fmt::IMem:
+        std::snprintf(buffer, size, "%s %s, %d(%s)", name, rd, imm, rs1);
+        break;
+      case Fmt::S:
+        std::snprintf(buffer, size, "%s %s, %d(%s)", name, rs2, imm, rs1);
+        break;
+      case Fmt::B:
+        std::snprintf(buffer, size, "%s %s, %s, 0x%x", name, rs1, rs2,
+                      pc + imm);
+        break;
+      case Fmt::U:
+        std::snprintf(buffer, size, "%s %s, 0x%x", name, rd,
+                      static_cast<uint32_t>(imm) >> 12);
+        break;
+      case Fmt::J:
+        std::snprintf(buffer, size, "%s %s, 0x%x", name, rd, pc + imm);
+        break;
+      case Fmt::Fixed:
+        std::snprintf(buffer, size, "%s", name);
+        break;
+      case Fmt::Csr:
+        std::snprintf(buffer, size, "%s %s, 0x%x, %s", name, rd, inst.csr,
+                      rs1);
+        break;
+      case Fmt::CsrI:
+        std::snprintf(buffer, size, "%s %s, 0x%x, %d", name, rd, inst.csr,
+                      imm);
+        break;
+      case Fmt::TwoOp:
+        std::snprintf(buffer, size, "%s %s, %s", name, rd, rs1);
+        break;
+      case Fmt::ScrRw:
+        std::snprintf(buffer, size, "%s %s, scr%d, %s", name, rd, imm, rs1);
+        break;
+      case Fmt::SealE:
+        std::snprintf(buffer, size, "%s %s, %s, posture=%d", name, rd, rs1,
+                      imm);
+        break;
+    }
+    return buffer;
+}
+
 namespace
 {
-
-/** Split a line into the mnemonic and comma-separated operand texts,
- * unwrapping the "imm(reg)" memory-operand form into two fields. */
-struct Tokens
-{
-    std::string mnemonic;
-    std::vector<std::string> operands;
-};
 
 std::string
 trim(const std::string &text)
@@ -41,6 +102,14 @@ trim(const std::string &text)
     }
     return text.substr(begin, end - begin);
 }
+
+/** Split a line into the mnemonic and comma-separated operand texts,
+ * unwrapping the "imm(reg)" memory-operand form into two fields. */
+struct Tokens
+{
+    std::string mnemonic;
+    std::vector<std::string> operands;
+};
 
 std::optional<Tokens>
 tokenize(const std::string &line)
@@ -83,44 +152,103 @@ tokenize(const std::string &line)
     return tokens;
 }
 
-std::optional<uint8_t>
-regFromName(const std::string &name)
+/**
+ * Reads operand texts in order. Each reader fails on a missing
+ * operand or on one the disassembler's conversion cannot print: a
+ * "%d" field must fit int32_t, a "0x%x" target uint32_t, a CSR number
+ * uint16_t and an upper immediate its 20 bits. The format's own range
+ * is operandsFit()'s.
+ */
+class Operands
 {
-    for (uint8_t i = 0; i < kNumRegs; ++i) {
-        if (name == regName(i)) {
-            return i;
-        }
-    }
-    return std::nullopt;
-}
+  public:
+    explicit Operands(const std::vector<std::string> &texts) : texts_(texts)
+    {}
 
-std::optional<int64_t>
-parseNumber(const std::string &text)
-{
-    if (text.empty()) {
-        return std::nullopt;
-    }
-    char *end = nullptr;
-    const long long value = std::strtoll(text.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0') {
-        return std::nullopt;
-    }
-    return value;
-}
+    bool done() const { return next_ == texts_.size(); }
 
-std::optional<Op>
-opFromName(const std::string &name)
-{
-    if (name == "illegal") {
-        return Op::Illegal;
-    }
-    for (Op op : allOps()) {
-        if (name == opName(op)) {
-            return op;
+    bool reg(uint8_t &out)
+    {
+        if (next_ == texts_.size()) {
+            return false;
         }
+        for (uint8_t i = 0; i < kNumRegs; ++i) {
+            if (texts_[next_] == regName(i)) {
+                out = i;
+                ++next_;
+                return true;
+            }
+        }
+        return false;
     }
-    return std::nullopt;
-}
+
+    /** A "%d" immediate, after @p prefix ("scr", "posture="). */
+    bool imm(int32_t &out, const char *prefix = "")
+    {
+        int64_t value = 0;
+        if (!number(prefix, INT32_MIN, INT32_MAX, value)) {
+            return false;
+        }
+        out = static_cast<int32_t>(value);
+        return true;
+    }
+
+    /** An absolute "0x%x" branch or jump target, as an offset from pc. */
+    bool target(uint32_t pc, int32_t &out)
+    {
+        int64_t value = 0;
+        if (!number("", 0, UINT32_MAX, value)) {
+            return false;
+        }
+        out = static_cast<int32_t>(static_cast<uint32_t>(value) - pc);
+        return true;
+    }
+
+    /** An upper immediate, printed as its top 20 bits. */
+    bool upper(int32_t &out)
+    {
+        int64_t value = 0;
+        if (!number("", 0, 0xfffff, value)) {
+            return false;
+        }
+        out = static_cast<int32_t>(static_cast<uint32_t>(value) << 12);
+        return true;
+    }
+
+    bool csr(uint16_t &out)
+    {
+        int64_t value = 0;
+        if (!number("", 0, UINT16_MAX, value)) {
+            return false;
+        }
+        out = static_cast<uint16_t>(value);
+        return true;
+    }
+
+  private:
+    bool number(const char *prefix, int64_t lo, int64_t hi, int64_t &out)
+    {
+        if (next_ == texts_.size()) {
+            return false;
+        }
+        const std::string &text = texts_[next_];
+        const size_t skip = std::strlen(prefix);
+        if (text.compare(0, skip, prefix) != 0 || text.size() == skip) {
+            return false;
+        }
+        char *end = nullptr;
+        const long long value = std::strtoll(text.c_str() + skip, &end, 0);
+        if (*end != '\0' || value < lo || value > hi) {
+            return false;
+        }
+        out = value;
+        ++next_;
+        return true;
+    }
+
+    const std::vector<std::string> &texts_;
+    size_t next_ = 0;
+};
 
 } // namespace
 
@@ -131,201 +259,67 @@ parseAssembly(const std::string &text, uint32_t pc)
     if (!tokens) {
         return std::nullopt;
     }
-    const auto op = opFromName(tokens->mnemonic);
-    if (!op) {
+    Operands in(tokens->operands);
+    if (tokens->mnemonic == "illegal") {
+        return in.done() ? std::optional<Inst>(Inst{}) : std::nullopt;
+    }
+    const OpInfo *info = infoNamed(tokens->mnemonic);
+    if (info == nullptr) {
         return std::nullopt;
     }
     Inst inst;
-    inst.op = *op;
-    const auto &ops = tokens->operands;
-
-    auto reg = [&](size_t index) -> std::optional<uint8_t> {
-        return index < ops.size() ? regFromName(ops[index]) : std::nullopt;
-    };
-    auto num = [&](size_t index) -> std::optional<int64_t> {
-        return index < ops.size() ? parseNumber(ops[index]) : std::nullopt;
-    };
-
-    switch (inst.op) {
-      case Op::Illegal:
-        return ops.empty() ? std::optional<Inst>(inst) : std::nullopt;
-
-      case Op::Lui:
-      case Op::Auipc: {
-        const auto rd = reg(0);
-        const auto imm = num(1);
-        if (!rd || !imm || ops.size() != 2) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.imm =
-            static_cast<int32_t>(static_cast<uint32_t>(*imm) << 12);
-        return inst;
-      }
-
-      case Op::Jal: {
-        const auto rd = reg(0);
-        const auto target = num(1);
-        if (!rd || !target || ops.size() != 2) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.imm = static_cast<int32_t>(
-            static_cast<uint32_t>(*target) - pc);
-        return inst;
-      }
-
-      case Op::Jalr:
-      case Op::Lb: case Op::Lh: case Op::Lw: case Op::Lbu: case Op::Lhu:
-      case Op::Clc: {
-        const auto rd = reg(0);
-        const auto imm = num(1);
-        const auto rs1 = reg(2);
-        if (!rd || !imm || !rs1 || ops.size() != 3) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.imm = static_cast<int32_t>(*imm);
-        inst.rs1 = *rs1;
-        return inst;
-      }
-
-      case Op::Beq: case Op::Bne: case Op::Blt: case Op::Bge:
-      case Op::Bltu: case Op::Bgeu: {
-        const auto rs1 = reg(0);
-        const auto rs2 = reg(1);
-        const auto target = num(2);
-        if (!rs1 || !rs2 || !target || ops.size() != 3) {
-            return std::nullopt;
-        }
-        inst.rs1 = *rs1;
-        inst.rs2 = *rs2;
-        inst.imm = static_cast<int32_t>(
-            static_cast<uint32_t>(*target) - pc);
-        return inst;
-      }
-
-      case Op::Sb: case Op::Sh: case Op::Sw: case Op::Csc: {
-        const auto rs2 = reg(0);
-        const auto imm = num(1);
-        const auto rs1 = reg(2);
-        if (!rs2 || !imm || !rs1 || ops.size() != 3) {
-            return std::nullopt;
-        }
-        inst.rs2 = *rs2;
-        inst.imm = static_cast<int32_t>(*imm);
-        inst.rs1 = *rs1;
-        return inst;
-      }
-
-      case Op::Addi: case Op::Slti: case Op::Sltiu: case Op::Xori:
-      case Op::Ori: case Op::Andi: case Op::Slli: case Op::Srli:
-      case Op::Srai: case Op::CIncAddrImm: case Op::CSetBoundsImm: {
-        const auto rd = reg(0);
-        const auto rs1 = reg(1);
-        const auto imm = num(2);
-        if (!rd || !rs1 || !imm || ops.size() != 3) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.rs1 = *rs1;
-        inst.imm = static_cast<int32_t>(*imm);
-        return inst;
-      }
-
-      case Op::Ecall: case Op::Ebreak: case Op::Mret:
-        return ops.empty() ? std::optional<Inst>(inst) : std::nullopt;
-
-      case Op::Csrrw: case Op::Csrrs: case Op::Csrrc: {
-        const auto rd = reg(0);
-        const auto csr = num(1);
-        const auto rs1 = reg(2);
-        if (!rd || !csr || !rs1 || ops.size() != 3) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.csr = static_cast<uint16_t>(*csr);
-        inst.rs1 = *rs1;
-        return inst;
-      }
-
-      case Op::Csrrwi: case Op::Csrrsi: case Op::Csrrci: {
-        const auto rd = reg(0);
-        const auto csr = num(1);
-        const auto imm = num(2);
-        if (!rd || !csr || !imm || ops.size() != 3) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.csr = static_cast<uint16_t>(*csr);
-        inst.imm = static_cast<int32_t>(*imm);
-        return inst;
-      }
-
-      case Op::CGetPerm: case Op::CGetType: case Op::CGetBase:
-      case Op::CGetLen: case Op::CGetTop: case Op::CGetTag:
-      case Op::CGetAddr: case Op::CMove: case Op::CClearTag:
-      case Op::CRrl: case Op::CRam: {
-        const auto rd = reg(0);
-        const auto rs1 = reg(1);
-        if (!rd || !rs1 || ops.size() != 2) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.rs1 = *rs1;
-        return inst;
-      }
-
-      case Op::CSpecialRw: {
-        // "cspecialrw rd, scrN, rs1"
-        const auto rd = reg(0);
-        const auto rs1 = reg(2);
-        if (!rd || !rs1 || ops.size() != 3 ||
-            ops[1].rfind("scr", 0) != 0) {
-            return std::nullopt;
-        }
-        const auto scr = parseNumber(ops[1].substr(3));
-        if (!scr) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.rs1 = *rs1;
-        inst.imm = static_cast<int32_t>(*scr);
-        return inst;
-      }
-
-      case Op::CSealEntry: {
-        // "csealentry rd, rs1, posture=N"
-        const auto rd = reg(0);
-        const auto rs1 = reg(1);
-        if (!rd || !rs1 || ops.size() != 3 ||
-            ops[2].rfind("posture=", 0) != 0) {
-            return std::nullopt;
-        }
-        const auto posture = parseNumber(ops[2].substr(8));
-        if (!posture) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.rs1 = *rs1;
-        inst.imm = static_cast<int32_t>(*posture);
-        return inst;
-      }
-
-      default: {
-        // R-type: "name rd, rs1, rs2".
-        const auto rd = reg(0);
-        const auto rs1 = reg(1);
-        const auto rs2 = reg(2);
-        if (!rd || !rs1 || !rs2 || ops.size() != 3) {
-            return std::nullopt;
-        }
-        inst.rd = *rd;
-        inst.rs1 = *rs1;
-        inst.rs2 = *rs2;
-        return inst;
-      }
+    inst.op = info->op;
+    bool ok = false;
+    switch (info->fmt) {
+      case Fmt::R:
+        ok = in.reg(inst.rd) && in.reg(inst.rs1) && in.reg(inst.rs2);
+        break;
+      case Fmt::I:
+      case Fmt::IU:
+      case Fmt::IShift:
+        ok = in.reg(inst.rd) && in.reg(inst.rs1) && in.imm(inst.imm);
+        break;
+      case Fmt::IMem:
+        ok = in.reg(inst.rd) && in.imm(inst.imm) && in.reg(inst.rs1);
+        break;
+      case Fmt::S:
+        ok = in.reg(inst.rs2) && in.imm(inst.imm) && in.reg(inst.rs1);
+        break;
+      case Fmt::B:
+        ok = in.reg(inst.rs1) && in.reg(inst.rs2) &&
+             in.target(pc, inst.imm);
+        break;
+      case Fmt::U:
+        ok = in.reg(inst.rd) && in.upper(inst.imm);
+        break;
+      case Fmt::J:
+        ok = in.reg(inst.rd) && in.target(pc, inst.imm);
+        break;
+      case Fmt::Fixed:
+        ok = true;
+        break;
+      case Fmt::Csr:
+        ok = in.reg(inst.rd) && in.csr(inst.csr) && in.reg(inst.rs1);
+        break;
+      case Fmt::CsrI:
+        ok = in.reg(inst.rd) && in.csr(inst.csr) && in.imm(inst.imm);
+        break;
+      case Fmt::TwoOp:
+        ok = in.reg(inst.rd) && in.reg(inst.rs1);
+        break;
+      case Fmt::ScrRw:
+        ok = in.reg(inst.rd) && in.imm(inst.imm, "scr") &&
+             in.reg(inst.rs1);
+        break;
+      case Fmt::SealE:
+        ok = in.reg(inst.rd) && in.reg(inst.rs1) &&
+             in.imm(inst.imm, "posture=");
+        break;
     }
+    if (!ok || !in.done() || !operandsFit(*info, inst)) {
+        return std::nullopt;
+    }
+    return inst;
 }
 
 } // namespace cheriot::isa

@@ -20,6 +20,8 @@
 #ifndef CHERIOT_ISA_ENCODING_H
 #define CHERIOT_ISA_ENCODING_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -149,6 +151,12 @@ struct DecodeError
  * Decode a 32-bit instruction word. Returns an Inst with
  * op == Op::Illegal for unrecognised encodings (the executor raises
  * an illegal-instruction trap).
+ *
+ * Decoding reads the op table encode() writes from, and checks the
+ * fields in one order for every opcode: the major opcode, the fixed
+ * SYSTEM words, funct3, funct7, the sub-op or posture, then the rd,
+ * rs1 and rs2 registers. A word with several defects is diagnosed at
+ * the first of them.
  */
 Inst decode(uint32_t word);
 
@@ -173,10 +181,11 @@ enum class ImmKind : uint8_t
 };
 
 /**
- * Per-operation operand metadata: which register fields are live, how
- * operands flow (integer vs capability), and the immediate shape.
- * Drives the static capability-flow verifier and generic whole-ISA
- * enumeration (round-trip fuzzing) without per-op special cases.
+ * Per-operation operand metadata, derived from the operation's
+ * encoding format: which register fields are live and the immediate
+ * shape. Drives the executor's load-to-use check and generic
+ * whole-ISA enumeration (round-trip fuzzing) without per-op special
+ * cases.
  */
 struct OpSummary
 {
@@ -184,14 +193,22 @@ struct OpSummary
     bool readsRs1 = false;
     bool readsRs2 = false;
     bool writesRd = false;
-    bool capSource = false; ///< rs1 is interpreted as a capability.
-    bool capResult = false; ///< rd receives a capability (else integer).
     ImmKind immKind = ImmKind::None;
     bool usesCsr = false;   ///< Carries a 12-bit CSR number.
 };
 
+/** Number of Op values, Illegal included. */
+constexpr size_t kOpCount = static_cast<size_t>(Op::CSpecialRw) + 1;
+
+/** Every op's summary, indexed by Op (use summaryOf). */
+extern const std::array<OpSummary, kOpCount> kOpSummaries;
+
 /** Metadata for @p op (Illegal yields an all-false summary). */
-const OpSummary &summaryOf(Op op);
+inline const OpSummary &
+summaryOf(Op op)
+{
+    return kOpSummaries[static_cast<size_t>(op)];
+}
 
 /** Every valid operation in a stable order (fuzz enumeration). */
 const std::vector<Op> &allOps();
@@ -201,7 +218,8 @@ const std::vector<Op> &allOps();
  * emits) back into an Inst. @p pc must be the instruction's address —
  * branch and jump targets are printed as absolute addresses and are
  * converted back to offsets. Returns nullopt on any syntax the
- * disassembler cannot have produced.
+ * disassembler cannot have produced, including an operand outside the
+ * range its format (and so encode()) accepts.
  */
 std::optional<Inst> parseAssembly(const std::string &text, uint32_t pc);
 

@@ -14,6 +14,14 @@ using rtos::ArgVec;
 using rtos::CallResult;
 using rtos::CompartmentContext;
 
+namespace
+{
+
+/** Broker heap quota (the sealed allocator capability's limit). */
+constexpr uint64_t kHeapQuotaBytes = 8192;
+
+} // namespace
+
 BrokerCompartment
 addBrokerCompartment(rtos::Kernel &kernel)
 {
@@ -39,8 +47,8 @@ TelemetryBroker::TelemetryBroker(rtos::Kernel &kernel,
 void
 TelemetryBroker::connect()
 {
-    allocCap_ = kernel_.mintAllocatorCapability(compartment_,
-                                                config_.heapQuotaBytes);
+    allocCap_ =
+        kernel_.mintAllocatorCapability(compartment_, kHeapQuotaBytes);
     const uint32_t ingestIndex = compartment_.addExport(
         {"ingest",
          [this](CompartmentContext &ctx, ArgVec &args) {

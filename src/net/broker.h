@@ -70,8 +70,6 @@ BrokerCompartment addBrokerCompartment(rtos::Kernel &kernel);
 struct BrokerConfig
 {
     uint32_t queueDepth = 16; ///< Per-subscriber queue bound.
-    /** Broker heap quota (the sealed allocator capability's limit). */
-    uint64_t heapQuotaBytes = 8192;
     /** Heap record size per publication. */
     uint32_t recordBytes = 32;
 };

@@ -12,6 +12,14 @@ using rtos::ArgVec;
 using rtos::CallResult;
 using rtos::CompartmentContext;
 
+namespace
+{
+
+/** Flow-table capacity, per direction. */
+constexpr size_t kMaxFlows = 64;
+
+} // namespace
+
 const char *
 closeReasonName(CloseReason reason)
 {
@@ -158,7 +166,7 @@ FlowManager::open(rtos::Thread &thread, uint32_t dstMac, FlowClass cls)
     if (txFlows_.count(dstMac) != 0) {
         return OpenResult::AlreadyOpen;
     }
-    if (txFlows_.size() >= config_.maxFlows) {
+    if (txFlows_.size() >= kMaxFlows) {
         return OpenResult::TableFull;
     }
     const uint16_t id = static_cast<uint16_t>(nextFlowSeq_++);
@@ -376,7 +384,7 @@ FlowManager::deliverBody(CompartmentContext &ctx, ArgVec &args)
                 rxFlows_.erase(it);
             }
         }
-        if (rxFlows_.size() >= config_.maxFlows) {
+        if (rxFlows_.size() >= kMaxFlows) {
             queueSegment(src, FlowKind::Reset, cls, id,
                          static_cast<uint16_t>(CloseReason::Reset),
                          /*unreliable=*/true);

@@ -121,7 +121,6 @@ struct FlowConfig
     /** Flows idle (nothing heard) past this are torn down with a
      * typed Timeout; 0 disables the timer. */
     uint64_t timeoutCycles = 0;
-    uint32_t maxFlows = 64;
     /** Local incarnation, carried in the SYN epoch field. */
     uint32_t epoch = 0;
     /** Total payload words per data segment (>= 4). */

@@ -21,6 +21,15 @@ namespace
 /** Firewall parse budget on top of the per-word checksum loads. */
 constexpr uint32_t kFirewallParseCyclesPerByte = 8;
 
+/** Size of the firewall's ack frame. */
+constexpr uint32_t kAckBytes = 32;
+
+/** ARQ receive dedup span, in sequence numbers. */
+constexpr uint32_t kArqDedupWindow = 64;
+
+/** ARQ local-buffering depth per peer. */
+constexpr uint32_t kArqBacklogMax = 64;
+
 /** Deterministic payload word for frame position @p i of frame
  * @p seq (the traffic generator and the ack builder share it). */
 uint32_t
@@ -75,7 +84,7 @@ NetStack::NetStack(rtos::Kernel &kernel, NicDevice &nic,
     }
     if (config_.reliable &&
         (config_.arqWindow == 0 ||
-         config_.arqWindow >= config_.arqDedupWindow)) {
+         config_.arqWindow >= kArqDedupWindow)) {
         // The dedup span must exceed the in-flight span: a live
         // sender can then never push a fresh seq past the receiver's
         // window, so a far-ahead seq always means receiver restart.
@@ -509,9 +518,9 @@ NetStack::processBody(CompartmentContext &ctx, ArgVec &args)
     if (config_.ackEveryN != 0 && ++ackCountdown_ >= config_.ackEveryN) {
         ackCountdown_ = 0;
         const Capability ack =
-            ctx.kernel.malloc(ctx.thread, config_.ackBytes);
+            ctx.kernel.malloc(ctx.thread, kAckBytes);
         if (ack.tag()) {
-            const uint32_t words = config_.ackBytes / 4;
+            const uint32_t words = kAckBytes / 4;
             uint32_t ackSum = 0;
             for (uint32_t i = 0; i + 1 < words; ++i) {
                 const uint32_t word = frameWord(0xacu, i);
@@ -520,7 +529,7 @@ NetStack::processBody(CompartmentContext &ctx, ArgVec &args)
             }
             ctx.mem.storeWord(ack, ack.base() + (words - 1) * 4, ackSum);
             ArgVec txArgs = ArgVec::of(
-                {ack, Capability().withAddress(config_.ackBytes)});
+                {ack, Capability().withAddress(kAckBytes)});
             const CallResult sent =
                 ctx.kernel.call(ctx.thread, txImport_, txArgs);
             if (sent.ok() && sent.value.address() == 1) {
@@ -689,7 +698,7 @@ NetStack::handleReliable(CompartmentContext &ctx,
         if (staleEpoch) {
             fresh = false;
         } else if (const uint32_t ahead = seq - peer.rxBase;
-                   ahead < config_.arqDedupWindow) {
+                   ahead < kArqDedupWindow) {
             // Serial-number arithmetic within the epoch: `ahead` and
             // `behind` are modular distances from the delivery base.
             // A live sender stays within the dedup window ahead
@@ -706,7 +715,7 @@ NetStack::handleReliable(CompartmentContext &ctx,
                 }
                 fresh = true;
             }
-        } else if (peer.rxBase - seq <= config_.arqDedupWindow) {
+        } else if (peer.rxBase - seq <= kArqDedupWindow) {
             // Recently delivered: a duplicate or a retransmission
             // that crossed its own ack.
             fresh = false;
@@ -835,7 +844,7 @@ NetStack::sendBody(CompartmentContext &ctx, ArgVec &args)
     ArqPeer &peer = peers_[dst];
     const bool windowOpen = !peer.dead && peer.backlog.empty() &&
                             peer.pending.size() < config_.arqWindow;
-    if (!windowOpen && peer.backlog.size() >= config_.arqBacklogMax) {
+    if (!windowOpen && peer.backlog.size() >= kArqBacklogMax) {
         // Local-buffering mode is bounded; beyond it the send is
         // refused and the caller sees the drop.
         arqSendDrops_++;

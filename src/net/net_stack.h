@@ -149,7 +149,6 @@ struct NetStackConfig
      * (0 = never; unused in reliable mode, where every data frame is
      * acked individually): the TX direction of the claim contract. */
     uint32_t ackEveryN = 16;
-    uint32_t ackBytes = 32;
     /** Bounded refill wait before a typed timeout (satellite of the
      * MessageQueueService bounded-block discipline). */
     uint64_t refillTimeoutCycles = 4096;
@@ -164,17 +163,16 @@ struct NetStackConfig
      * are indistinguishable when little history exists). */
     uint32_t arqEpoch = 0;
     /** Max in-flight (unacked) data frames per peer. Must stay below
-     * arqDedupWindow so a live sender can never outrun the receiver's
-     * dedup span — only a receiver restart slides the window. */
+     * the receiver's dedup window (kArqDedupWindow) so a live sender
+     * can never outrun its dedup span — only a receiver restart
+     * slides the window. */
     uint32_t arqWindow = 16;
-    uint32_t arqDedupWindow = 64;
     uint64_t arqRtoStartCycles = 2048; ///< First retransmit timeout.
     uint64_t arqRtoCapCycles = 32768;  ///< Backoff doubling cap.
     /** Retries before the peer is presumed dead and the destination
      * degrades to local buffering + probes. */
     uint32_t arqMaxRetries = 8;
     uint64_t arqProbeIntervalCycles = 8192;
-    uint32_t arqBacklogMax = 64; ///< Local-buffering depth per peer.
     /** @} */
 
     /** Per-flow admission rules (reliable mode only). */

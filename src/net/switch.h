@@ -56,8 +56,8 @@ struct LinkFaultConfig
     uint32_t corruptPermille = 0;   ///< One flipped bit per corruption.
     uint32_t duplicatePermille = 0; ///< Frame delivered twice.
     uint32_t reorderPermille = 0;   ///< Swapped with the next due frame.
-    uint32_t delayPermille = 0;     ///< Held back 1..maxDelayTicks.
-    uint32_t maxDelayTicks = 4;
+    /** Held back 1..LinkFaultModel::kMaxDelayTicks switch ticks. */
+    uint32_t delayPermille = 0;
 
     bool lossless() const
     {
@@ -94,12 +94,10 @@ class LinkFaultModel
     {
         return permille != 0 && rng_.chance(permille, 1000);
     }
-    uint32_t delayTicks()
-    {
-        return 1 + rng_.below(config.maxDelayTicks == 0
-                                  ? 1
-                                  : config.maxDelayTicks);
-    }
+    /** Longest hold-back of a delayed frame, in switch ticks. */
+    static constexpr uint32_t kMaxDelayTicks = 4;
+
+    uint32_t delayTicks() { return 1 + rng_.below(kMaxDelayTicks); }
     /** Pick the bit to flip in a corrupted frame of @p bytes. */
     uint32_t corruptBit(uint32_t bytes)
     {

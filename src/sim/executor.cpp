@@ -17,41 +17,6 @@ using cap::Capability;
 using isa::Inst;
 using isa::Op;
 
-namespace
-{
-
-/** Registers read by an instruction (for the load-to-use model). */
-bool
-readsReg(const Inst &inst, unsigned reg)
-{
-    if (reg == 0) {
-        return false;
-    }
-    switch (inst.op) {
-      case Op::Lui: case Op::Auipc: case Op::Jal: case Op::Ecall:
-      case Op::Ebreak: case Op::Mret: case Op::Csrrwi: case Op::Csrrsi:
-      case Op::Csrrci: case Op::Illegal:
-        return false;
-      case Op::Beq: case Op::Bne: case Op::Blt: case Op::Bge:
-      case Op::Bltu: case Op::Bgeu:
-      case Op::Sb: case Op::Sh: case Op::Sw: case Op::Csc:
-      case Op::Add: case Op::Sub: case Op::Sll: case Op::Slt:
-      case Op::Sltu: case Op::Xor: case Op::Srl: case Op::Sra:
-      case Op::Or: case Op::And:
-      case Op::Mul: case Op::Mulh: case Op::Mulhsu: case Op::Mulhu:
-      case Op::Div: case Op::Divu: case Op::Rem: case Op::Remu:
-      case Op::CSeal: case Op::CUnseal: case Op::CAndPerm:
-      case Op::CSetAddr: case Op::CIncAddr: case Op::CSetBounds:
-      case Op::CSetBoundsExact: case Op::CTestSubset:
-      case Op::CSetEqualExact:
-        return inst.rs1 == reg || inst.rs2 == reg;
-      default:
-        return inst.rs1 == reg;
-    }
-}
-
-} // namespace
-
 void
 Machine::execute(const Inst &inst, uint32_t pc)
 {
@@ -59,9 +24,12 @@ Machine::execute(const Inst &inst, uint32_t pc)
     const bool cheri = cc.cheriEnabled;
 
     // Load-to-use stall: a consumer immediately in a load's shadow.
-    if (pendingLoadReg_ != isa::kNumRegs &&
-        readsReg(inst, pendingLoadReg_)) {
-        advance(cc.loadToUsePenalty, 0);
+    if (pendingLoadReg_ != isa::kNumRegs && pendingLoadReg_ != 0) {
+        const isa::OpSummary &reads = isa::summaryOf(inst.op);
+        if ((reads.readsRs1 && inst.rs1 == pendingLoadReg_) ||
+            (reads.readsRs2 && inst.rs2 == pendingLoadReg_)) {
+            advance(cc.loadToUsePenalty, 0);
+        }
     }
     pendingLoadReg_ = isa::kNumRegs;
 

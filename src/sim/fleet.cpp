@@ -25,6 +25,13 @@ constexpr uint64_t kStreamInjectorBase = 0x1213000;
 constexpr uint64_t kStreamSwitch = 0x5717c4;
 constexpr uint64_t kStreamFabricInjector = 0xfab41c;
 
+/** Guest cycles idled per round on top of the pump/send work, so ARQ
+ * timers (cycle-denominated) advance at a steady rate. */
+constexpr uint64_t kIdleCyclesPerRound = 512;
+
+/** Bound on each switch port's egress queue. */
+constexpr uint32_t kSwitchQueueDepth = 64;
+
 MachineConfig
 nodeMachineConfig(const FleetConfig &config,
                   fault::FaultInjector *injector)
@@ -219,7 +226,7 @@ FleetNode::runSlice(uint32_t round, const FleetTraffic &traffic,
             }
         }
     }
-    rig_->machine.idle(config_.idleCyclesPerRound);
+    rig_->machine.idle(kIdleCyclesPerRound);
 }
 
 bool
@@ -458,7 +465,7 @@ ChaosEngine::apply(uint32_t round, Fleet &fleet)
 Fleet::Fleet(const FleetConfig &config)
     : config_(config),
       switch_(Rng::deriveStreamSeed(config.seed, kStreamSwitch),
-              config.switchQueueDepth),
+              kSwitchQueueDepth),
       fabricInjector_(
           Rng::deriveStreamSeed(config.seed, kStreamFabricInjector))
 {

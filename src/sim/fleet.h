@@ -64,13 +64,8 @@ struct FleetConfig
     uint32_t sramSize = 192u << 10;
     uint32_t heapOffset = 64u << 10;
     uint32_t heapSize = 128u << 10;
-    /** Guest cycles idled per round on top of the pump/send work, so
-     * ARQ timers (cycle-denominated) advance at a steady rate. */
-    uint32_t idleCyclesPerRound = 512;
     /** Host threads for the parallel phase (0 = hardware default). */
     uint32_t threads = 0;
-    /** Bound on each switch port's egress queue. */
-    uint32_t switchQueueDepth = 64;
     net::NetStackConfig stack; ///< reliable/localMac are set per node.
     /** Application tier: every node runs a FlowManager (traffic rides
      * flows, not raw sends) and a TelemetryBroker subscribed to it. */

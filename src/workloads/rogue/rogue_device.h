@@ -16,7 +16,7 @@
  *    integrity check, dead at typed admission;
  *  - oversized frames: longer than the firewall rule allows;
  *  - SYN floods with churning flow ids and bogus advertised state —
- *    flow-table pressure bounded by maxFlows and typed resets;
+ *    flow-table pressure bounded by the table capacity and typed resets;
  *  - bogus window credits for flows that do not exist;
  *  - bad-checksum junk, which must die at the integrity check without
  *    costing the (unattributable) source a strike.

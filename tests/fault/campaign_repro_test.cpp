@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 namespace cheriot::fault
 {
@@ -218,6 +221,47 @@ TEST(CampaignRepro, RecordedInjectionsReplayToSameClassification)
             << outcomeName(record.outcome);
         EXPECT_EQ(replayed.outcome, record.outcome);
         EXPECT_EQ(replayed.safetyViolations, record.safetyViolations);
+    }
+}
+
+TEST(CampaignReport, MatrixRowsShareOneWidth)
+{
+    // Every site name, however long, must leave its row of counts in
+    // the same columns as the header and the totals.
+    CampaignReport report;
+    report.config = smallCampaign();
+    for (uint32_t s = 0; s < kFaultSiteCount; ++s) {
+        for (uint32_t o = 0; o < kOutcomeCount; ++o) {
+            report.matrix[s][o] = s * 10 + o;
+            report.totals[o] += report.matrix[s][o];
+        }
+    }
+    ::testing::internal::CaptureStdout();
+    printCampaignReport(report);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+
+    std::vector<std::string> rows;
+    bool inMatrix = false;
+    size_t start = 0;
+    while (start < out.size()) {
+        const size_t end = std::min(out.find('\n', start), out.size());
+        const std::string line = out.substr(start, end - start);
+        start = end + 1;
+        inMatrix = inMatrix || line.rfind("site ", 0) == 0;
+        if (inMatrix) {
+            rows.push_back(line);
+        }
+        if (line.rfind("total ", 0) == 0) {
+            break;
+        }
+    }
+    ASSERT_EQ(rows.size(), kFaultSiteCount + 2u) << out;
+    for (uint32_t s = 0; s < kFaultSiteCount; ++s) {
+        const std::string name = faultSiteName(static_cast<FaultSite>(s));
+        EXPECT_EQ(rows[s + 1].rfind(name + " ", 0), 0u) << rows[s + 1];
+    }
+    for (const std::string &row : rows) {
+        EXPECT_EQ(row.size(), rows.front().size()) << row;
     }
 }
 

@@ -222,5 +222,65 @@ TEST(RoundTripFuzz, EncodedWordsDisassembleUniquely)
     }
 }
 
+TEST(RoundTripFuzz, DecodeInvertsEncodeOverEveryFunctionField)
+{
+    // Every opcode x funct3 x funct7 x rs2-slot combination (2^22
+    // words, rd = 1, rs1 = 2): decode either refuses the word or
+    // returns the Inst that encodes back to it. The count pins the
+    // set of accepted words, so a table edit that widens or narrows
+    // it fails here.
+    uint64_t decodable = 0;
+    for (uint32_t fields = 0; fields < (1u << 22); ++fields) {
+        const uint32_t opcode = fields & 0x7f;
+        const uint32_t f3 = (fields >> 7) & 0x7;
+        const uint32_t f7 = (fields >> 10) & 0x7f;
+        const uint32_t slot = fields >> 17;
+        const uint32_t word = (f7 << 25) | (slot << 20) | (2u << 15) |
+                              (f3 << 12) | (1u << 7) | opcode;
+        const Inst inst = decode(word);
+        if (inst.op == Op::Illegal) {
+            continue;
+        }
+        ++decodable;
+        ASSERT_EQ(encode(inst), word)
+            << std::hex << word << " -> " << disassemble(inst);
+    }
+    EXPECT_EQ(decodable, 205374u);
+}
+
+TEST(RoundTripFuzz, ParseRefusesOperandsEncodeCannotTake)
+{
+    // Text the disassembler never prints: operands outside their
+    // format's range. Each would make encode panic or silently drop
+    // bits, so the parser must refuse it.
+    for (const char *text : {
+             "addi a0, a0, 5000",
+             "slli a0, a0, 40",
+             "beq a0, a1, 0x3",
+             "cspecialrw a0, scr40, a1",
+             "csealentry a0, a1, posture=5",
+             "csrrwi a0, 0x300, 99",
+             "lui a0, 0x100000",
+             "csrrw a0, 0x1000, a1",
+         }) {
+        EXPECT_EQ(parseAssembly(text, 0), std::nullopt) << text;
+    }
+    // The same forms at the edge of each range still parse.
+    for (const char *text : {
+             "addi a0, a0, -2048",
+             "slli a0, a0, 31",
+             "beq a0, a1, 0xffe",
+             "cspecialrw a0, scr31, a1",
+             "csealentry a0, a1, posture=2",
+             "csrrwi a0, 0xfff, 31",
+             "lui a0, 0xfffff",
+             "csrrw a0, 0xfff, a1",
+         }) {
+        const auto inst = parseAssembly(text, 0);
+        ASSERT_TRUE(inst.has_value()) << text;
+        EXPECT_EQ(disassemble(*inst, 0), text);
+    }
+}
+
 } // namespace
 } // namespace cheriot::isa
