@@ -33,6 +33,8 @@ constexpr uint64_t kBackoffCapCycles = 16384;
 constexpr uint32_t kBackoffStallEscalation = 4;
 /** @} */
 
+constexpr uint32_t kBitmapGranule = revoker::RevocationBitmap::kGranule;
+
 } // namespace
 
 const char *
@@ -63,13 +65,10 @@ freeResultName(HeapAllocator::FreeResult result)
 }
 
 HeapAllocator::HeapAllocator(rtos::GuestContext &guest, Capability heapCap,
-                             Capability bitmapCap,
-                             const revoker::RevocationBitmap &bitmap,
-                             revoker::Revoker *revoker,
+                             Capability bitmapCap, revoker::Revoker *revoker,
                              AllocatorConfig config)
     : guest_(guest), view_(guest, heapCap), freeList_(view_),
       quarantine_(view_), bitmapCap_(bitmapCap),
-      bitmapGranule_(bitmap.granule()),
       heapBase_(static_cast<uint32_t>(heapCap.base())),
       heapEnd_(static_cast<uint32_t>(heapCap.top())), revoker_(revoker),
       config_(config)
@@ -93,7 +92,7 @@ HeapAllocator::HeapAllocator(rtos::GuestContext &guest, Capability heapCap,
     }
 
     allocStartBits_.assign(
-        ((heapEnd_ - heapBase_) / bitmapGranule_ + 7) / 8, 0);
+        ((heapEnd_ - heapBase_) / kBitmapGranule + 7) / 8, 0);
     internalBits_.assign(allocStartBits_.size(), 0);
 
     stats_.registerCounter("mallocs", mallocs);
@@ -129,14 +128,14 @@ HeapAllocator::currentEpoch() const
 bool
 HeapAllocator::isAllocStart(uint32_t base) const
 {
-    const uint32_t index = (base - heapBase_) / bitmapGranule_;
+    const uint32_t index = (base - heapBase_) / kBitmapGranule;
     return (allocStartBits_[index / 8] >> (index % 8)) & 1;
 }
 
 void
 HeapAllocator::setAllocStart(uint32_t base, bool value)
 {
-    const uint32_t index = (base - heapBase_) / bitmapGranule_;
+    const uint32_t index = (base - heapBase_) / kBitmapGranule;
     if (value) {
         allocStartBits_[index / 8] |= 1u << (index % 8);
     } else {
@@ -147,14 +146,14 @@ HeapAllocator::setAllocStart(uint32_t base, bool value)
 bool
 HeapAllocator::isInternal(uint32_t base) const
 {
-    const uint32_t index = (base - heapBase_) / bitmapGranule_;
+    const uint32_t index = (base - heapBase_) / kBitmapGranule;
     return (internalBits_[index / 8] >> (index % 8)) & 1;
 }
 
 void
 HeapAllocator::setInternal(uint32_t base, bool value)
 {
-    const uint32_t index = (base - heapBase_) / bitmapGranule_;
+    const uint32_t index = (base - heapBase_) / kBitmapGranule;
     if (value) {
         internalBits_[index / 8] |= 1u << (index % 8);
     } else {
@@ -170,8 +169,8 @@ HeapAllocator::paintBits(uint32_t addr, uint32_t bytes, bool set)
     }
     // The bitmap is a memory-mapped array of 32-bit words; the
     // allocator reaches it only through its dedicated capability.
-    const uint32_t firstBit = (addr - heapBase_) / bitmapGranule_;
-    const uint32_t lastBit = (addr + bytes - 1 - heapBase_) / bitmapGranule_;
+    const uint32_t firstBit = (addr - heapBase_) / kBitmapGranule;
+    const uint32_t lastBit = (addr + bytes - 1 - heapBase_) / kBitmapGranule;
     uint32_t bitIndex = firstBit;
     while (bitIndex <= lastBit) {
         const uint32_t wordIndex = bitIndex / 32;
@@ -530,8 +529,8 @@ HeapAllocator::checkLive(const Capability &ptr, uint32_t *chunkOut)
         const uint32_t probe = guest_.loadWord(
             bitmapCap_,
             bitmapCap_.base() +
-                ((base - heapBase_) / bitmapGranule_ / 32) * 4);
-        if (probe & (1u << ((base - heapBase_) / bitmapGranule_ % 32))) {
+                ((base - heapBase_) / kBitmapGranule / 32) * 4);
+        if (probe & (1u << ((base - heapBase_) / kBitmapGranule % 32))) {
             return FreeResult::AlreadyFreed;
         }
     }

@@ -69,13 +69,11 @@ class HeapAllocator
      * @param bitmapCap  capability over the revocation bitmap MMIO
      *                   window (only the allocator compartment gets
      *                   one, enforced by the loader).
-     * @param bitmap     bitmap geometry (base/granule).
      * @param revoker    sweep engine; may be null for None/Metadata.
      */
     HeapAllocator(rtos::GuestContext &guest, cap::Capability heapCap,
-                  cap::Capability bitmapCap,
-                  const revoker::RevocationBitmap &bitmap,
-                  revoker::Revoker *revoker, AllocatorConfig config);
+                  cap::Capability bitmapCap, revoker::Revoker *revoker,
+                  AllocatorConfig config);
 
     /**
      * Allocate @p size bytes; returns an exactly bounded, unsealed,
@@ -309,7 +307,6 @@ class HeapAllocator
     FreeList freeList_;
     Quarantine quarantine_;
     cap::Capability bitmapCap_;
-    uint32_t bitmapGranule_;
     uint32_t heapBase_;
     uint32_t heapEnd_;
     revoker::Revoker *revoker_;

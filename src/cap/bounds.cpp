@@ -14,15 +14,25 @@ constexpr unsigned kMantissaBits = 9;
 constexpr uint64_t kMaxSpan = (uint64_t{1} << kMantissaBits) - 1; // 511
 
 /**
- * Smallest usable exponent such that a window of @p granuleSpan bytes
- * fits within 511 granules after rounding. Exponents 15..23 are not
- * encodable (E is four bits with 0xF meaning 24), so the search jumps
- * from 14 straight to 24.
+ * The exponent after @p e. Exponents 15..23 are not encodable (E is
+ * four bits with 0xF meaning 24), so the search jumps from 14 straight
+ * to 24.
  */
 unsigned
 nextExponent(unsigned e)
 {
     return e == kMaxDirectExponent ? kEscapeExponent : e + 1;
+}
+
+/** The smallest exponent whose 511 granules hold @p length bytes. */
+unsigned
+lengthExponent(uint64_t length)
+{
+    unsigned e = 0;
+    while (alignUp<uint64_t>(length, uint64_t{1} << e) >> e > kMaxSpan) {
+        e = nextExponent(e);
+    }
+    return e;
 }
 
 } // namespace
@@ -65,7 +75,9 @@ encodeBounds(uint32_t requestedBase, uint64_t requestedLength)
               static_cast<unsigned long long>(requestedTop));
     }
 
-    unsigned e = 0;
+    // The aligned window is at least the length rounded up to the
+    // granule, so no exponent below lengthExponent can hold it.
+    unsigned e = lengthExponent(requestedLength);
     uint64_t alignedBase = 0;
     uint64_t alignedTop = 0;
     for (;;) {
@@ -114,21 +126,14 @@ addressPreservesBounds(const EncodedBounds &encoded, uint32_t oldAddress,
 uint64_t
 representableLength(uint64_t length)
 {
-    unsigned e = 0;
-    while (alignUp<uint64_t>(length, uint64_t{1} << e) >> e > kMaxSpan) {
-        e = nextExponent(e);
-    }
-    return alignUp<uint64_t>(length, uint64_t{1} << e);
+    return alignUp<uint64_t>(length, uint64_t{1} << lengthExponent(length));
 }
 
 uint32_t
 representableAlignmentMask(uint64_t length)
 {
-    unsigned e = 0;
-    while (alignUp<uint64_t>(length, uint64_t{1} << e) >> e > kMaxSpan) {
-        e = nextExponent(e);
-    }
-    return static_cast<uint32_t>(~((uint64_t{1} << e) - 1));
+    const uint64_t granule = uint64_t{1} << lengthExponent(length);
+    return static_cast<uint32_t>(~(granule - 1));
 }
 
 } // namespace cheriot::cap

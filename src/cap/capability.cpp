@@ -250,8 +250,7 @@ seal(const Capability &target, const Capability &authority)
     if (!authority.inBounds(addr, 1)) {
         return std::nullopt;
     }
-    const uint32_t namespaceBase =
-        target.isExecutable() ? kExecOtypeAddressBase : kDataOtypeAddressBase;
+    const uint32_t namespaceBase = otypeAddressBase(target.isExecutable());
     if (addr < namespaceBase + 1 || addr >= namespaceBase + kOtypeCount) {
         return std::nullopt;
     }
@@ -269,9 +268,7 @@ unseal(const Capability &target, const Capability &authority)
     if (!authority.inBounds(addr, 1)) {
         return std::nullopt;
     }
-    const uint32_t namespaceBase =
-        target.isExecutable() ? kExecOtypeAddressBase : kDataOtypeAddressBase;
-    if (addr != namespaceBase + target.otype()) {
+    if (addr != target.typeAddress()) {
         return std::nullopt;
     }
     return target.unsealedCopy();

@@ -90,6 +90,13 @@ class Capability
      * the otype, if any, lives in the executable namespace). */
     bool isExecutable() const { return perms_.has(PermExecute); }
 
+    /** CGetType: the sealing-root address of the otype, or 0 when
+     * unsealed. */
+    uint32_t typeAddress() const
+    {
+        return isSealed() ? otypeAddressBase(isExecutable()) + otype_ : 0;
+    }
+
     /** A capability is local iff it lacks the Global permission. */
     bool isLocal() const { return !perms_.has(PermGlobal); }
 

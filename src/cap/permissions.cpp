@@ -1,7 +1,6 @@
 #include "cap/permissions.h"
 
 #include "util/bits.h"
-#include "util/log.h"
 
 #include <array>
 
@@ -14,160 +13,91 @@ namespace
 constexpr uint8_t kGlBit = 1u << 5;
 
 /**
- * Decode the low five bits of the compressed field (everything except
- * GL) into an architectural mask (excluding GL).
+ * One compressed-permission format of Fig. 2. A field's low five bits
+ * belong to a format when, under @p match, they equal @p value.
  */
-constexpr uint16_t
-decodeLow5(uint8_t low5)
+struct FormatRow
 {
-    const bool b4 = bit(low5, 4);
-    const bool b3 = bit(low5, 3);
-    const bool b2 = bit(low5, 2);
-    const bool b1 = bit(low5, 1);
-    const bool b0 = bit(low5, 0);
+    PermFormat format;
+    uint8_t match;
+    uint8_t value;
+    uint16_t implied; ///< Granted by the format itself.
+    /** The permission that bits 2, 1 and 0 carry, in that order; 0
+     * where the bit belongs to the discriminator. */
+    std::array<uint16_t, 3> optional;
+};
 
-    if (b4 && b3) {
-        // 1 1 SL LM LG : read/write memory, capability-bearing.
-        uint16_t mask = PermLoad | PermMemCap | PermStore;
-        if (b2) mask |= PermStoreLocal;
-        if (b1) mask |= PermLoadMutable;
-        if (b0) mask |= PermLoadGlobal;
-        return mask;
-    }
-    if (b4 && !b3 && b2) {
-        // 1 0 1 LM LG : read-only memory, capability-bearing.
-        uint16_t mask = PermLoad | PermMemCap;
-        if (b1) mask |= PermLoadMutable;
-        if (b0) mask |= PermLoadGlobal;
-        return mask;
-    }
-    if (b4 && !b3 && !b2) {
-        if (!b1 && !b0) {
-            // 1 0 0 0 0 : write-only capability-bearing memory.
-            return PermStore | PermMemCap;
-        }
-        // 1 0 0 LD SD : data-only memory (no capability traffic).
-        uint16_t mask = 0;
-        if (b1) mask |= PermLoad;
-        if (b0) mask |= PermStore;
-        return mask;
-    }
-    if (!b4 && b3) {
-        // 0 1 SR LM LG : executable.
-        uint16_t mask = PermExecute | PermLoad | PermMemCap;
-        if (b2) mask |= PermSystemRegs;
-        if (b1) mask |= PermLoadMutable;
-        if (b0) mask |= PermLoadGlobal;
-        return mask;
-    }
-    // 0 0 U0 SE US : sealing (or the empty set when all clear).
-    uint16_t mask = 0;
-    if (b2) mask |= PermUser0;
-    if (b1) mask |= PermSeal;
-    if (b0) mask |= PermUnseal;
-    return mask;
+/** The bit that carries FormatRow::optional[i]. */
+constexpr uint8_t
+optionalBit(unsigned i)
+{
+    return static_cast<uint8_t>(0b100 >> i);
 }
 
 /**
- * Try to encode @p noGl (an architectural mask with GL removed) in one
- * specific format. Returns the representable subset achievable in that
- * format and writes the low-5-bit encoding to @p low5Out. A format is
- * usable only if all of its implied permissions are present in the
- * request (an encoding must never grant more than was asked for).
- * Returns 0 and leaves @p low5Out untouched when unusable.
+ * The encoding, the only statement of it: the six formats in
+ * preference order. A field decodes through the first row it matches,
+ * so 10000 reads as MemCapWO rather than as MemDataOnly with neither
+ * LD nor SD; GL is bit 5 in every format.
  */
-uint16_t
-tryFormat(PermFormat format, uint16_t noGl, uint8_t *low5Out)
+constexpr std::array<FormatRow, 6> kPermFormats = {{
+    // format, discriminator (match, value), implied permissions, then
+    // the permissions of bits 2, 1 and 0.
+    {PermFormat::MemCapRW, 0b11000, 0b11000,
+     PermLoad | PermMemCap | PermStore,
+     {PermStoreLocal, PermLoadMutable, PermLoadGlobal}},
+    {PermFormat::MemCapRO, 0b11100, 0b10100,
+     PermLoad | PermMemCap,
+     {0, PermLoadMutable, PermLoadGlobal}},
+    {PermFormat::MemCapWO, 0b11111, 0b10000,
+     PermStore | PermMemCap,
+     {0, 0, 0}},
+    {PermFormat::MemDataOnly, 0b11100, 0b10000,
+     0,
+     {0, PermLoad, PermStore}},
+    {PermFormat::Executable, 0b11000, 0b01000,
+     PermExecute | PermLoad | PermMemCap,
+     {PermSystemRegs, PermLoadMutable, PermLoadGlobal}},
+    {PermFormat::Sealing, 0b11000, 0b00000,
+     0,
+     {PermUser0, PermSeal, PermUnseal}},
+}};
+
+/** The first row that @p field matches. */
+constexpr const FormatRow &
+rowOf(uint8_t field)
 {
-    switch (format) {
-      case PermFormat::MemCapRW: {
-        constexpr uint16_t implied = PermLoad | PermMemCap | PermStore;
-        if ((noGl & implied) != implied) {
-            return 0;
+    for (const FormatRow &row : kPermFormats) {
+        if ((field & row.match) == row.value) {
+            return row;
         }
-        uint8_t low5 = 0b11000;
-        uint16_t mask = implied;
-        if (noGl & PermStoreLocal) { low5 |= 0b100; mask |= PermStoreLocal; }
-        if (noGl & PermLoadMutable) { low5 |= 0b010; mask |= PermLoadMutable; }
-        if (noGl & PermLoadGlobal) { low5 |= 0b001; mask |= PermLoadGlobal; }
-        *low5Out = low5;
-        return mask;
-      }
-      case PermFormat::MemCapRO: {
-        constexpr uint16_t implied = PermLoad | PermMemCap;
-        if ((noGl & implied) != implied) {
-            return 0;
-        }
-        uint8_t low5 = 0b10100;
-        uint16_t mask = implied;
-        if (noGl & PermLoadMutable) { low5 |= 0b010; mask |= PermLoadMutable; }
-        if (noGl & PermLoadGlobal) { low5 |= 0b001; mask |= PermLoadGlobal; }
-        *low5Out = low5;
-        return mask;
-      }
-      case PermFormat::MemCapWO: {
-        constexpr uint16_t implied = PermStore | PermMemCap;
-        if ((noGl & implied) != implied) {
-            return 0;
-        }
-        *low5Out = 0b10000;
-        return implied;
-      }
-      case PermFormat::MemDataOnly: {
-        uint8_t low5 = 0b10000;
-        uint16_t mask = 0;
-        if (noGl & PermLoad) { low5 |= 0b010; mask |= PermLoad; }
-        if (noGl & PermStore) { low5 |= 0b001; mask |= PermStore; }
-        if (mask == 0) {
-            // 10000 means MemCapWO; data-only needs LD or SD.
-            return 0;
-        }
-        *low5Out = low5;
-        return mask;
-      }
-      case PermFormat::Executable: {
-        constexpr uint16_t implied = PermExecute | PermLoad | PermMemCap;
-        if ((noGl & implied) != implied) {
-            return 0;
-        }
-        uint8_t low5 = 0b01000;
-        uint16_t mask = implied;
-        if (noGl & PermSystemRegs) { low5 |= 0b100; mask |= PermSystemRegs; }
-        if (noGl & PermLoadMutable) { low5 |= 0b010; mask |= PermLoadMutable; }
-        if (noGl & PermLoadGlobal) { low5 |= 0b001; mask |= PermLoadGlobal; }
-        *low5Out = low5;
-        return mask;
-      }
-      case PermFormat::Sealing: {
-        uint8_t low5 = 0b00000;
-        uint16_t mask = 0;
-        if (noGl & PermUser0) { low5 |= 0b100; mask |= PermUser0; }
-        if (noGl & PermSeal) { low5 |= 0b010; mask |= PermSeal; }
-        if (noGl & PermUnseal) { low5 |= 0b001; mask |= PermUnseal; }
-        // Always usable: with all optionals clear it encodes the empty
-        // permission set, the terminal fallback.
-        *low5Out = low5;
-        return mask;
-      }
     }
-    return 0;
+    return kPermFormats.back(); // Unreachable: the rows cover all 32 values.
 }
 
-constexpr std::array<PermFormat, 6> kFormatOrder = {
-    PermFormat::MemCapRW,   PermFormat::MemCapRO,   PermFormat::MemCapWO,
-    PermFormat::MemDataOnly, PermFormat::Executable, PermFormat::Sealing,
-};
+/** decompressPerms for every 6-bit field. */
+constexpr std::array<uint16_t, 64> kDecoded = [] {
+    std::array<uint16_t, 64> table{};
+    for (unsigned field = 0; field < table.size(); ++field) {
+        const FormatRow &row = rowOf(static_cast<uint8_t>(field));
+        uint16_t mask = (field & kGlBit) ? PermGlobal : 0;
+        mask |= row.implied;
+        for (unsigned i = 0; i < row.optional.size(); ++i) {
+            if (field & optionalBit(i)) {
+                mask |= row.optional[i];
+            }
+        }
+        table[field] = mask;
+    }
+    return table;
+}();
 
 } // namespace
 
 PermSet
 decompressPerms(uint8_t encoded)
 {
-    uint16_t mask = decodeLow5(encoded & 0x1f);
-    if (encoded & kGlBit) {
-        mask |= PermGlobal;
-    }
-    return PermSet(mask);
+    return PermSet(kDecoded[encoded & 0x3f]);
 }
 
 uint8_t
@@ -175,47 +105,43 @@ compressPerms(PermSet perms)
 {
     const uint16_t noGl = perms.mask() & static_cast<uint16_t>(~PermGlobal);
 
-    uint8_t bestLow5 = 0;
+    // Start from 00000, Sealing with no optional bit: the empty set. A
+    // row that grants nothing never replaces it, which keeps a bare
+    // MemDataOnly discriminator (10000, MemCapWO) out of the result.
+    uint8_t best = 0;
     unsigned bestCount = 0;
-    bool found = false;
-    for (PermFormat format : kFormatOrder) {
-        uint8_t low5 = 0;
-        const uint16_t mask = tryFormat(format, noGl, &low5);
-        if (mask == 0 && format != PermFormat::Sealing) {
+    for (const FormatRow &row : kPermFormats) {
+        // An encoding must never grant more than was asked for.
+        if ((noGl & row.implied) != row.implied) {
             continue;
         }
-        const unsigned count = popcount(mask);
-        if (!found || count > bestCount) {
-            found = true;
+        uint8_t low5 = row.value;
+        uint16_t granted = row.implied;
+        for (unsigned i = 0; i < row.optional.size(); ++i) {
+            if ((noGl & row.optional[i]) != 0) {
+                low5 |= optionalBit(i);
+                granted |= row.optional[i];
+            }
+        }
+        const unsigned count = popcount(granted);
+        if (count > bestCount) {
+            best = low5;
             bestCount = count;
-            bestLow5 = low5;
-            if (mask == noGl) {
-                break; // Exact representation; formats are ordered by
-                       // preference so the first exact hit wins.
+            if (granted == noGl) {
+                break; // Exact; an earlier row wins among exact hits.
             }
         }
     }
-
-    uint8_t encoded = bestLow5;
     if (perms.has(PermGlobal)) {
-        encoded |= kGlBit;
+        best |= kGlBit;
     }
-    return encoded;
+    return best;
 }
 
 PermFormat
 formatOf(uint8_t encoded)
 {
-    const uint8_t low5 = encoded & 0x1f;
-    const bool b4 = bit(low5, 4);
-    const bool b3 = bit(low5, 3);
-    const bool b2 = bit(low5, 2);
-    if (b4 && b3) return PermFormat::MemCapRW;
-    if (b4 && b2) return PermFormat::MemCapRO;
-    if (b4 && (low5 & 0b00011) == 0) return PermFormat::MemCapWO;
-    if (b4) return PermFormat::MemDataOnly;
-    if (b3) return PermFormat::Executable;
-    return PermFormat::Sealing;
+    return rowOf(encoded).format;
 }
 
 bool

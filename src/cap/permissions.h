@@ -100,23 +100,13 @@ class PermSet
 };
 
 /**
- * The six compressed-permission formats of Fig. 2.
- *
- * Encoding layout (our choice of bit order within the 6-bit field; the
- * paper fixes the format structure, not the field's internal order):
- *   bit 5          : GL
- *   bits 4..0      : format discriminator + optional permissions
- *
- *   1 1 SL LM LG   MemCapRW    implies LD, MC, SD
- *   1 0 1 LM LG    MemCapRO    implies LD, MC
- *   1 0 0 0 0      MemCapWO    implies SD, MC
- *   1 0 0 LD SD    MemDataOnly no MC; LD/SD explicit (not both zero)
- *   0 1 SR LM LG   Executable  implies EX, LD, MC
- *   0 0 U0 SE US   Sealing     no memory permissions
- *
- * MemDataOnly with LD=SD=0 would collide with MemCapWO, so the all-
- * clear pattern 0b00000 in the low bits decodes as the empty
- * permission set via the Sealing format (U0=SE=US=0).
+ * The six compressed-permission formats of Fig. 2, in preference
+ * order. Bit 5 of the field is GL; bits 4..0 hold a format's
+ * discriminator and its optional permissions. kPermFormats in
+ * permissions.cpp states each format's bits, and decompressPerms,
+ * compressPerms and formatOf are all derived from it. The bit order
+ * within the field is this model's choice: the paper fixes the
+ * formats, not their layout.
  */
 enum class PermFormat : uint8_t
 {

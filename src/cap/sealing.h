@@ -67,6 +67,13 @@ constexpr uint32_t kDataOtypeAddressBase = 0;
 constexpr uint32_t kExecOtypeAddressBase = 8;
 constexpr uint32_t kOtypeAddressSpaceSize = 16;
 
+/** The address of otype 0 in the executable or the data namespace. */
+constexpr uint32_t
+otypeAddressBase(bool executable)
+{
+    return executable ? kExecOtypeAddressBase : kDataOtypeAddressBase;
+}
+
 /** Interrupt posture requested by a sentry jump. */
 enum class InterruptPosture : uint8_t
 {

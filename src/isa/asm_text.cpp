@@ -11,7 +11,6 @@
 #include "isa/encoding.h"
 #include "isa/op_table.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,85 +86,41 @@ disassemble(const Inst &inst, uint32_t pc)
 namespace
 {
 
-std::string
-trim(const std::string &text)
-{
-    size_t begin = 0;
-    size_t end = text.size();
-    while (begin < end && std::isspace(static_cast<unsigned char>(
-                              text[begin]))) {
-        ++begin;
-    }
-    while (end > begin && std::isspace(static_cast<unsigned char>(
-                              text[end - 1]))) {
-        --end;
-    }
-    return text.substr(begin, end - begin);
-}
-
-/** Split a line into the mnemonic and comma-separated operand texts,
- * unwrapping the "imm(reg)" memory-operand form into two fields. */
-struct Tokens
-{
-    std::string mnemonic;
-    std::vector<std::string> operands;
-};
-
-std::optional<Tokens>
+/**
+ * The mnemonic and operand texts of a line, split at spaces, commas
+ * and parentheses. The split is loose on purpose: parseAssembly()
+ * refuses any spacing, punctuation or radix that disassemble() would
+ * not print.
+ */
+std::vector<std::string>
 tokenize(const std::string &line)
 {
-    const std::string text = trim(line);
-    if (text.empty()) {
-        return std::nullopt;
-    }
-    Tokens tokens;
-    size_t pos = 0;
-    while (pos < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[pos]))) {
-        ++pos;
-    }
-    tokens.mnemonic = text.substr(0, pos);
-    std::string rest = trim(text.substr(pos));
-    if (rest.empty()) {
-        return tokens;
-    }
-    size_t start = 0;
-    while (start <= rest.size()) {
-        size_t comma = rest.find(',', start);
-        std::string field = trim(
-            comma == std::string::npos ? rest.substr(start)
-                                       : rest.substr(start, comma - start));
-        // "imm(reg)" splits into the immediate and the register.
-        const size_t open = field.find('(');
-        if (open != std::string::npos && field.back() == ')') {
-            tokens.operands.push_back(trim(field.substr(0, open)));
-            tokens.operands.push_back(trim(
-                field.substr(open + 1, field.size() - open - 2)));
-        } else if (!field.empty()) {
-            tokens.operands.push_back(field);
+    std::vector<std::string> tokens(1);
+    for (const char c : line) {
+        if (std::strchr(" ,()", c) == nullptr) {
+            tokens.back() += c;
+        } else if (!tokens.back().empty()) {
+            tokens.emplace_back();
         }
-        if (comma == std::string::npos) {
-            break;
-        }
-        start = comma + 1;
+    }
+    if (tokens.back().empty()) {
+        tokens.pop_back();
     }
     return tokens;
 }
 
 /**
- * Reads operand texts in order. Each reader fails on a missing
- * operand or on one the disassembler's conversion cannot print: a
- * "%d" field must fit int32_t, a "0x%x" target uint32_t, a CSR number
- * uint16_t and an upper immediate its 20 bits. The format's own range
- * is operandsFit()'s.
+ * Reads operand texts in order. Each reader fails only on a missing
+ * operand or on text that is not a number or a register name; a value
+ * that does not fit its field prints differently and is refused by
+ * parseAssembly()'s round trip.
  */
 class Operands
 {
   public:
+    /** @p texts[0] is the mnemonic. */
     explicit Operands(const std::vector<std::string> &texts) : texts_(texts)
     {}
-
-    bool done() const { return next_ == texts_.size(); }
 
     bool reg(uint8_t &out)
     {
@@ -186,7 +141,7 @@ class Operands
     bool imm(int32_t &out, const char *prefix = "")
     {
         int64_t value = 0;
-        if (!number(prefix, INT32_MIN, INT32_MAX, value)) {
+        if (!number(prefix, value)) {
             return false;
         }
         out = static_cast<int32_t>(value);
@@ -197,7 +152,7 @@ class Operands
     bool target(uint32_t pc, int32_t &out)
     {
         int64_t value = 0;
-        if (!number("", 0, UINT32_MAX, value)) {
+        if (!number("", value)) {
             return false;
         }
         out = static_cast<int32_t>(static_cast<uint32_t>(value) - pc);
@@ -208,7 +163,7 @@ class Operands
     bool upper(int32_t &out)
     {
         int64_t value = 0;
-        if (!number("", 0, 0xfffff, value)) {
+        if (!number("", value)) {
             return false;
         }
         out = static_cast<int32_t>(static_cast<uint32_t>(value) << 12);
@@ -218,7 +173,7 @@ class Operands
     bool csr(uint16_t &out)
     {
         int64_t value = 0;
-        if (!number("", 0, UINT16_MAX, value)) {
+        if (!number("", value)) {
             return false;
         }
         out = static_cast<uint16_t>(value);
@@ -226,7 +181,7 @@ class Operands
     }
 
   private:
-    bool number(const char *prefix, int64_t lo, int64_t hi, int64_t &out)
+    bool number(const char *prefix, int64_t &out)
     {
         if (next_ == texts_.size()) {
             return false;
@@ -237,17 +192,16 @@ class Operands
             return false;
         }
         char *end = nullptr;
-        const long long value = std::strtoll(text.c_str() + skip, &end, 0);
-        if (*end != '\0' || value < lo || value > hi) {
+        out = std::strtoll(text.c_str() + skip, &end, 0);
+        if (*end != '\0') {
             return false;
         }
-        out = value;
         ++next_;
         return true;
     }
 
     const std::vector<std::string> &texts_;
-    size_t next_ = 0;
+    size_t next_ = 1;
 };
 
 } // namespace
@@ -255,18 +209,14 @@ class Operands
 std::optional<Inst>
 parseAssembly(const std::string &text, uint32_t pc)
 {
-    const auto tokens = tokenize(text);
-    if (!tokens) {
-        return std::nullopt;
-    }
-    Operands in(tokens->operands);
-    if (tokens->mnemonic == "illegal") {
-        return in.done() ? std::optional<Inst>(Inst{}) : std::nullopt;
-    }
-    const OpInfo *info = infoNamed(tokens->mnemonic);
+    const std::vector<std::string> tokens = tokenize(text);
+    const OpInfo *info = tokens.empty() ? nullptr : infoNamed(tokens[0]);
     if (info == nullptr) {
-        return std::nullopt;
+        // The one line that names no op.
+        return text == disassemble(Inst{}) ? std::optional<Inst>(Inst{})
+                                           : std::nullopt;
     }
+    Operands in(tokens);
     Inst inst;
     inst.op = info->op;
     bool ok = false;
@@ -316,7 +266,10 @@ parseAssembly(const std::string &text, uint32_t pc)
              in.imm(inst.imm, "posture=");
         break;
     }
-    if (!ok || !in.done() || !operandsFit(*info, inst)) {
+    // The line must be the disassembler's own rendering, byte for
+    // byte: that refuses a leftover operand, other spacing or
+    // punctuation, another radix and a value its field would wrap.
+    if (!ok || !operandsFit(*info, inst) || disassemble(inst, pc) != text) {
         return std::nullopt;
     }
     return inst;

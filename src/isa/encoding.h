@@ -214,12 +214,12 @@ summaryOf(Op op)
 const std::vector<Op> &allOps();
 
 /**
- * Parse one line of disassembly (the exact format disassemble()
- * emits) back into an Inst. @p pc must be the instruction's address —
- * branch and jump targets are printed as absolute addresses and are
- * converted back to offsets. Returns nullopt on any syntax the
- * disassembler cannot have produced, including an operand outside the
- * range its format (and so encode()) accepts.
+ * Parse one line of disassembly back into an Inst. @p pc must be the
+ * instruction's address — branch and jump targets are printed as
+ * absolute addresses and are converted back to offsets. A line is
+ * accepted only when disassemble() of the result, at @p pc, reproduces
+ * it byte for byte, and only when its operands fit the ranges its
+ * format (and so encode()) accepts; anything else yields nullopt.
  */
 std::optional<Inst> parseAssembly(const std::string &text, uint32_t pc);
 

@@ -3,6 +3,7 @@
 #include "fault/fault_injector.h"
 #include "net/fleet_frame.h"
 #include "rtos/kernel.h"
+#include "util/bits.h"
 
 #include <algorithm>
 
@@ -75,22 +76,11 @@ TelemetryBroker::subscribe(uint8_t classMask)
 }
 
 uint32_t
-TelemetryBroker::mix(uint32_t x)
-{
-    x ^= x >> 16;
-    x *= 0x7feb352du;
-    x ^= x >> 15;
-    x *= 0x846ca68bu;
-    x ^= x >> 16;
-    return x;
-}
-
-uint32_t
 TelemetryBroker::canaryOf(uint32_t srcMac, uint8_t cls, uint32_t w0,
                           uint32_t w1) const
 {
-    return mix(srcMac ^ (static_cast<uint32_t>(cls) << 24) ^
-               mix(w0 ^ (w1 * 0x9e3779b9u)) ^ 0xB40CE2u);
+    return mix32(srcMac ^ (static_cast<uint32_t>(cls) << 24) ^
+                 mix32(w0 ^ (w1 * 0x9e3779b9u)) ^ 0xB40CE2u);
 }
 
 void

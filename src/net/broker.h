@@ -165,7 +165,6 @@ class TelemetryBroker
         std::deque<Entry> queue;
     };
 
-    static uint32_t mix(uint32_t x);
     uint32_t canaryOf(uint32_t srcMac, uint8_t cls, uint32_t w0,
                       uint32_t w1) const;
 

@@ -3,6 +3,7 @@
 #include "fault/fault_injector.h"
 #include "rtos/kernel.h"
 #include "sim/machine.h"
+#include "util/bits.h"
 
 namespace cheriot::net
 {
@@ -84,22 +85,11 @@ FlowManager::connect(const std::vector<FlowConsumer> &consumers)
 }
 
 uint32_t
-FlowManager::mix(uint32_t x)
-{
-    x ^= x >> 16;
-    x *= 0x7feb352du;
-    x ^= x >> 15;
-    x *= 0x846ca68bu;
-    x ^= x >> 16;
-    return x;
-}
-
-uint32_t
 FlowManager::canaryOf(const Flow &f) const
 {
-    return mix(f.peer ^ (static_cast<uint32_t>(f.id) << 16) ^
-               (static_cast<uint32_t>(f.cls) << 8) ^
-               static_cast<uint32_t>(f.state) ^ 0x5F10A7u);
+    return mix32(f.peer ^ (static_cast<uint32_t>(f.id) << 16) ^
+                 (static_cast<uint32_t>(f.cls) << 8) ^
+                 static_cast<uint32_t>(f.state) ^ 0x5F10A7u);
 }
 
 bool

@@ -243,7 +243,6 @@ class FlowManager
         bool unreliable = false;
     };
 
-    static uint32_t mix(uint32_t x);
     uint32_t canaryOf(const Flow &f) const;
     void seal(Flow &f) const { f.canary = canaryOf(f); }
     /** Fault hook + invariant check; false means the entry is

@@ -6,18 +6,14 @@
 namespace cheriot::revoker
 {
 
-RevocationBitmap::RevocationBitmap(uint32_t heapBase, uint32_t heapSize,
-                                   uint32_t granule)
-    : heapBase_(heapBase), heapSize_(heapSize), granule_(granule)
+RevocationBitmap::RevocationBitmap(uint32_t heapBase, uint32_t heapSize)
+    : heapBase_(heapBase), heapSize_(heapSize)
 {
-    if (!isPowerOfTwo(granule) || granule < 8) {
-        fatal("revocation granule %u must be a power of two >= 8", granule);
-    }
-    if (heapBase % granule != 0 || heapSize % granule != 0) {
+    if (heapBase % kGranule != 0 || heapSize % kGranule != 0) {
         fatal("heap window [0x%08x, +0x%x) not aligned to granule %u",
-              heapBase, heapSize, granule);
+              heapBase, heapSize, kGranule);
     }
-    const uint32_t bitCount = heapSize / granule;
+    const uint32_t bitCount = heapSize / kGranule;
     words_.assign((bitCount + 31) / 32, 0);
     stats_.registerCounter("lookups", lookups);
 }

@@ -2,9 +2,8 @@
  * @file
  * Heap revocation bitmap (paper §3.3.1).
  *
- * Each heap allocation granule (8 bytes by default, matching
- * capability alignment; configurable for the granule-size ablation)
- * has one revocation bit indicating that the granule belongs to a
+ * Each 8-byte heap granule (the capability size and alignment) has
+ * one revocation bit indicating that the granule belongs to a
  * freed-but-not-yet-revoked chunk. The bitmap is memory-mapped and the
  * RTOS loader ensures that only the allocator compartment receives a
  * capability to the window. The SRAM overhead at 8-byte granules is
@@ -28,17 +27,17 @@ namespace cheriot::revoker
 class RevocationBitmap : public mem::MmioDevice
 {
   public:
+    /** Bytes per revocation bit. */
+    static constexpr uint32_t kGranule = 8;
+
     /**
      * @param heapBase  architectural base of the covered heap window.
      * @param heapSize  bytes covered.
-     * @param granule   bytes per revocation bit (power of two, ≥ 8).
      */
-    RevocationBitmap(uint32_t heapBase, uint32_t heapSize,
-                     uint32_t granule = 8);
+    RevocationBitmap(uint32_t heapBase, uint32_t heapSize);
 
     uint32_t heapBase() const { return heapBase_; }
     uint32_t heapSize() const { return heapSize_; }
-    uint32_t granule() const { return granule_; }
 
     /** Size of the MMIO window in bytes (the bitmap itself). */
     uint32_t mmioSize() const
@@ -86,7 +85,7 @@ class RevocationBitmap : public mem::MmioDevice
     {
         a.expectU32(self.heapBase_);
         a.expectU32(self.heapSize_);
-        a.expectU32(self.granule_);
+        a.expectU32(kGranule);
         for (auto &word : self.words_) {
             a.u32(word);
         }
@@ -111,12 +110,11 @@ class RevocationBitmap : public mem::MmioDevice
   private:
     uint32_t bitIndexOf(uint32_t addr) const
     {
-        return (addr - heapBase_) / granule_;
+        return (addr - heapBase_) / kGranule;
     }
 
     uint32_t heapBase_;
     uint32_t heapSize_;
-    uint32_t granule_;
     std::vector<uint32_t> words_;
     StatGroup stats_{"bitmap"};
 };

@@ -248,8 +248,7 @@ Kernel::initHeap(alloc::TemporalMode mode, uint64_t quarantineThreshold)
     config.mode = mode;
     config.quarantineThreshold = quarantineThreshold;
     allocator_ = std::make_unique<alloc::HeapAllocator>(
-        guest_, heapCap, bitmapCap, machine_.revocationBitmap(), revoker,
-        config);
+        guest_, heapCap, bitmapCap, revoker, config);
 
     // Heap-pressure telemetry: a read-only MMIO window over the
     // allocator's health registers (free/quarantined bytes, oldest

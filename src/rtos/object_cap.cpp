@@ -2,6 +2,7 @@
 
 #include "fault/fault_injector.h"
 #include "sim/machine.h"
+#include "util/bits.h"
 #include "util/log.h"
 
 #include <algorithm>
@@ -10,23 +11,6 @@ namespace cheriot::rtos
 {
 
 using cap::Capability;
-
-namespace
-{
-
-/** The FlowManager avalanche mix (two rounds of multiply-xorshift). */
-uint32_t
-mix(uint32_t v)
-{
-    v ^= v >> 16;
-    v *= 0x7feb352du;
-    v ^= v >> 15;
-    v *= 0x846ca68bu;
-    v ^= v >> 16;
-    return v;
-}
-
-} // namespace
 
 const char *
 objectCapTypeName(ObjectCapType type)
@@ -85,22 +69,22 @@ ObjectCapTable::ObjectCapTable(GuestContext &guest, TokenLibrary &tokens,
 uint32_t
 ObjectCapTable::canaryOf(const Entry &entry, uint32_t id) const
 {
-    uint32_t h = mix(id ^ 0x0bedc0deu);
-    h = mix(h ^ static_cast<uint32_t>(entry.type));
-    h = mix(h ^ entry.ownerIndex);
-    h = mix(h ^ entry.parent);
-    h = mix(h ^ static_cast<uint32_t>(entry.begin) ^
-            static_cast<uint32_t>(entry.begin >> 32));
-    h = mix(h ^ static_cast<uint32_t>(entry.end) ^
-            static_cast<uint32_t>(entry.end >> 32));
-    h = mix(h ^ static_cast<uint32_t>(entry.mark) ^
-            static_cast<uint32_t>(entry.mark >> 32));
-    h = mix(h ^ (entry.canSend ? 0x5u : 0x0u) ^
-            (entry.canReceive ? 0xa0u : 0x0u));
-    h = mix(h ^ entry.target);
-    h = mix(h ^ static_cast<uint32_t>(entry.children.size()));
+    uint32_t h = mix32(id ^ 0x0bedc0deu);
+    h = mix32(h ^ static_cast<uint32_t>(entry.type));
+    h = mix32(h ^ entry.ownerIndex);
+    h = mix32(h ^ entry.parent);
+    h = mix32(h ^ static_cast<uint32_t>(entry.begin) ^
+              static_cast<uint32_t>(entry.begin >> 32));
+    h = mix32(h ^ static_cast<uint32_t>(entry.end) ^
+              static_cast<uint32_t>(entry.end >> 32));
+    h = mix32(h ^ static_cast<uint32_t>(entry.mark) ^
+              static_cast<uint32_t>(entry.mark >> 32));
+    h = mix32(h ^ (entry.canSend ? 0x5u : 0x0u) ^
+              (entry.canReceive ? 0xa0u : 0x0u));
+    h = mix32(h ^ entry.target);
+    h = mix32(h ^ static_cast<uint32_t>(entry.children.size()));
     for (const uint32_t child : entry.children) {
-        h = mix(h ^ child);
+        h = mix32(h ^ child);
     }
     return h;
 }

@@ -333,15 +333,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
 
       // --- CHERIoT capability instructions ---------------------------
       case Op::CGetPerm: intResult(rs1.perms().mask()); return;
-      case Op::CGetType: {
-        const uint32_t type =
-            rs1.isSealed()
-                ? rs1.otype() +
-                      (rs1.isExecutable() ? cap::kExecOtypeAddressBase : 0)
-                : 0;
-        intResult(type);
-        return;
-      }
+      case Op::CGetType: intResult(rs1.typeAddress()); return;
       case Op::CGetBase: intResult(rs1.base()); return;
       case Op::CGetLen: {
         const uint64_t length = rs1.length();

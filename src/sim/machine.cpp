@@ -86,8 +86,7 @@ TimerDevice::write32(uint32_t offset, uint32_t value)
 
 Machine::Machine(const MachineConfig &config)
     : config_(config), memory_(config.sramSize),
-      bitmap_(mem::kSramBase + config.heapOffset, config.heapSize,
-              config.revocationGranule),
+      bitmap_(mem::kSramBase + config.heapOffset, config.heapSize),
       filter_(&bitmap_),
       bgRevoker_(memory_.sram(), bitmap_, config.core.bus),
       bus_(config.core.bus), injector_(config.injector),
@@ -617,7 +616,7 @@ Machine::transferImage(Self &self, Image &image)
         a.expectU32(c.sramSize);
         a.expectU32(c.heapOffset);
         a.expectU32(c.heapSize);
-        a.expectU32(c.revocationGranule);
+        a.expectU32(revoker::RevocationBitmap::kGranule);
         return a.ok();
     };
     const auto cpu = [&](auto &a) {

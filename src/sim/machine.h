@@ -124,7 +124,6 @@ struct MachineConfig
     /** Heap window (covered by revocation bits); offsets within SRAM. */
     uint32_t heapOffset = 512u << 10;
     uint32_t heapSize = 256u << 10;
-    uint32_t revocationGranule = 8;
     /** Optional fault-injection engine; the machine attaches it to
      * the SRAM / bitmap / revoker and ticks it at its events. */
     fault::FaultInjector *injector = nullptr;

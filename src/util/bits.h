@@ -11,6 +11,7 @@
 #ifndef CHERIOT_UTIL_BITS_H
 #define CHERIOT_UTIL_BITS_H
 
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 
@@ -94,12 +95,32 @@ bitWidth(uint64_t value)
 constexpr unsigned
 popcount(uint64_t value)
 {
-    unsigned count = 0;
-    while (value != 0) {
-        count += value & 1;
-        value >>= 1;
-    }
-    return count;
+    return static_cast<unsigned>(std::popcount(value));
+}
+
+/**
+ * A 32-bit avalanche mix: two multiply-xorshift rounds, so a one-bit
+ * change in @p x flips about half the result. The canaries over flow,
+ * broker and object-capability entries are built from it.
+ */
+constexpr uint32_t
+mix32(uint32_t x)
+{
+    x ^= x >> 16;
+    x *= 0x7feb352du;
+    x ^= x >> 15;
+    x *= 0x846ca68bu;
+    x ^= x >> 16;
+    return x;
+}
+
+/** The SplitMix64 finaliser: a bijective 64-bit avalanche mix. */
+constexpr uint64_t
+splitMix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
 }
 
 } // namespace cheriot

@@ -11,6 +11,8 @@
 #ifndef CHERIOT_UTIL_RNG_H
 #define CHERIOT_UTIL_RNG_H
 
+#include "util/bits.h"
+
 #include <cstdint>
 
 namespace cheriot
@@ -26,10 +28,7 @@ class Rng
         uint64_t x = seed;
         for (auto &word : state_) {
             x += 0x9e3779b97f4a7c15ULL;
-            uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = static_cast<uint32_t>(z ^ (z >> 31));
+            word = static_cast<uint32_t>(splitMix64(x));
         }
     }
 
@@ -46,10 +45,7 @@ class Rng
     static constexpr uint64_t
     deriveStreamSeed(uint64_t seed, uint64_t streamId)
     {
-        uint64_t z = seed + (streamId + 1) * 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        return splitMix64(seed + (streamId + 1) * 0x9e3779b97f4a7c15ULL);
     }
 
     /** An independent generator for stream @p streamId under @p seed. */

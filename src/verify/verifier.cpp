@@ -760,17 +760,10 @@ Analyzer::step(uint32_t pc, AbstractState st)
         intResult(exact1, exact1 ? aRs1.value.perms().mask() : 0);
         goNext();
         return;
-      case Op::CGetType: {
-        uint32_t type = 0;
-        if (exact1 && aRs1.value.isSealed()) {
-            type = aRs1.value.otype() +
-                   (aRs1.value.isExecutable() ? cap::kExecOtypeAddressBase
-                                              : 0);
-        }
-        intResult(exact1, type);
+      case Op::CGetType:
+        intResult(exact1, exact1 ? aRs1.value.typeAddress() : 0);
         goNext();
         return;
-      }
       case Op::CGetBase:
         intResult(exact1, exact1 ? aRs1.value.base() : 0);
         goNext();

@@ -8,6 +8,16 @@ namespace cheriot::workloads
 
 using alloc::TemporalMode;
 
+namespace
+{
+
+/** Embedded thread stacks are a few hundred bytes to a couple of KiB
+ * (§5.2: "stack usage ... usually limited to a couple of KiBs"); the
+ * zeroing cost is bounded by this. */
+constexpr uint32_t kThreadStack = 256;
+
+} // namespace
+
 AllocBenchResult
 runAllocBench(const AllocBenchConfig &config)
 {
@@ -24,7 +34,7 @@ runAllocBench(const AllocBenchConfig &config)
     rtos::Kernel kernel(machine);
     kernel.initHeap(config.mode, config.quarantineThreshold);
     rtos::Thread &thread =
-        kernel.createThread("bench", 1, config.threadStack);
+        kernel.createThread("bench", 1, kThreadStack);
     std::string bootError;
     if (!kernel.finalizeBoot(&bootError)) {
         fatal("allocbench: boot verification failed: %s",

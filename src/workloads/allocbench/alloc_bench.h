@@ -31,10 +31,6 @@ struct AllocBenchConfig
     /** Quarantined bytes before a sweep (0 = mode-specific default). */
     uint64_t quarantineThreshold = 0;
     uint32_t heapSize = 256u << 10; ///< 256 KiB heap window.
-    /** Embedded thread stacks are a few hundred bytes to a couple of
-     * KiB (§5.2: "stack usage ... usually limited to a couple of
-     * KiBs"); the zeroing cost is bounded by this. */
-    uint32_t threadStack = 256;
 };
 
 struct AllocBenchResult

@@ -17,9 +17,6 @@ CoreMarkBuilder::CoreMarkBuilder(const CoreMarkConfig &config)
     listBenchLabel_ = asm_.newLabel();
     matrixBenchLabel_ = asm_.newLabel();
     stateBenchLabel_ = asm_.newLabel();
-    if ((config_.listNodes & (config_.listNodes - 1)) != 0) {
-        fatal("coremark: listNodes must be a power of two");
-    }
 }
 
 void
@@ -46,7 +43,7 @@ CoreMarkBuilder::emitOuterLoop()
     auto &a = asm_;
     a.li(S1, static_cast<int32_t>(config_.iterations));
     const auto outer = a.here();
-    for (uint32_t pass = 0; pass < config_.listPasses; ++pass) {
+    for (uint32_t pass = 0; pass < kListPasses; ++pass) {
         a.jal(Ra, listBenchLabel_);
     }
     a.jal(Ra, matrixBenchLabel_);

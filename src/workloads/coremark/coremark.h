@@ -28,6 +28,7 @@
 #include "sim/machine.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
+#include "util/bits.h"
 
 #include <cstdint>
 #include <string>
@@ -142,12 +143,6 @@ struct CoreMarkConfig
 {
     sim::CoreConfig core = sim::CoreConfig::ibex();
     uint32_t iterations = 200;
-    uint32_t listNodes = 128;
-    uint32_t matrixN = 8;
-    uint32_t stateBytes = 128;
-    /** List passes per iteration (CoreMark's time profile is
-     * list-heavy relative to the kernels' static sizes). */
-    uint32_t listPasses = 3;
     /** Emulate the §7.2 `-Oz` compiler bugs (ablation knob). */
     bool emulateCompilerBugs = true;
     /** Optional fault injector wired into the machine (campaigns). */
@@ -211,6 +206,18 @@ class CoreMarkBuilder
     static constexpr uint32_t kArenaSize = 0x10000;
 
   private:
+    /** @name Kernel sizes @{ */
+    static constexpr uint32_t kListNodes = 128;
+    static constexpr uint32_t kMatrixN = 8;
+    static constexpr uint32_t kStateBytes = 128;
+    /** List passes per iteration (CoreMark's time profile is
+     * list-heavy relative to the kernels' static sizes). */
+    static constexpr uint32_t kListPasses = 3;
+    /** @} */
+    static_assert(isPowerOfTwo(kListNodes),
+                  "the find loop masks the iteration count with "
+                  "kListNodes - 1");
+
     /** @name Arena layout @{ */
     uint32_t nodeStride() const
     {
@@ -221,15 +228,15 @@ class CoreMarkBuilder
     uint32_t listBase() const { return kArenaBase; }
     uint32_t matrixABase() const
     {
-        return listBase() + config_.listNodes * 24 /* worst case */;
+        return listBase() + kListNodes * 24 /* worst case */;
     }
     uint32_t matrixBBase() const
     {
-        return matrixABase() + config_.matrixN * config_.matrixN * 4;
+        return matrixABase() + kMatrixN * kMatrixN * 4;
     }
     uint32_t stateBase() const
     {
-        return matrixBBase() + config_.matrixN * config_.matrixN * 4;
+        return matrixBBase() + kMatrixN * kMatrixN * 4;
     }
     /** @} */
 

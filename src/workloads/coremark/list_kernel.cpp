@@ -25,7 +25,7 @@ CoreMarkBuilder::emitListInit()
 {
     auto &a = asm_;
     const uint32_t stride = nodeStride();
-    const uint32_t nodes = config_.listNodes;
+    const uint32_t nodes = kListNodes;
     const int32_t infoOff = static_cast<int32_t>(ptr_.ptrSize());
     const int32_t valueOff = 2 * infoOff;
 
@@ -90,7 +90,7 @@ CoreMarkBuilder::emitListBench()
     a.or_(Tp, A5, A2);
 
     // --- Find a value (depends on the iteration counter) ----------------
-    a.andi(A3, S1, static_cast<int32_t>(config_.listNodes - 1));
+    a.andi(A3, S1, static_cast<int32_t>(kListNodes - 1));
     ptr_.movePtr(a, T0, Gp);
     const auto findLoop = a.here();
     const auto findDone = a.newLabel();

@@ -20,7 +20,7 @@ void
 CoreMarkBuilder::emitMatrixInit()
 {
     auto &a = asm_;
-    const uint32_t n = config_.matrixN;
+    const uint32_t n = kMatrixN;
     const uint32_t cells = 2 * n * n; // A and B are contiguous.
 
     a.li(A0, static_cast<int32_t>(matrixABase()));
@@ -45,7 +45,7 @@ void
 CoreMarkBuilder::emitMatrixBench()
 {
     auto &a = asm_;
-    const int32_t n = static_cast<int32_t>(config_.matrixN);
+    const int32_t n = static_cast<int32_t>(kMatrixN);
     const int32_t rowBytes = n * 4;
     a.bind(matrixBenchLabel_);
 

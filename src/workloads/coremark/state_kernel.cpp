@@ -20,8 +20,8 @@ CoreMarkBuilder::emitStateInit()
     auto &a = asm_;
     a.li(A0, static_cast<int32_t>(stateBase()));
     ptr_.derivePtr(a, A2, S0, A0);
-    ptr_.boundPtr(a, A2, static_cast<int32_t>(config_.stateBytes));
-    a.li(T0, static_cast<int32_t>(config_.stateBytes));
+    ptr_.boundPtr(a, A2, static_cast<int32_t>(kStateBytes));
+    a.li(T0, static_cast<int32_t>(kStateBytes));
     a.li(T1, 0x5eed1234); // LCG seed
     const auto fill = a.here();
     a.li(A3, 1664525);
@@ -45,8 +45,8 @@ CoreMarkBuilder::emitStateBench()
     a.li(A0, static_cast<int32_t>(stateBase()));
     ptr_.derivePtr(a, A2, S0, A0);
     ptr_.globalAccessOverhead(a, A2,
-                              static_cast<int32_t>(config_.stateBytes));
-    a.li(T0, static_cast<int32_t>(config_.stateBytes));
+                              static_cast<int32_t>(kStateBytes));
+    a.li(T0, static_cast<int32_t>(kStateBytes));
     a.li(T1, 0); // machine state
 
     const auto loop = a.here();

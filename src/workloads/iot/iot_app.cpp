@@ -25,6 +25,8 @@ namespace
 /** MQTT per-byte parsing budget. */
 constexpr uint32_t kMqttParseCyclesPerByte = 30;
 
+constexpr uint32_t kJsTickHz = 100; ///< 10 ms animation period.
+
 } // namespace
 
 IotAppResult
@@ -210,7 +212,7 @@ runIotApp(const IotAppConfig &config)
     // defers the tick so the receive path can drain — the PR-3
     // pressure machinery fed by ring-full backpressure. The
     // thresholds are far outside a healthy run's envelope.
-    scheduler.addPeriodic("js-tick", config.clockHz / config.jsTickHz, 1,
+    scheduler.addPeriodic("js-tick", config.clockHz / kJsTickHz, 1,
                           [&] {
                               kernel.activate(jsThread);
                               kernel.call(jsThread, jsTickImport, {});

@@ -46,7 +46,6 @@ struct IotAppConfig
     double simSeconds = 60.0;
     alloc::TemporalMode mode = alloc::TemporalMode::HardwareRevocation;
     uint32_t packetsPerSec = 20;
-    uint32_t jsTickHz = 100; ///< 10 ms animation period.
     /** Optional fault injector wired into the machine (campaigns). */
     fault::FaultInjector *injector = nullptr;
     /** Install per-compartment error handlers (drop-packet recovery

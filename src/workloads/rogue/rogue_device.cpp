@@ -14,7 +14,9 @@ using net::FlowKind;
 namespace
 {
 constexpr uint64_t kStreamRogue = 0x406e;
-}
+/** Epoch the flood claims; replays claim the one before. */
+constexpr uint32_t kClaimedEpoch = 2;
+} // namespace
 
 RogueDevice::RogueDevice(uint32_t mac, uint64_t seed,
                          RogueConfig config)
@@ -54,7 +56,7 @@ RogueDevice::emit(uint32_t round,
             // Flood: well-formed data, fresh sequence numbers. Dies
             // at the token bucket once the burst is spent.
             header.type = FleetFrameType::Data;
-            header.seq = (config_.claimedEpoch << 24) |
+            header.seq = (kClaimedEpoch << 24) |
                          (floodSeq_++ & 0xffffffu);
             frame = buildFleetFrame(
                 header, {0xf100d000u + n, round, rng_.next(), 0});
@@ -65,9 +67,7 @@ RogueDevice::emit(uint32_t round,
             // Stale-epoch replay: a frame from a superseded
             // incarnation. Typed stale-epoch drop plus a strike.
             header.type = FleetFrameType::Data;
-            const uint32_t oldEpoch =
-                config_.claimedEpoch > 0 ? config_.claimedEpoch - 1 : 0;
-            header.seq = (oldEpoch << 24) | rng_.below(64);
+            header.seq = ((kClaimedEpoch - 1) << 24) | rng_.below(64);
             frame = buildFleetFrame(header,
                                     {0x57a1eu, round, rng_.next(), 0});
             staleReplays_++;
@@ -84,7 +84,7 @@ RogueDevice::emit(uint32_t round,
         case 4: {
             // Oversized: longer than any honest rule allows.
             header.type = FleetFrameType::Data;
-            header.seq = (config_.claimedEpoch << 24) |
+            header.seq = (kClaimedEpoch << 24) |
                          (floodSeq_++ & 0xffffffu);
             std::vector<uint32_t> payload(config_.oversizeWords,
                                           0x0b0e5e1du);
@@ -96,7 +96,7 @@ RogueDevice::emit(uint32_t round,
             // Flow-level abuse: SYN churn with bogus ids/epochs, or a
             // window credit for a flow that does not exist.
             header.type = FleetFrameType::Data;
-            header.seq = (config_.claimedEpoch << 24) |
+            header.seq = (kClaimedEpoch << 24) |
                          (floodSeq_++ & 0xffffffu);
             if (rng_.below(2) == 0) {
                 const uint32_t id = rng_.below(0x10000);

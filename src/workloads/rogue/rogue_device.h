@@ -43,8 +43,6 @@ struct RogueConfig
     uint32_t startRound = 4;
     uint32_t endRound = 64;       ///< Attack window [start, end).
     uint32_t framesPerRound = 6;  ///< Forged frames per round.
-    /** Epoch the flood claims; replays claim earlier ones. */
-    uint32_t claimedEpoch = 2;
     uint32_t oversizeWords = 120; ///< Payload words of an oversize.
 };
 

@@ -2,6 +2,7 @@
 
 #include "rtos/heap_pressure.h"
 #include "rtos/kernel.h"
+#include "util/bits.h"
 #include "util/log.h"
 
 #include <deque>
@@ -41,10 +42,7 @@ class Rng
     uint64_t next()
     {
         state_ += 0x9e3779b97f4a7c15ull;
-        uint64_t z = state_;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
+        return splitMix64(state_);
     }
 
     uint32_t below(uint32_t bound)
@@ -55,6 +53,19 @@ class Rng
   private:
     uint64_t state_;
 };
+
+/** Static region for compartment images, stacks and kernel
+ * bookkeeping. */
+constexpr uint32_t kStaticSize = 64u << 10;
+/** Quotas: victim + attacker stay well under the heap so victim
+ * allocations are always satisfiable once revocation catches up. */
+constexpr uint64_t kVictimQuota = 16u << 10;
+constexpr uint64_t kAttackerQuota = 48u << 10;
+/** Scheduler periods (cycles). */
+constexpr uint64_t kVictimPeriod = 2048;
+constexpr uint64_t kAttackerPeriod = 512;
+/** Cool-down phase length (cycles). */
+constexpr uint64_t kCooldownCycles = 120000;
 
 /** Ring of stale-capability stash slots in the attacker's globals:
  * freed capabilities are parked in guest memory so re-loading them
@@ -72,8 +83,8 @@ runStressScenario(const StressConfig &config)
 
     sim::MachineConfig machineConfig;
     machineConfig.core = config.core;
-    machineConfig.sramSize = config.heapSize + config.staticSize;
-    machineConfig.heapOffset = config.staticSize;
+    machineConfig.sramSize = config.heapSize + kStaticSize;
+    machineConfig.heapOffset = kStaticSize;
     machineConfig.heapSize = config.heapSize;
 
     sim::Machine machine(machineConfig);
@@ -92,9 +103,9 @@ runStressScenario(const StressConfig &config)
     }
 
     const Capability victimCap =
-        kernel.mintAllocatorCapability(victim, config.victimQuota);
+        kernel.mintAllocatorCapability(victim, kVictimQuota);
     const Capability attackerCap =
-        kernel.mintAllocatorCapability(attacker, config.attackerQuota);
+        kernel.mintAllocatorCapability(attacker, kAttackerQuota);
 
     // Admission control: elastic attacker work is deferred while
     // revocation is visibly behind, judged purely through the
@@ -171,7 +182,7 @@ runStressScenario(const StressConfig &config)
     // --- Victim: small steady in-quota allocations, each one
     // dereference-checked, oldest freed beyond a bounded working set.
     kernel.scheduler().addPeriodic(
-        "victim", config.victimPeriod, 2, [&]() {
+        "victim", kVictimPeriod, 2, [&]() {
             kernel.activate(victimThread);
             result.victimAttempts++;
             AllocResult res = AllocResult::Ok;
@@ -224,7 +235,7 @@ runStressScenario(const StressConfig &config)
     };
 
     kernel.scheduler().addPeriodic(
-        "attacker", config.attackerPeriod, 1, [&]() {
+        "attacker", kAttackerPeriod, 1, [&]() {
             if (!attackActive) {
                 return;
             }
@@ -290,7 +301,7 @@ runStressScenario(const StressConfig &config)
     // Phase 2: attack over; the victim keeps running while the
     // system digests the backlog.
     attackActive = false;
-    kernel.scheduler().runFor(config.cooldownCycles);
+    kernel.scheduler().runFor(kCooldownCycles);
 
     // Tear down the working sets and let revocation settle, then
     // check the heap came all the way back.

@@ -61,19 +61,8 @@ struct StressConfig
     /** Quarantined bytes before a sweep (0 = allocator default). */
     uint64_t quarantineThreshold = 0;
     uint32_t heapSize = 128u << 10;
-    /** Static region for compartment images, stacks and kernel
-     * bookkeeping. */
-    uint32_t staticSize = 64u << 10;
-    /** Quotas: victim + attacker stay well under the heap so victim
-     * allocations are always satisfiable once revocation catches up. */
-    uint64_t victimQuota = 16u << 10;
-    uint64_t attackerQuota = 48u << 10;
-    /** Scheduler periods (cycles). */
-    uint64_t victimPeriod = 2048;
-    uint64_t attackerPeriod = 512;
-    /** Phase lengths (cycles). */
+    /** Attack phase length (cycles). */
     uint64_t attackCycles = 400000;
-    uint64_t cooldownCycles = 120000;
     uint64_t seed = 1;
 };
 

@@ -6,10 +6,12 @@
  */
 
 #include "cap/permissions.h"
+#include "snapshot/serializer.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace cheriot::cap
 {
@@ -148,6 +150,33 @@ TEST(Permissions, MostCommonlyClearedPermsAreLowBits)
     EXPECT_EQ(PermLoadGlobal, 1u << 1);
     EXPECT_EQ(PermLoadMutable, 1u << 2);
     EXPECT_EQ(PermStore, 1u << 3);
+}
+
+TEST(Permissions, CodecMatchesTheRecord)
+{
+    // The codec's whole truth table, as two CRC-32s. For each of the
+    // 64 fields: the decoded mask as two little-endian bytes, then the
+    // format as one byte. For each of the 4096 masks: the compressed
+    // field, which pins the field that every set the encoding cannot
+    // represent compresses to.
+    std::vector<uint8_t> decoded;
+    for (unsigned field = 0; field < 64; ++field) {
+        const uint16_t mask =
+            decompressPerms(static_cast<uint8_t>(field)).mask();
+        decoded.push_back(static_cast<uint8_t>(mask));
+        decoded.push_back(static_cast<uint8_t>(mask >> 8));
+        decoded.push_back(
+            static_cast<uint8_t>(formatOf(static_cast<uint8_t>(field))));
+    }
+    EXPECT_EQ(snapshot::crc32(decoded.data(), decoded.size()), 0x8d78e79cu);
+
+    std::vector<uint8_t> compressed;
+    for (uint32_t mask = 0; mask < 4096; ++mask) {
+        compressed.push_back(
+            compressPerms(PermSet(static_cast<uint16_t>(mask))));
+    }
+    EXPECT_EQ(snapshot::crc32(compressed.data(), compressed.size()),
+              0x14f31cbau);
 }
 
 TEST(Permissions, ToStringIsReadable)

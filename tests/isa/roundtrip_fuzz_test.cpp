@@ -262,6 +262,16 @@ TEST(RoundTripFuzz, ParseRefusesOperandsEncodeCannotTake)
              "csrrwi a0, 0x300, 99",
              "lui a0, 0x100000",
              "csrrw a0, 0x1000, a1",
+             "lw a0, 4, sp",
+             "addi a0, a0, 0x10",
+             "addi a0, a0, 010",
+             "csrrw a0, 768, a1",
+             "add a0, a1, a2,",
+             "add a0,a1,a2",
+             "add  a0, a1, a2",
+             "clc a0, 16 (sp)",
+             "beq a0, a1, 8",
+             "lui a0, 16",
          }) {
         EXPECT_EQ(parseAssembly(text, 0), std::nullopt) << text;
     }

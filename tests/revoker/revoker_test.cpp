@@ -39,7 +39,7 @@ config(sim::CoreConfig core = sim::CoreConfig::ibex())
 
 TEST(RevocationBitmap, SetTestClearRanges)
 {
-    RevocationBitmap bitmap(0x20010000, 0x8000, 8);
+    RevocationBitmap bitmap(0x20010000, 0x8000);
     EXPECT_FALSE(bitmap.isRevoked(0x20010000));
 
     bitmap.setRange(0x20010100, 64);
@@ -58,7 +58,7 @@ TEST(RevocationBitmap, SetTestClearRanges)
 
 TEST(RevocationBitmap, GranuleRounding)
 {
-    RevocationBitmap bitmap(0x20010000, 0x1000, 8);
+    RevocationBitmap bitmap(0x20010000, 0x1000);
     // A 1-byte range still paints its whole granule.
     bitmap.setRange(0x20010009, 1);
     EXPECT_TRUE(bitmap.isRevoked(0x20010008));
@@ -68,7 +68,7 @@ TEST(RevocationBitmap, GranuleRounding)
 
 TEST(RevocationBitmap, MmioView)
 {
-    RevocationBitmap bitmap(0x20010000, 0x1000, 8);
+    RevocationBitmap bitmap(0x20010000, 0x1000);
     bitmap.write32(0, 0xffffffff);
     EXPECT_TRUE(bitmap.isRevoked(0x20010000));
     EXPECT_TRUE(bitmap.isRevoked(0x200100f8)); // bit 31 covers +0xf8
