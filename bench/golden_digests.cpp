@@ -32,10 +32,16 @@
  * revocation cell; it takes about as long as the main set, so the two
  * run as separate CTests.
  *
- * Usage: golden_digests [--table4] FILE          compare against FILE
- *                                                (exit 1 on any
- *                                                difference)
- *        golden_digests [--table4] --write FILE  regenerate FILE
+ * With --campaign it records a third set: every run of the
+ * 1000-injection campaign over both workloads at the campaign seed
+ * (site, fired, outcome, safety violations and final digest), one
+ * line per injection, so a mismatch names the injection that moved.
+ *
+ * Usage: golden_digests [--table4|--campaign] FILE   compare against
+ *                                                    FILE (exit 1 on
+ *                                                    any difference)
+ *        golden_digests [--table4|--campaign] --write FILE
+ *                                                    regenerate FILE
  */
 
 #include "caps_harness.h"
@@ -71,6 +77,7 @@ namespace
 
 constexpr uint64_t kCampaignSeed = 0xc8e210a5u;
 constexpr uint32_t kCampaignInjections = 106;
+constexpr uint32_t kFullCampaignInjections = 1000;
 constexpr double kIotSeconds = 1.0;
 constexpr uint64_t kNetPackets = 2000;
 constexpr uint64_t kFleetSeed = 7;
@@ -144,29 +151,36 @@ iotLines(std::vector<std::string> &out)
     }
 }
 
-/** Campaign lines; also reports which fault sites were drawn. */
+/** One line per run of the campaign over @p workload at the campaign
+ * seed; also reports which fault sites were drawn. */
+void
+campaignRunLines(std::vector<std::string> &out, std::set<uint32_t> &sites,
+                 fault::CampaignWorkload workload, uint32_t injections)
+{
+    fault::CampaignConfig config;
+    config.seed = kCampaignSeed;
+    config.injections = injections;
+    config.workload = workload;
+    const fault::CampaignReport report = fault::runFaultCampaign(config);
+    for (const fault::CampaignRun &run : report.details) {
+        sites.insert(static_cast<uint32_t>(run.plan.site));
+        out.push_back(format(
+            "campaign %s %u site=%s fired=%d outcome=%s"
+            " violations=%" PRIu64 " digest=0x%08x",
+            fault::campaignWorkloadName(run.workload), run.index,
+            fault::faultSiteName(run.plan.site), run.fired ? 1 : 0,
+            fault::outcomeName(run.outcome), run.safetyViolations,
+            run.finalDigest));
+    }
+}
+
 void
 campaignLines(std::vector<std::string> &out, std::set<uint32_t> &sites)
 {
     for (const fault::CampaignWorkload workload :
          {fault::CampaignWorkload::Iot,
           fault::CampaignWorkload::CoreMark}) {
-        fault::CampaignConfig config;
-        config.seed = kCampaignSeed;
-        config.injections = kCampaignInjections;
-        config.workload = workload;
-        const fault::CampaignReport report =
-            fault::runFaultCampaign(config);
-        for (const fault::CampaignRun &run : report.details) {
-            sites.insert(static_cast<uint32_t>(run.plan.site));
-            out.push_back(format(
-                "campaign %s %u site=%s fired=%d outcome=%s"
-                " violations=%" PRIu64 " digest=0x%08x",
-                fault::campaignWorkloadName(workload), run.index,
-                fault::faultSiteName(run.plan.site), run.fired ? 1 : 0,
-                fault::outcomeName(run.outcome), run.safetyViolations,
-                run.finalDigest));
-        }
+        campaignRunLines(out, sites, workload, kCampaignInjections);
     }
 }
 
@@ -536,10 +550,15 @@ readLines(const std::string &path, bool *ok)
 int
 main(int argc, char **argv)
 {
-    bench::Flags flags("golden_digests", "[--table4] [--write] FILE", argc,
-                       argv);
+    bench::Flags flags("golden_digests",
+                       "[--table4|--campaign] [--write] FILE", argc, argv);
     const bool table4 = flags.has("--table4");
+    const bool campaign = flags.has("--campaign");
     const bool write = flags.has("--write");
+    if (table4 && campaign) {
+        flags.refuse("--table4 and --campaign select different records");
+    }
+    const bool mainSet = !table4 && !campaign;
     const std::string path = flags.done(1, 1)[0];
 
     std::vector<std::string> golden;
@@ -557,6 +576,9 @@ main(int argc, char **argv)
     std::set<uint32_t> sites;
     if (table4) {
         table4Lines(lines);
+    } else if (campaign) {
+        campaignRunLines(lines, sites, fault::CampaignWorkload::Both,
+                         kFullCampaignInjections);
     } else {
         coreMarkLines(lines);
         iotLines(lines);
@@ -580,7 +602,7 @@ main(int argc, char **argv)
     }
 
     bool ok = true;
-    if (!table4 && sites.size() != fault::kFaultSiteCount) {
+    if (mainSet && sites.size() != fault::kFaultSiteCount) {
         std::printf("campaign injections drew %zu of %u fault sites\n",
                     sites.size(), fault::kFaultSiteCount);
         ok = false;
@@ -592,6 +614,12 @@ main(int argc, char **argv)
             out << "# Golden Table 4 cells (" << (kTable4Bytes >> 10)
                 << " KiB per cell). Regenerate with: golden_digests "
                    "--table4 --write FILE\n";
+        } else if (campaign) {
+            out << "# Golden " << kFullCampaignInjections
+                << "-injection campaign (seed 0x"
+                << format("%" PRIx64, kCampaignSeed)
+                << ", workload both). Regenerate with: golden_digests "
+                   "--campaign --write FILE\n";
         } else {
             out << "# Golden end-state digests (seed 0x"
                 << format("%" PRIx64, kCampaignSeed)
@@ -623,7 +651,7 @@ main(int argc, char **argv)
     }
     std::printf("golden_digests: %zu lines, %zu mismatches", lines.size(),
                 mismatches);
-    if (!table4) {
+    if (mainSet) {
         std::printf(", %zu/%u fault sites", sites.size(),
                     fault::kFaultSiteCount);
     }
