@@ -700,7 +700,9 @@ Machine::restoreImage(const snapshot::SnapshotImage &image)
 uint32_t
 Machine::stateDigest() const
 {
-    return saveImage().digest();
+    snapshot::SnapshotWriter out;
+    save(out);
+    return out.imageCrc();
 }
 
 } // namespace cheriot::sim

@@ -66,6 +66,41 @@ crc32(const uint8_t *data, size_t size, uint32_t seed)
     return c ^ 0xffffffffu;
 }
 
+namespace
+{
+
+/** a(x) * b(x) modulo the CRC polynomial, both reflected (bit 31 is
+ * the coefficient of x^0). */
+uint32_t
+multiplyModPoly(uint32_t a, uint32_t b)
+{
+    uint32_t product = 0;
+    for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if ((a & m) != 0) {
+            product ^= b;
+        }
+        b = (b & 1) ? 0xedb88320u ^ (b >> 1) : b >> 1;
+    }
+    return product;
+}
+
+} // namespace
+
+uint32_t
+crc32Combine(uint32_t crcA, uint32_t crcB, size_t lengthB)
+{
+    // x^(8 * lengthB) is the product of x^(8 * 2^k) over the set bits
+    // k of lengthB; each square comes from the one before it.
+    uint32_t shift = 1u << 31; // x^0
+    for (uint32_t square = 1u << 23 /* x^8 */; lengthB != 0;
+         lengthB >>= 1, square = multiplyModPoly(square, square)) {
+        if ((lengthB & 1) != 0) {
+            shift = multiplyModPoly(square, shift);
+        }
+    }
+    return multiplyModPoly(shift, crcA) ^ crcB;
+}
+
 void
 Writer::put(uint64_t bits, size_t size)
 {

@@ -53,6 +53,12 @@ namespace cheriot::snapshot
  * @p seed of a previous result continues that CRC. */
 uint32_t crc32(const uint8_t *data, size_t size, uint32_t seed = 0);
 
+/** The CRC-32 of A followed by B, from @p crcA = crc32(A), @p crcB =
+ * crc32(B) and B's length, without reading either: appending
+ * @p lengthB bytes multiplies A's remainder by x^(8 * lengthB) modulo
+ * the polynomial, in O(log lengthB) steps. */
+uint32_t crc32Combine(uint32_t crcA, uint32_t crcB, size_t lengthB);
+
 /**
  * Counts the bytes a layout writes and stores nothing. Reader runs an
  * element's layout over a default element with it to learn the least

@@ -24,26 +24,70 @@ SnapshotWriter::endSection()
     if (!open_) {
         return;
     }
-    sections_.push_back({currentName_, current_.take()});
+    std::vector<uint8_t> payload = current_.take();
+    const uint32_t crc = crc32(payload.data(), payload.size());
+    sections_.push_back({currentName_, std::move(payload), crc});
     open_ = false;
+}
+
+namespace
+{
+
+/** The image layout ahead of the payloads: the header, and one
+ * manifest entry before each section's payload. */
+void
+putHeader(Writer &out, size_t sectionCount)
+{
+    out.u32(kSnapshotMagic);
+    out.u32(kSnapshotVersion);
+    out.u32(static_cast<uint32_t>(sectionCount));
+}
+
+void
+putEntry(Writer &out, const std::string &name, size_t payloadSize,
+         uint32_t payloadCrc)
+{
+    out.str(name);
+    out.u32(static_cast<uint32_t>(payloadSize));
+    out.u32(payloadCrc);
+}
+
+/** crc32 of @p bytes' buffer, continuing @p seed. */
+uint32_t
+crcOf(const Writer &bytes, uint32_t seed = 0)
+{
+    return crc32(bytes.buffer().data(), bytes.size(), seed);
+}
+
+} // namespace
+
+uint32_t
+SnapshotWriter::imageCrc()
+{
+    endSection();
+    Writer header;
+    putHeader(header, sections_.size());
+    uint32_t crc = crcOf(header);
+    for (const Section &section : sections_) {
+        Writer entry;
+        putEntry(entry, section.name, section.payload.size(), section.crc);
+        crc = crc32Combine(crcOf(entry, crc), section.crc,
+                           section.payload.size());
+    }
+    return crc;
 }
 
 SnapshotImage
 SnapshotWriter::finish()
 {
-    endSection();
+    const uint32_t crc = imageCrc();
     Writer out;
-    out.u32(kSnapshotMagic);
-    out.u32(kSnapshotVersion);
-    out.u32(static_cast<uint32_t>(sections_.size()));
+    putHeader(out, sections_.size());
     for (const Section &section : sections_) {
-        out.str(section.name);
-        out.u32(static_cast<uint32_t>(section.payload.size()));
-        out.u32(crc32(section.payload.data(), section.payload.size()));
+        putEntry(out, section.name, section.payload.size(), section.crc);
         out.bytes(section.payload.data(), section.payload.size());
     }
-    const uint32_t imageCrc = crc32(out.buffer().data(), out.size());
-    out.u32(imageCrc);
+    out.u32(crc);
     SnapshotImage image;
     image.data = out.take();
     sections_.clear();

@@ -94,7 +94,15 @@ class SnapshotWriter
         return true;
     }
 
-    /** Seal the image (appends the whole-image CRC). */
+    /**
+     * The whole-image CRC that finish() appends, equal to the image's
+     * digest(), without assembling the image: the CRC of the header
+     * and manifest bytes joined with each section's CRC (computed by
+     * endSection) through crc32Combine, so no payload is read twice.
+     */
+    uint32_t imageCrc();
+
+    /** Seal the image (appends imageCrc()). */
     SnapshotImage finish();
 
   private:
@@ -102,6 +110,7 @@ class SnapshotWriter
     {
         std::string name;
         std::vector<uint8_t> payload;
+        uint32_t crc;
     };
 
     std::vector<Section> sections_;

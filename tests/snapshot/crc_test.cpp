@@ -2,7 +2,8 @@
  * @file
  * The snapshot CRC-32: the slicing-by-8 implementation against a
  * bytewise reference kept here, on random unaligned buffers with
- * random seeds, plus the standard check value.
+ * random seeds, plus the standard check value; and crc32Combine
+ * against the CRC of the concatenation.
  */
 
 #include "snapshot/serializer.h"
@@ -71,6 +72,37 @@ TEST(Crc32, SeedContinuesAcrossSplits)
                         crc32(data.data(), split)),
                   whole)
             << "split " << split;
+    }
+}
+
+TEST(Crc32, CombineEqualsTheCrcOfTheConcatenation)
+{
+    Rng rng(0xc0b1);
+    std::vector<uint8_t> data(300'000);
+    for (uint8_t &byte : data) {
+        byte = static_cast<uint8_t>(rng.next());
+    }
+    const auto expectCombines = [&](size_t begin, size_t split,
+                                    size_t end) {
+        const uint8_t *p = data.data();
+        EXPECT_EQ(crc32Combine(crc32(p + begin, split - begin),
+                               crc32(p + split, end - split), end - split),
+                  crc32(p + begin, end - begin))
+            << "[" << begin << ", " << split << ", " << end << ")";
+    };
+    // Empty parts, and parts past 2^16 and 2^18 bytes.
+    expectCombines(0, 0, 0);
+    expectCombines(0, 0, 1000);
+    expectCombines(0, 1000, 1000);
+    expectCombines(5, 70'000, 300'000);
+    expectCombines(0, 1, 262'145);
+    for (int trial = 0; trial < 200; ++trial) {
+        const size_t begin = rng.below(1000);
+        const size_t end =
+            begin + rng.below(static_cast<uint32_t>(data.size() - begin));
+        const size_t split =
+            begin + rng.below(static_cast<uint32_t>(end - begin + 1));
+        expectCombines(begin, split, end);
     }
 }
 

@@ -13,6 +13,8 @@
 #include "sim/machine.h"
 #include "snapshot/snapshot.h"
 #include "util/rng.h"
+#include "workloads/coremark/coremark.h"
+#include "workloads/iot/iot_app.h"
 
 #include <gtest/gtest.h>
 
@@ -520,6 +522,37 @@ TEST(SnapshotRoundtrip, ManifestNamesEveryComponent)
     Reader missing = reader.section("no-such-component");
     missing.u32();
     EXPECT_FALSE(missing.ok());
+}
+
+/** stateDigest() joins section CRCs instead of assembling the image;
+ * it must equal the digest of the image saveImage() assembles. */
+TEST(SnapshotDigest, OnePassDigestEqualsTheImageDigest)
+{
+    sim::Machine fresh(smallConfig());
+    EXPECT_EQ(fresh.stateDigest(), fresh.saveImage().digest());
+
+    workloads::CoreMarkConfig config;
+    config.iterations = 1;
+    workloads::CoreMarkBuilder builder(config);
+    sim::Machine coremark(smallConfig());
+    coremark.loadProgram(builder.build(), builder.entry());
+    coremark.resetCpu(builder.entry());
+    ASSERT_EQ(coremark.run(uint64_t{1} << 26).reason,
+              sim::HaltReason::ConsoleExit);
+    EXPECT_EQ(coremark.stateDigest(), coremark.saveImage().digest());
+
+    // The IoT app's last debug poll sees its end state.
+    workloads::IotAppConfig iot;
+    iot.simSeconds = 0.3;
+    uint32_t onePass = 0;
+    uint32_t assembled = 1;
+    iot.debugPoll = [&](sim::Machine &machine, rtos::Kernel &) {
+        onePass = machine.stateDigest();
+        assembled = machine.saveImage().digest();
+    };
+    const workloads::IotAppResult result = workloads::runIotApp(iot);
+    EXPECT_EQ(onePass, assembled);
+    EXPECT_EQ(result.finalDigest, assembled);
 }
 
 } // namespace
