@@ -7,6 +7,8 @@
 #include "util/log.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace cheriot::sim
 {
@@ -142,14 +144,20 @@ void
 Machine::advanceToInjectorEvents(uint64_t cycleCount, uint64_t memPortBusy)
 {
     for (uint64_t done = 0; done < cycleCount;) {
-        const uint64_t window = std::min(
-            cycleCount - done, injector_->nextEventCycle(cycles()) - cycles());
+        const uint64_t event = injector_->nextEventCycle(cycles());
+        const uint64_t window = std::min(cycleCount - done, event - cycles());
         const uint64_t busy =
             memPortBusy > done ? std::min(memPortBusy - done, window) : 0;
         bgRevoker_.advance(window, busy);
         cycles_ += window;
         done += window;
         injector_->tick(cycles());
+        if (cycles() == event) {
+            // The injector may have acted (a spurious fault to take,
+            // memory or the revoker changed): the next instruction
+            // starts a block and polls it.
+            endBlock_ = true;
+        }
     }
     timer_.tick(cycles());
 }
@@ -333,6 +341,7 @@ Machine::zeroMemory(const Capability &auth, uint32_t addr, uint32_t bytes,
 void
 Machine::raiseTrap(TrapCause cause, uint32_t tval)
 {
+    endBlock_ = true;
     traps_++;
     lastTrap_ = cause;
     if (runControl_ != nullptr) {
@@ -402,37 +411,155 @@ Machine::takePendingInterrupt()
     return false;
 }
 
-const isa::Inst &
-Machine::decodeAt(uint32_t pc)
+namespace
 {
-    const uint32_t index = (pc - mem::kSramBase) / 4;
-    if (decodeValid_.empty()) {
-        decodeCache_.resize(config_.sramSize / 4);
-        decodeValid_.resize(config_.sramSize / 4, false);
+
+/** The ops that end a block: control transfers, system and CSR ops,
+ * and Illegal (it traps). */
+bool
+endsBlock(isa::Op op)
+{
+    using isa::Op;
+    switch (op) {
+      case Op::Illegal:
+      case Op::Jal: case Op::Jalr:
+      case Op::Beq: case Op::Bne: case Op::Blt: case Op::Bge:
+      case Op::Bltu: case Op::Bgeu:
+      case Op::Ecall: case Op::Ebreak: case Op::Mret:
+      case Op::Csrrw: case Op::Csrrs: case Op::Csrrc:
+      case Op::Csrrwi: case Op::Csrrsi: case Op::Csrrci:
+      case Op::CSpecialRw:
+        return true;
+      default:
+        return false;
     }
-    if (!decodeValid_[index]) {
+}
+
+} // namespace
+
+uint32_t
+Machine::formBlock(uint32_t word)
+{
+    std::unique_ptr<DecodePage> &page = decodePages_[word / kPageWords];
+    if (page == nullptr) {
+        page = std::make_unique<DecodePage>();
+    }
+    const uint32_t start = word % kPageWords;
+    if (!page->valid[start]) {
         // peek32, not read32: the cache fills lazily, so which fetches
         // miss depends on restore history — a counted read here would
         // make resumed runs diverge from straight ones in the
         // serialized access counters.
-        isa::DecodeError error;
-        decodeCache_[index] =
-            isa::decode(memory_.sram().peek32(pc), &error);
-        decodeValid_[index] = true;
-        decodedLow_ = std::min(decodedLow_, index);
-        decodedHigh_ = std::max(decodedHigh_, index + 1);
+        page->insts[start] =
+            isa::decode(memory_.sram().peek32(mem::kSramBase + word * 4));
+        page->valid[start] = true;
+        decodedLow_ = std::min(decodedLow_, word);
+        decodedHigh_ = std::max(decodedHigh_, word + 1);
         decodeFills++;
-        if (!error.ok()) {
-            // Keep the typed diagnosis so the illegal-instruction trap
-            // can say precisely which field was reserved/malformed.
-            lastDecodeError_ = error;
-        }
-    } else if (decodeCache_[index].op == isa::Op::Illegal) {
-        isa::DecodeError error;
-        isa::decode(memory_.sram().peek32(pc), &error);
-        lastDecodeError_ = error;
     }
-    return decodeCache_[index];
+    // Only over words already decoded: stop short of the first that
+    // is not, and cache the length once the block is whole.
+    uint32_t end = start;
+    while (!endsBlock(page->insts[end++].op) && end < kPageWords) {
+        if (!page->valid[end]) {
+            return end - start;
+        }
+    }
+    page->blockLength[start] = static_cast<uint16_t>(end - start);
+    return end - start;
+}
+
+void
+Machine::runBlocks(uint64_t budget)
+{
+    if (decodePages_.empty()) {
+        // Sized by the first run: a machine that runs no guest code
+        // holds no decode cache at all.
+        decodePages_.resize((config_.sramSize + kPageWords * 4 - 1) /
+                            (kPageWords * 4));
+    }
+    while (!halted()) {
+        endBlock_ = false;
+        if (injector_ != nullptr) {
+            // Spurious traps / trap storms hit the core between
+            // instructions, exactly like a glitched interrupt line.
+            // They arrive at injector events, which end a block.
+            uint32_t cause = 0;
+            if (injector_->takeSpuriousFault(&cause)) {
+                raiseTrap(static_cast<TrapCause>(cause), pcc_.address());
+                return;
+            }
+        }
+        if (csrs_.mie && takePendingInterrupt()) {
+            return;
+        }
+
+        const uint32_t pc = pcc_.address();
+        // Instruction fetch checks: PCC must be a valid, unsealed (the
+        // sentry unsealing happened at the jump), executable capability
+        // covering the fetch.
+        if (config_.core.cheriEnabled) {
+            if (!pcc_.tag() || pcc_.isSealed() ||
+                !pcc_.perms().has(cap::PermExecute) ||
+                !pcc_.inBounds(pc, 4)) {
+                raiseTrap(TrapCause::InstrAccessFault, pc);
+                return;
+            }
+        }
+        if (!memory_.isSram(pc, 4) || pc % 4 != 0) {
+            raiseTrap(TrapCause::InstrAccessFault, pc);
+            return;
+        }
+
+        // A cached length means the first word is decoded too;
+        // otherwise decode it if need be and form the block.
+        const uint32_t word = (pc - mem::kSramBase) / 4;
+        const DecodePage *page = decodePages_[word / kPageWords].get();
+        uint64_t length =
+            page != nullptr ? page->blockLength[word % kPageWords] : 0;
+        if (length == 0) {
+            length = formBlock(word);
+            page = decodePages_[word / kPageWords].get();
+        }
+        const isa::Inst *inst = &page->insts[word % kPageWords];
+        // Every word of the block has been fetched before, so SRAM
+        // covers it; the budget and PCC's bounds may end it sooner.
+        length = std::min(length, budget);
+        if (config_.core.cheriEnabled) {
+            length = std::min(length, (pcc_.top() - pc) / 4);
+        }
+        if (runControl_ != nullptr || console_.exitRequested() ||
+            (csrs_.mie && (timer_.armed() || bgRevoker_.sweeping()))) {
+            length = 1;
+        }
+
+        const isa::Inst *const first = inst;
+        const isa::Inst *const last = inst + length;
+        uint32_t at = pc;
+        do {
+            if (inst->op == isa::Op::Illegal) {
+                // Keep the typed diagnosis so the illegal-instruction
+                // trap can say precisely which field was
+                // reserved/malformed.
+                isa::decode(memory_.sram().peek32(at), &lastDecodeError_);
+            }
+            instructions_++;
+            if (traceHook_) {
+                traceHook_(at, *inst);
+            }
+            execute(*inst, at);
+            ++inst;
+            at += 4;
+        } while (inst != last && !endBlock_);
+        budget -= static_cast<uint64_t>(inst - first);
+
+        if (halt_ == HaltReason::Running && console_.exitRequested()) {
+            halt_ = HaltReason::ConsoleExit;
+        }
+        if (endBlock_ || budget == 0) {
+            return;
+        }
+    }
 }
 
 RunResult
@@ -465,12 +592,16 @@ Machine::runLoop(uint64_t maxInstructions, debug::RunControl *rc,
             break;
         }
         first = false;
-        step();
+        // Whole blocks for run(); one instruction at a time between
+        // the RunControl's checks.
+        runBlocks(rc == nullptr
+                      ? maxInstructions - (instructions() - startInstructions)
+                      : 1);
         if (rc == nullptr) {
             continue;
         }
         if (rc->stopPending()) {
-            // A watchpoint or capability fault fired inside step();
+            // A watchpoint or capability fault fired in the block;
             // the instruction (and any trap entry) has completed.
             break;
         }
@@ -532,68 +663,33 @@ Machine::debugWriteMem(uint32_t addr, const std::vector<uint8_t> &data)
 void
 Machine::dropDecoded(uint32_t addr, uint32_t bytes)
 {
-    // Clamp to the decoded range; an address below SRAM wraps to a
-    // huge word index and one above it lies past decodedHigh_.
+    // The range meets the decoded words (invalidateDecode): clamp it.
     const uint32_t first =
         std::max((addr - mem::kSramBase) / 4, decodedLow_);
     const uint32_t end =
         std::min((addr + bytes - 1 - mem::kSramBase) / 4 + 1, decodedHigh_);
-    if (first >= end) {
-        return;
+    for (uint32_t word = first; word < end;) {
+        const uint32_t pageEnd =
+            std::min(end, (word / kPageWords + 1) * kPageWords);
+        if (DecodePage *page = decodePages_[word / kPageWords].get()) {
+            bool dropped = false;
+            for (; word < pageEnd; ++word) {
+                dropped |= std::exchange(page->valid[word % kPageWords],
+                                         false);
+            }
+            if (dropped) {
+                // A block may run over the dropped word: forget every
+                // length in the page, and end the current block.
+                std::fill(std::begin(page->blockLength),
+                          std::end(page->blockLength), 0);
+                endBlock_ = true;
+            }
+        }
+        word = pageEnd;
     }
-    std::fill(decodeValid_.begin() + first, decodeValid_.begin() + end,
-              false);
     if (first == decodedLow_ && end == decodedHigh_) {
         decodedLow_ = UINT32_MAX;
         decodedHigh_ = 0;
-    }
-}
-
-void
-Machine::step()
-{
-    if (halted()) {
-        return;
-    }
-    if (injector_ != nullptr) {
-        // Spurious traps / trap storms hit the core between
-        // instructions, exactly like a glitched interrupt line.
-        uint32_t cause = 0;
-        if (injector_->takeSpuriousFault(&cause)) {
-            raiseTrap(static_cast<TrapCause>(cause), pcc_.address());
-            return;
-        }
-    }
-    if (takePendingInterrupt()) {
-        return;
-    }
-
-    const uint32_t pc = pcc_.address();
-
-    // Instruction fetch checks: PCC must be a valid, unsealed (the
-    // sentry unsealing happened at the jump), executable capability
-    // covering the fetch.
-    if (config_.core.cheriEnabled) {
-        if (!pcc_.tag() || pcc_.isSealed() ||
-            !pcc_.perms().has(cap::PermExecute) || !pcc_.inBounds(pc, 4)) {
-            raiseTrap(TrapCause::InstrAccessFault, pc);
-            return;
-        }
-    }
-    if (!memory_.isSram(pc, 4) || pc % 4 != 0) {
-        raiseTrap(TrapCause::InstrAccessFault, pc);
-        return;
-    }
-
-    const isa::Inst &inst = decodeAt(pc);
-    instructions_++;
-    if (traceHook_) {
-        traceHook_(pc, inst);
-    }
-    execute(inst, pc);
-
-    if (halt_ == HaltReason::Running && console_.exitRequested()) {
-        halt_ = HaltReason::ConsoleExit;
     }
 }
 

@@ -98,6 +98,8 @@ class TimerDevice : public mem::MmioDevice
     {
         return armed_ && now_ >= compare_;
     }
+    /** A compare is set: the interrupt comes once time reaches it. */
+    bool armed() const { return armed_; }
     void disarm() { armed_ = false; }
 
     template <class Self, class Archive>
@@ -254,9 +256,11 @@ class Machine
                          uint32_t bytes, bool charge = true);
 
     /** @name Execution @{ */
-    /** Execute one instruction (taking pending interrupts first). */
-    void step();
-    /** Run until halt, trap-to-nowhere, or @p maxInstructions. */
+    /** Execute one instruction (taking pending interrupts first): the
+     * block runner capped at one instruction. */
+    void step() { runBlocks(1); }
+    /** Run until halt, trap-to-nowhere, or @p maxInstructions, one
+     * straight-line block at a time (see runBlocks). */
     RunResult run(uint64_t maxInstructions)
     {
         return runLoop(maxInstructions, nullptr, false);
@@ -360,7 +364,7 @@ class Machine
     Counter traps_;
     /** Decode-cache fills. Diagnostic only — deliberately not
      * serialized: fills happen at restore-history-dependent points
-     * (see decodeAt), so a resumed run legitimately diverges here. */
+     * (see formBlock), so a resumed run legitimately diverges here. */
     Counter decodeFills;
 
   private:
@@ -369,14 +373,26 @@ class Machine
     /** advance() with an injector attached: windows end at its
      * events, and it is ticked at the end of each. */
     void advanceToInjectorEvents(uint64_t cycleCount, uint64_t memPortBusy);
-    /** The one run loop: with @p rc null it only steps (run());
+    /** The one run loop: with @p rc null it runs blocks (run());
      * otherwise it checks @p rc's breakpoints before and its stops
      * after each instruction (runControl()). */
     RunResult runLoop(uint64_t maxInstructions, debug::RunControl *rc,
                       bool singleStep);
+    /**
+     * Execute up to @p budget instructions as straight-line blocks,
+     * each chained into the next, and stop early at a halt or once
+     * endBlock_ is set. Per block, not per instruction: the spurious
+     * fault and interrupt polls, the PCC and SRAM fetch checks and the
+     * decode-cache lookup. Each instruction still retires, is traced
+     * and advances time on its own, so every count, cycle and digest
+     * equals single-stepping. A block is cut to one instruction while
+     * a RunControl is installed, a console exit is already requested,
+     * or interrupts are enabled with the timer armed or a sweep
+     * running (an interrupt could become takeable mid-block).
+     */
+    void runBlocks(uint64_t budget);
     void execute(const isa::Inst &inst, uint32_t pc);
     bool takePendingInterrupt();
-    const isa::Inst &decodeAt(uint32_t pc);
 
     /** Common access validation; returns None when allowed. Inline:
      * every checked access runs it. */
@@ -398,11 +414,15 @@ class Machine
      * @p cause is not None, else the access. Returns @p cause. */
     TrapCause noteAccess(TrapCause cause, bool isWrite, uint32_t addr,
                          uint32_t bytes);
-    /** Decode invalidation, the revoker's snoop and the stack
-     * high-water mark for a store to [@p addr, @p addr + @p bytes).
-     * Inline: each runs inline while it has nothing to do. */
+    /** The end of a block at a store outside SRAM, decode
+     * invalidation, the revoker's snoop and the stack high-water mark
+     * for a store to [@p addr, @p addr + @p bytes). Inline: each runs
+     * inline while it has nothing to do. */
     void storeEffects(uint32_t addr, uint32_t bytes)
     {
+        if (!memory_.isSram(addr, bytes)) {
+            endBlock_ = true;
+        }
         invalidateDecode(addr, bytes);
         bgRevoker_.snoopStore(addr, bytes);
         if (config_.core.hwmEnabled) {
@@ -435,27 +455,58 @@ class Machine
      * load-to-use stall model); kNumRegs means none. */
     unsigned pendingLoadReg_ = isa::kNumRegs;
 
-    /** Lazily filled decode cache over SRAM, allocated on the first
-     * fetch: a machine that runs no guest code (the RTOS and network
-     * stack are host C++) never holds one. Every checked store
-     * and debugger write drops the words it covers, so a fetch always
-     * decodes what memory holds. Valid entries all lie in the word
-     * range [decodedLow_, decodedHigh_), so a store elsewhere (data,
-     * MMIO) costs two compares. A host cache: never serialized. */
-    std::vector<isa::Inst> decodeCache_;
-    std::vector<bool> decodeValid_;
+    /** Words per decode page (4 KiB of SRAM). */
+    static constexpr uint32_t kPageWords = 1024;
+    /**
+     * One page of the decode cache: each word's decode, filled by its
+     * first fetch, and the cached length of the block that starts at
+     * it (0 while unknown). A block is the run of decoded words from
+     * its start up to and including the first control transfer,
+     * system or CSR op, and never crosses the page; its length is
+     * cached only once it reaches that op or the page end, so no word
+     * is decoded before it is fetched.
+     */
+    struct DecodePage
+    {
+        isa::Inst insts[kPageWords];
+        bool valid[kPageWords] = {};
+        uint16_t blockLength[kPageWords] = {};
+    };
+    /** Decode pages over SRAM, each allocated by its first fetch: a
+     * machine that runs no guest code (the RTOS and network stack are
+     * host C++) holds none. Every checked store and debugger write
+     * drops the words it covers, and with them the block lengths of
+     * their page, so a fetch always decodes what memory holds. Valid
+     * entries all lie in the word range [decodedLow_, decodedHigh_),
+     * so a store elsewhere (data, MMIO) costs two compares. A host
+     * cache: never serialized. */
+    std::vector<std::unique_ptr<DecodePage>> decodePages_;
     uint32_t decodedLow_ = UINT32_MAX;
     uint32_t decodedHigh_ = 0;
+    /** Fetch SRAM word @p word (decoding it if it is not cached) and
+     * return the length of the block that starts at it: the slow path
+     * of runBlocks' lookup, taken while no length is cached there. */
+    uint32_t formBlock(uint32_t word);
     /** Drop cached decodes of the SRAM words [addr, addr + bytes)
-     * touches; a range outside SRAM has none. Inline while nothing is
-     * decoded. */
+     * touches; a range outside SRAM has none. Inline while the range
+     * misses the decoded words: an address below SRAM wraps to a huge
+     * word index and one above it lies past decodedHigh_. */
     void invalidateDecode(uint32_t addr, uint32_t bytes)
     {
-        if (decodedLow_ < decodedHigh_) {
+        if ((addr - mem::kSramBase) / 4 < decodedHigh_ &&
+            (addr + bytes - 1 - mem::kSramBase) / 4 >= decodedLow_) {
             dropDecoded(addr, bytes);
         }
     }
     void dropDecoded(uint32_t addr, uint32_t bytes);
+    /**
+     * Ends the current block after the instruction that sets it:
+     * raiseTrap, a store outside SRAM (a revoker kick, a timer
+     * compare, a console exit), a decode-cache drop and an advance
+     * window that reaches a fault-injector event. Host-only: never
+     * serialized, cleared at each block start.
+     */
+    bool endBlock_ = false;
     /** The image layout behind save() and restore(). */
     template <class Self, class Image>
     static bool transferImage(Self &self, Image &image);

@@ -9,6 +9,7 @@
 #include "isa/assembler.h"
 #include "sim/machine.h"
 #include "snapshot/snapshot.h"
+#include "util/rng.h"
 #include "workloads/coremark/coremark.h"
 
 #include <gtest/gtest.h>
@@ -517,19 +518,28 @@ runInSlices(Machine &machine, uint64_t budget)
     return total;
 }
 
+constexpr uint64_t kWholeRun = uint64_t{1} << 26;
+
 /**
- * run() and runControl() are one loop: run() in uneven slices and
- * runControl() under an empty RunControl give equal results and
- * equal end states, whether the budget or the program ends the run.
- * Returns the program's exit code.
+ * run() and runControl() are one loop: run() in uneven slices (whole
+ * blocks) and runControl() under an empty RunControl (one instruction
+ * per block) give equal results, equal end states and equal decode
+ * fills (no word is decoded before its fetch), whether the program
+ * ends the run or the budget ends it halfway. @p check sees the
+ * sliced machine once the program has ended. Returns the program's
+ * exit code.
  */
 uint32_t
-expectOneRunLoop(const std::vector<uint32_t> &program, uint32_t entry)
+expectOneRunLoop(const std::vector<uint32_t> &program, uint32_t entry,
+                 const CoreConfig &core = CoreConfig::ibex(),
+                 const std::function<void(Machine &)> &check = {})
 {
     uint32_t exitCode = 0;
-    for (const uint64_t budget : {uint64_t{100}, uint64_t{1} << 26}) {
-        Machine sliced(smallConfig(CoreConfig::ibex()));
-        Machine controlled(smallConfig(CoreConfig::ibex()));
+    uint64_t half = 0;
+    for (const bool whole : {true, false}) {
+        const uint64_t budget = whole ? kWholeRun : half;
+        Machine sliced(smallConfig(core));
+        Machine controlled(smallConfig(core));
         for (Machine *machine : {&sliced, &controlled}) {
             machine->loadProgram(program, entry);
             machine->resetCpu(entry);
@@ -542,11 +552,48 @@ expectOneRunLoop(const std::vector<uint32_t> &program, uint32_t entry)
         EXPECT_EQ(a.instructions, b.instructions) << budget;
         EXPECT_EQ(a.cycles, b.cycles) << budget;
         EXPECT_EQ(sliced.stateDigest(), controlled.stateDigest()) << budget;
-        EXPECT_EQ(b.reason, budget == 100 ? HaltReason::InstrLimit
-                                          : HaltReason::ConsoleExit);
-        exitCode = controlled.console().exitCode();
+        EXPECT_EQ(sliced.decodeFills.value(), controlled.decodeFills.value())
+            << budget;
+        EXPECT_EQ(b.reason,
+                  whole ? HaltReason::ConsoleExit : HaltReason::InstrLimit);
+        if (whole) {
+            exitCode = controlled.console().exitCode();
+            half = b.instructions / 2;
+            if (check) {
+                check(sliced);
+            }
+        }
     }
     return exitCode;
+}
+
+/** Exit through the console with @p value as the code (clobbers
+ * @p scratch and t0; a0 must still hold the memory root). */
+void
+exitWith(Assembler &a, uint8_t value, uint8_t scratch)
+{
+    a.li(T0, static_cast<int32_t>(mem::kConsoleMmioBase));
+    a.csetaddr(scratch, A0, T0);
+    a.sw(value, scratch, 4);
+    a.ebreak(); // not reached
+}
+
+/** Jump over a trap handler that exits with @p value and mcause in
+ * a5, and install it as MTCC. */
+void
+installExitingHandler(Assembler &a, uint8_t value)
+{
+    auto around = a.newLabel();
+    a.j(around);
+    const uint32_t handler = a.pc();
+    a.csrrs(A5, kCsrMcause, Zero);
+    exitWith(a, value, A2);
+    a.bind(around);
+    const uint32_t here = a.pc();
+    a.auipcc(A2, 0);
+    a.cincaddrimm(A2, A2,
+                  static_cast<int32_t>(handler) - static_cast<int32_t>(here));
+    a.cspecialrw(Zero, Scr::Mtcc, A2);
 }
 
 TEST(RunLoop, SlicedRunAndRunControlAgreeOnCoreMark)
@@ -588,6 +635,373 @@ TEST(RunLoop, SlicedRunAndRunControlAgreeOnATrappingProgram)
     a.sw(A5, A2, 4); // exit(trap count)
     a.ebreak();      // not reached
     EXPECT_EQ(expectOneRunLoop(a.finish(), kEntry), 40u);
+}
+
+// The block rules. Each straight-line run executes once before the
+// case it tests, so its words are decoded and form one block.
+
+TEST(RunLoop, StoreOverTheRestOfItsBlockEndsTheBlock)
+{
+    // Each pass overwrites the next word with `addi a5, a5, pass`
+    // (1, 2, 3); the new word must run, not the decode of the last.
+    Assembler a(kEntry);
+    a.li(A5, 0);
+    a.li(T1, static_cast<int32_t>(encode({Op::Addi, A5, A5, 0, 1, 0})));
+    a.li(T2, 1 << 20); // +1 in an I-type immediate
+    a.li(S1, 3);
+    const uint32_t anchor = a.pc();
+    a.auipcc(A3, 0);
+    a.cgetaddr(T0, A3);
+    a.csetaddr(A2, A0, T0); // store authority over the code
+    auto loop = a.here();
+    a.sw(T1, A2, static_cast<int32_t>(a.pc() + 4 - anchor));
+    a.addi(A5, A5, 100); // overwritten before it ever runs
+    a.add(T1, T1, T2);
+    a.addi(S1, S1, -1);
+    a.bnez(S1, loop);
+    exitWith(a, A5, A2);
+    EXPECT_EQ(expectOneRunLoop(a.finish(), kEntry), 1u + 2u + 3u);
+}
+
+TEST(RunLoop, ConsoleExitEndsTheBlockAtTheStore)
+{
+    // The first pass stores to RAM, the second to the exit register;
+    // the run halts right after that store.
+    Assembler a(kEntry);
+    a.li(A4, 0);
+    a.li(T0, static_cast<int32_t>(kEntry + 0x2000));
+    a.csetaddr(A2, A0, T0);
+    a.li(T0, static_cast<int32_t>(mem::kConsoleMmioBase + 4));
+    a.csetaddr(A3, A0, T0);
+    a.li(T1, 42);
+    auto loop = a.here();
+    const uint32_t storeAt = a.pc();
+    a.sw(T1, A2, 0);
+    a.addi(A4, A4, 1);
+    a.addi(A4, A4, 1);
+    a.cmove(A2, A3);
+    a.j(loop);
+    EXPECT_EQ(expectOneRunLoop(a.finish(), kEntry, CoreConfig::ibex(),
+                               [&](Machine &m) {
+                                   EXPECT_EQ(m.readRegInt(A4), 2u);
+                                   EXPECT_EQ(m.pcc().address(), storeAt + 4);
+                               }),
+              42u);
+}
+
+TEST(RunLoop, PccTopInsideABlockTrapsAtTheFirstWordPastIt)
+{
+    // `run` is called with the whole PCC, then with PCC bounded to its
+    // first five words: the fetch of the sixth traps.
+    Assembler a(kEntry);
+    installExitingHandler(a, A4);
+    auto start = a.newLabel();
+    a.j(start);
+    const uint32_t runAt = a.pc();
+    for (int i = 0; i < 8; ++i) {
+        a.addi(A4, A4, 1);
+    }
+    a.ret();
+    a.bind(start);
+    const uint32_t here = a.pc();
+    a.auipcc(A3, 0);
+    a.cincaddrimm(A3, A3,
+                  static_cast<int32_t>(runAt) - static_cast<int32_t>(here));
+    a.li(A4, 0);
+    a.jalr(Ra, A3);
+    a.li(T0, 5 * 4);
+    a.csetbounds(A3, A3, T0);
+    a.jalr(Ra, A3);
+    a.ebreak(); // not reached
+    EXPECT_EQ(expectOneRunLoop(
+                  a.finish(), kEntry, CoreConfig::ibex(),
+                  [&](Machine &m) {
+                      EXPECT_EQ(m.readRegInt(A5),
+                                static_cast<uint32_t>(
+                                    TrapCause::InstrAccessFault));
+                      EXPECT_EQ(m.csrs().mtval, runAt + 5 * 4);
+                      EXPECT_EQ(m.csrs().mepcc.address(), runAt + 5 * 4);
+                  }),
+              8u + 5u);
+}
+
+TEST(RunLoop, TimerInterruptInsideABlockIsTakenAtTheSameBoundary)
+{
+    Assembler a(kEntry);
+    installExitingHandler(a, A4);
+    a.li(A4, 0);
+    a.li(T0, static_cast<int32_t>(mem::kTimerMmioBase));
+    a.csetaddr(A2, A0, T0);
+    a.lw(T1, A2, 0x0);
+    a.addi(T1, T1, 301);
+    a.sw(Zero, A2, 0xc);
+    a.sw(T1, A2, 0x8); // compare = now + 301, armed
+    a.li(T0, 8);
+    a.csrrs(Zero, kCsrMstatus, T0); // interrupts on
+    auto loop = a.here();
+    for (int i = 0; i < 6; ++i) {
+        a.addi(A4, A4, 1);
+    }
+    a.j(loop);
+    const uint32_t count = expectOneRunLoop(
+        a.finish(), kEntry, CoreConfig::ibex(), [](Machine &m) {
+            EXPECT_EQ(m.readRegInt(A5),
+                      static_cast<uint32_t>(TrapCause::TimerInterrupt));
+        });
+    EXPECT_GT(count, 6u);
+}
+
+TEST(RunLoop, RevokerCompletionInsideABlockIsTakenAtTheSameBoundary)
+{
+    // The first pass stores to RAM, the second kicks a sweep of 1 KiB;
+    // the completion interrupt arrives while the loop runs.
+    Assembler a(kEntry);
+    installExitingHandler(a, A4);
+    a.li(A4, 0);
+    a.li(T0, static_cast<int32_t>(mem::kRevokerMmioBase));
+    a.csetaddr(A3, A0, T0);
+    a.li(T1, static_cast<int32_t>(kEntry + 0x2000));
+    a.sw(T1, A3, 0x0);
+    a.li(T1, static_cast<int32_t>(kEntry + 0x2400));
+    a.sw(T1, A3, 0x4);
+    a.cincaddrimm(A3, A3, 0xc); // the kick register
+    a.li(T0, static_cast<int32_t>(kEntry + 0x3000));
+    a.csetaddr(A2, A0, T0);
+    a.li(T0, 8);
+    a.csrrs(Zero, kCsrMstatus, T0); // interrupts on
+    auto loop = a.here();
+    a.sw(T1, A2, 0);
+    for (int i = 0; i < 16; ++i) {
+        a.addi(A4, A4, 1);
+    }
+    a.cmove(A2, A3);
+    a.j(loop);
+    const uint32_t count = expectOneRunLoop(
+        a.finish(), kEntry, CoreConfig::ibex(), [](Machine &m) {
+            EXPECT_EQ(m.readRegInt(A5),
+                      static_cast<uint32_t>(TrapCause::RevokerInterrupt));
+            EXPECT_EQ(m.backgroundRevoker().epoch(), 2u) << "one sweep";
+        });
+    EXPECT_GT(count, 16u);
+}
+
+/** @name Seeded programs
+ * A loop run kSeededPasses times over a body of seeded items: ALU,
+ * M-extension and capability ops shaped by summaryOf(); byte, half,
+ * word and capability loads and stores through one bounded data
+ * capability; forward branches and JALs; and stores that rewrite a
+ * word 1-3 words further on with an I-type op whose immediate grows
+ * by one each pass. Then a console exit. Registers: a0 keeps the
+ * memory root, s0 the data capability, s1 the pass, gp the pass << 20
+ * and t2 the rewritten word; the ops write only kScratch. @{ */
+constexpr uint8_t kScratch[] = {Ra, Sp, Tp, T0, T1, A1, A2, A3, A4, A5};
+constexpr uint8_t kReadable[] = {Zero, Ra, Sp, Gp, Tp, T0, T1, S0,
+                                 A0,   A1, A2, A3, A4, A5};
+constexpr uint32_t kSeededPasses = 4;
+constexpr uint32_t kSeededItems = 80;
+/** The data bytes sit just below the code; the data capability also
+ * covers the first kCodeBytes of code, which the rewrites reach. */
+constexpr uint32_t kDataBytes = 256;
+constexpr uint32_t kCodeBytes = 1536;
+
+template <size_t N>
+uint8_t
+pick(Rng &rng, const uint8_t (&regs)[N])
+{
+    return regs[rng.below(N)];
+}
+
+/** The ops that write a register and do nothing else: no memory, no
+ * control transfer, no CSR or special register. */
+const std::vector<Op> &
+registerOps()
+{
+    static const std::vector<Op> ops = [] {
+        std::vector<Op> out;
+        for (const Op op : allOps()) {
+            const OpSummary &summary = summaryOf(op);
+            const bool memoryOrControl =
+                op == Op::Jal || op == Op::Jalr || op == Op::Lb ||
+                op == Op::Lh || op == Op::Lw || op == Op::Lbu ||
+                op == Op::Lhu || op == Op::Clc || op == Op::CSpecialRw;
+            if (summary.writesRd && !summary.usesCsr && !memoryOrControl) {
+                out.push_back(op);
+            }
+        }
+        return out;
+    }();
+    return ops;
+}
+
+/** A seeded instance of @p op with operands shaped by its summary. */
+Inst
+seededInst(Op op, Rng &rng)
+{
+    const OpSummary &summary = summaryOf(op);
+    Inst inst;
+    inst.op = op;
+    inst.rd = summary.writesRd ? pick(rng, kScratch) : 0;
+    inst.rs1 = summary.readsRs1 ? pick(rng, kReadable) : 0;
+    inst.rs2 = summary.readsRs2 ? pick(rng, kReadable) : 0;
+    switch (summary.immKind) {
+      case ImmKind::I12:
+        inst.imm = static_cast<int32_t>(rng.below(4096)) - 2048;
+        break;
+      case ImmKind::U12:
+        inst.imm = static_cast<int32_t>(rng.below(4096));
+        break;
+      case ImmKind::U20:
+        inst.imm = static_cast<int32_t>(rng.below(1u << 20) << 12);
+        break;
+      case ImmKind::Shamt:
+        inst.imm = static_cast<int32_t>(rng.below(32));
+        break;
+      case ImmKind::Posture:
+        inst.imm = static_cast<int32_t>(rng.below(3));
+        break;
+      default:
+        break;
+    }
+    return inst;
+}
+
+std::vector<uint32_t>
+seededProgram(uint64_t seed)
+{
+    Rng rng(seed);
+    const uint32_t dataBase = kEntry - kDataBytes;
+    Assembler a(kEntry);
+    a.li(T0, static_cast<int32_t>(dataBase));
+    a.csetaddr(S0, A0, T0);
+    a.li(T0, static_cast<int32_t>(kDataBytes + kCodeBytes));
+    a.csetbounds(S0, S0, T0);
+    a.li(S1, 0);
+    auto loop = a.here();
+    a.slli(Gp, S1, 20);
+
+    // Forward targets: a label and the items still to go before it.
+    std::vector<std::pair<Assembler::Label, uint32_t>> targets;
+    const auto forward = [&] {
+        const Assembler::Label label = a.newLabel();
+        targets.emplace_back(label, 1 + rng.below(6));
+        return label;
+    };
+    static constexpr Op kMemoryOps[] = {Op::Lb, Op::Lh, Op::Lw,  Op::Lbu,
+                                        Op::Lhu, Op::Sb, Op::Sh, Op::Sw,
+                                        Op::Clc, Op::Csc};
+    static constexpr Op kBranches[] = {Op::Beq, Op::Bne,  Op::Blt,
+                                       Op::Bge, Op::Bltu, Op::Bgeu};
+    for (uint32_t item = 0; item < kSeededItems; ++item) {
+        for (auto it = targets.begin(); it != targets.end();) {
+            if (--it->second == 0) {
+                a.bind(it->first);
+                it = targets.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        const uint32_t kind = rng.below(20);
+        if (kind < 10) {
+            const std::vector<Op> &ops = registerOps();
+            a.emit(seededInst(ops[rng.below(ops.size())], rng));
+        } else if (kind < 14) {
+            const Op op = kMemoryOps[rng.below(std::size(kMemoryOps))];
+            const unsigned bytes =
+                op == Op::Lb || op == Op::Lbu || op == Op::Sb   ? 1
+                : op == Op::Lh || op == Op::Lhu || op == Op::Sh ? 2
+                : op == Op::Clc || op == Op::Csc                ? 8
+                                                                : 4;
+            const int32_t offset =
+                static_cast<int32_t>(rng.below(kDataBytes / bytes) * bytes);
+            const bool store =
+                op == Op::Sb || op == Op::Sh || op == Op::Sw || op == Op::Csc;
+            a.emit({op, store ? uint8_t{0} : pick(rng, kScratch), S0,
+                    store ? pick(rng, kReadable) : uint8_t{0}, offset, 0});
+        } else if (kind < 16) {
+            const Op op = kBranches[rng.below(std::size(kBranches))];
+            const Assembler::Label target = forward();
+            switch (op) {
+              case Op::Beq: a.beq(pick(rng, kReadable), pick(rng, kReadable), target); break;
+              case Op::Bne: a.bne(pick(rng, kReadable), pick(rng, kReadable), target); break;
+              case Op::Blt: a.blt(pick(rng, kReadable), pick(rng, kReadable), target); break;
+              case Op::Bge: a.bge(pick(rng, kReadable), pick(rng, kReadable), target); break;
+              case Op::Bltu: a.bltu(pick(rng, kReadable), pick(rng, kReadable), target); break;
+              default: a.bgeu(pick(rng, kReadable), pick(rng, kReadable), target); break;
+            }
+        } else if (kind < 17) {
+            a.jal(rng.chance(1, 2) ? Zero : pick(rng, kScratch), forward());
+        } else {
+            // Rewrite a word 1-3 words on with this pass's immediate.
+            const Inst base{rng.chance(1, 2) ? Op::Addi : Op::Xori,
+                            pick(rng, kScratch), pick(rng, kReadable), 0,
+                            static_cast<int32_t>(rng.below(64)), 0};
+            a.li(T2, static_cast<int32_t>(encode(base)));
+            a.add(T2, T2, Gp);
+            const uint32_t distance = 1 + rng.below(3);
+            const uint32_t target = a.pc() + 4 * distance;
+            EXPECT_LT(target - dataBase, 2048u) << "seed " << seed;
+            a.sw(T2, S0, static_cast<int32_t>(target - dataBase));
+            for (uint32_t i = 1; i < distance; ++i) {
+                const std::vector<Op> &ops = registerOps();
+                a.emit(seededInst(ops[rng.below(ops.size())], rng));
+            }
+            a.emit(base);
+        }
+    }
+    for (const auto &[label, left] : targets) {
+        a.bind(label);
+    }
+    a.addi(S1, S1, 1);
+    a.li(T2, kSeededPasses);
+    a.blt(S1, T2, loop);
+    exitWith(a, A5, T2);
+    EXPECT_LE(a.pc() - kEntry, kCodeBytes) << "seed " << seed;
+    return a.finish();
+}
+/** @} */
+
+/** run() with a save and a restore into a fresh machine after
+ * @p boundary instructions equals one unbroken run(). */
+void
+expectRestoreAgrees(const std::vector<uint32_t> &program,
+                    const CoreConfig &core, uint64_t boundary)
+{
+    Machine straight(smallConfig(core));
+    Machine before(smallConfig(core));
+    for (Machine *machine : {&straight, &before}) {
+        machine->loadProgram(program, kEntry);
+        machine->resetCpu(kEntry);
+    }
+    const RunResult whole = straight.run(kWholeRun);
+    const RunResult head = before.run(boundary);
+    Machine after(smallConfig(core));
+    ASSERT_TRUE(after.restoreImage(before.saveImage()));
+    const RunResult tail = after.run(kWholeRun);
+    EXPECT_EQ(tail.reason, whole.reason);
+    EXPECT_EQ(head.instructions + tail.instructions, whole.instructions);
+    EXPECT_EQ(head.cycles + tail.cycles, whole.cycles);
+    EXPECT_EQ(after.stateDigest(), straight.stateDigest());
+}
+
+TEST(RunLoop, SeededProgramsAgree)
+{
+    Rng seeds(0xb10c5);
+    for (int n = 0; n < 48; ++n) {
+        const uint64_t seed = seeds.next64();
+        const CoreConfig core =
+            n % 2 == 0 ? CoreConfig::ibex() : CoreConfig::flute();
+        SCOPED_TRACE(testing::Message() << "seed 0x" << std::hex << seed
+                                        << " on " << core.name);
+        const std::vector<uint32_t> program = seededProgram(seed);
+        uint64_t length = 0;
+        expectOneRunLoop(program, kEntry, core, [&](Machine &m) {
+            length = m.instructions();
+        });
+        ASSERT_GT(length, 1u);
+        expectRestoreAgrees(program, core,
+                            1 + Rng(seed).below(
+                                    static_cast<uint32_t>(length - 1)));
+    }
 }
 
 } // namespace
