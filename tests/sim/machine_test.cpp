@@ -889,8 +889,10 @@ seededProgram(uint64_t seed)
     static constexpr Op kMemoryOps[] = {Op::Lb, Op::Lh, Op::Lw,  Op::Lbu,
                                         Op::Lhu, Op::Sb, Op::Sh, Op::Sw,
                                         Op::Clc, Op::Csc};
-    static constexpr Op kBranches[] = {Op::Beq, Op::Bne,  Op::Blt,
-                                       Op::Bge, Op::Bltu, Op::Bgeu};
+    using Branch = void (Assembler::*)(uint8_t, uint8_t, Assembler::Label);
+    static constexpr Branch kBranches[] = {
+        &Assembler::beq, &Assembler::bne,  &Assembler::blt,
+        &Assembler::bge, &Assembler::bltu, &Assembler::bgeu};
     for (uint32_t item = 0; item < kSeededItems; ++item) {
         for (auto it = targets.begin(); it != targets.end();) {
             if (--it->second == 0) {
@@ -918,18 +920,13 @@ seededProgram(uint64_t seed)
             a.emit({op, store ? uint8_t{0} : pick(rng, kScratch), S0,
                     store ? pick(rng, kReadable) : uint8_t{0}, offset, 0});
         } else if (kind < 16) {
-            const Op op = kBranches[rng.below(std::size(kBranches))];
-            const Assembler::Label target = forward();
-            switch (op) {
-              case Op::Beq: a.beq(pick(rng, kReadable), pick(rng, kReadable), target); break;
-              case Op::Bne: a.bne(pick(rng, kReadable), pick(rng, kReadable), target); break;
-              case Op::Blt: a.blt(pick(rng, kReadable), pick(rng, kReadable), target); break;
-              case Op::Bge: a.bge(pick(rng, kReadable), pick(rng, kReadable), target); break;
-              case Op::Bltu: a.bltu(pick(rng, kReadable), pick(rng, kReadable), target); break;
-              default: a.bgeu(pick(rng, kReadable), pick(rng, kReadable), target); break;
-            }
+            const Branch branch = kBranches[rng.below(std::size(kBranches))];
+            const uint8_t rs1 = pick(rng, kReadable);
+            const uint8_t rs2 = pick(rng, kReadable);
+            (a.*branch)(rs1, rs2, forward());
         } else if (kind < 17) {
-            a.jal(rng.chance(1, 2) ? Zero : pick(rng, kScratch), forward());
+            const uint8_t link = rng.chance(1, 2) ? Zero : pick(rng, kScratch);
+            a.jal(link, forward());
         } else {
             // Rewrite a word 1-3 words on with this pass's immediate.
             const Inst base{rng.chance(1, 2) ? Op::Addi : Op::Xori,
