@@ -35,7 +35,10 @@
  * With --campaign it records a third set: every run of the
  * 1000-injection campaign over both workloads at the campaign seed
  * (site, fired, outcome, safety violations and final digest), one
- * line per injection, so a mismatch names the injection that moved.
+ * line per injection, so a mismatch names the injection that moved;
+ * then injections 4000-4099 of the IoT-only and the CoreMark-only
+ * campaign at the same seed, the single-workload path perfbench's
+ * fault workload runs.
  *
  * Usage: golden_digests [--table4|--campaign] FILE   compare against
  *                                                    FILE (exit 1 on
@@ -78,6 +81,10 @@ namespace
 constexpr uint64_t kCampaignSeed = 0xc8e210a5u;
 constexpr uint32_t kCampaignInjections = 106;
 constexpr uint32_t kFullCampaignInjections = 1000;
+/** The single-workload campaigns --campaign appends: the first
+ * indices of perfbench's fault range. */
+constexpr uint32_t kSingleCampaignStart = 4000;
+constexpr uint32_t kSingleCampaignInjections = 100;
 constexpr double kIotSeconds = 1.0;
 constexpr uint64_t kNetPackets = 2000;
 constexpr uint64_t kFleetSeed = 7;
@@ -152,15 +159,18 @@ iotLines(std::vector<std::string> &out)
 }
 
 /** One line per run of the campaign over @p workload at the campaign
- * seed; also reports which fault sites were drawn. */
+ * seed, from index @p startIndex; also reports which fault sites were
+ * drawn. */
 void
 campaignRunLines(std::vector<std::string> &out, std::set<uint32_t> &sites,
-                 fault::CampaignWorkload workload, uint32_t injections)
+                 fault::CampaignWorkload workload, uint32_t injections,
+                 uint32_t startIndex = 0)
 {
     fault::CampaignConfig config;
     config.seed = kCampaignSeed;
     config.injections = injections;
     config.workload = workload;
+    config.startIndex = startIndex;
     const fault::CampaignReport report = fault::runFaultCampaign(config);
     for (const fault::CampaignRun &run : report.details) {
         sites.insert(static_cast<uint32_t>(run.plan.site));
@@ -579,6 +589,13 @@ main(int argc, char **argv)
     } else if (campaign) {
         campaignRunLines(lines, sites, fault::CampaignWorkload::Both,
                          kFullCampaignInjections);
+        for (const fault::CampaignWorkload workload :
+             {fault::CampaignWorkload::Iot,
+              fault::CampaignWorkload::CoreMark}) {
+            campaignRunLines(lines, sites, workload,
+                             kSingleCampaignInjections,
+                             kSingleCampaignStart);
+        }
     } else {
         coreMarkLines(lines);
         iotLines(lines);
@@ -618,8 +635,11 @@ main(int argc, char **argv)
             out << "# Golden " << kFullCampaignInjections
                 << "-injection campaign (seed 0x"
                 << format("%" PRIx64, kCampaignSeed)
-                << ", workload both). Regenerate with: golden_digests "
-                   "--campaign --write FILE\n";
+                << ", workload both), then injections "
+                << kSingleCampaignStart << "-"
+                << kSingleCampaignStart + kSingleCampaignInjections - 1
+                << " of the iot and the coremark campaign. Regenerate "
+                   "with: golden_digests --campaign --write FILE\n";
         } else {
             out << "# Golden end-state digests (seed 0x"
                 << format("%" PRIx64, kCampaignSeed)
