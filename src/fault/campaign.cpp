@@ -114,23 +114,33 @@ struct CampaignReferences
     uint64_t iotHorizon = 0;
 };
 
+/** Run the references @p config's injections read: an IoT-only
+ * campaign never reads the CoreMark one and a CoreMark-only campaign
+ * never reads the IoT one, except that repro records carry both. */
 CampaignReferences
 computeReferences(const CampaignConfig &config)
 {
+    const bool all =
+        config.workload == CampaignWorkload::Both || !config.reproDir.empty();
     CampaignReferences refs;
-    refs.iotRef = runIotApp(iotCampaignConfig(config, nullptr));
-    if (!refs.iotRef.ok) {
-        fatal("campaign: IoT reference run failed");
+    if (all || config.workload == CampaignWorkload::Iot) {
+        refs.iotRef = runIotApp(iotCampaignConfig(config, nullptr));
+        if (!refs.iotRef.ok) {
+            fatal("campaign: IoT reference run failed");
+        }
+        refs.iotHorizon = refs.iotRef.cycles;
     }
-    refs.cmRef =
-        runCoreMark(coreMarkCampaignConfig(nullptr, 0), "reference");
-    if (!refs.cmRef.valid) {
-        fatal("campaign: CoreMark reference run failed");
+    if (all || config.workload == CampaignWorkload::CoreMark) {
+        refs.cmRef =
+            runCoreMark(coreMarkCampaignConfig(nullptr, 0), "reference");
+        if (!refs.cmRef.valid) {
+            fatal("campaign: CoreMark reference run failed");
+        }
+        // A run that exceeds 4x the reference instruction count has
+        // hung; the machine halts it with InstrLimit, which counts as
+        // detected.
+        refs.cmBudget = refs.cmRef.instructions * 4 + 10'000;
     }
-    // A run that exceeds 4x the reference instruction count has hung;
-    // the machine halts it with InstrLimit, which counts as detected.
-    refs.cmBudget = refs.cmRef.instructions * 4 + 10'000;
-    refs.iotHorizon = refs.iotRef.cycles;
     return refs;
 }
 

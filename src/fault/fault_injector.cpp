@@ -202,6 +202,23 @@ FaultInjector::arm(const FaultPlan &plan)
     plan_ = plan;
     armed_ = true;
     fired_ = false;
+    updateTriggers();
+}
+
+void
+FaultInjector::updateTriggers()
+{
+    nextEvent_ = stalled_ ? stallDeadline_ : kNever;
+    busTrigger_ = kNever;
+    if (!armed_ || fired_) {
+        return;
+    }
+    if (isCycleTriggered(plan_.site)) {
+        nextEvent_ = std::min(nextEvent_, plan_.triggerCycle);
+    } else if (plan_.site == FaultSite::BusDrop ||
+               plan_.site == FaultSite::BusDelay) {
+        busTrigger_ = plan_.triggerTransaction;
+    }
 }
 
 void
@@ -275,31 +292,7 @@ FaultInjector::tick(uint64_t nowCycle)
                                   nowCycle >= plan_.triggerCycle)) {
         fire(nowCycle);
     }
-}
-
-uint64_t
-FaultInjector::nextEventCycle(uint64_t now) const
-{
-    uint64_t next = kNever;
-    if (stalled_) {
-        next = std::max(now + 1, stallDeadline_);
-    }
-    if (armed_ && !fired_ && isCycleTriggered(plan_.site)) {
-        next = std::min(next, std::max(now + 1, plan_.triggerCycle));
-    }
-    return next;
-}
-
-bool
-FaultInjector::takeSpuriousFault(uint32_t *cause)
-{
-    if (pendingSpurious_ == 0) {
-        return false;
-    }
-    --pendingSpurious_;
-    spuriousFaults++;
-    *cause = spuriousCause_;
-    return true;
+    updateTriggers();
 }
 
 void
@@ -325,19 +318,18 @@ FaultInjector::fireEvent(FaultSite site, bool reached)
 }
 
 uint32_t
-FaultInjector::busTransactionFaults(uint32_t *extraBeats)
+FaultInjector::busFault(uint32_t *extraBeats)
 {
-    const uint64_t ordinal = busTransactions_++;
-    const bool reached = ordinal >= plan_.triggerTransaction;
-    if (fireEvent(FaultSite::BusDrop, reached)) {
+    uint32_t drops = 0;
+    if (fireEvent(FaultSite::BusDrop, true)) {
         busDrops += plan_.param;
-        return plan_.param;
-    }
-    if (fireEvent(FaultSite::BusDelay, reached)) {
+        drops = plan_.param;
+    } else if (fireEvent(FaultSite::BusDelay, true)) {
         busDelays++;
         *extraBeats += plan_.param;
     }
-    return 0;
+    updateTriggers();
+    return drops;
 }
 
 void
@@ -350,6 +342,7 @@ FaultInjector::mallocBackoffStarted(uint64_t nowCycle)
     revokerStalls++;
     stalled_ = true;
     stallDeadline_ = nowCycle + plan_.param;
+    updateTriggers();
 }
 
 void
@@ -456,18 +449,7 @@ FaultInjector::revokerKicked()
     }
     stalled_ = false;
     epochStuck_ = false;
-}
-
-bool
-FaultInjector::isPoisoned(uint32_t addr) const
-{
-    return poisoned_.count(addr & ~7u) != 0;
-}
-
-void
-FaultInjector::notePoisonRepaired(uint32_t addr)
-{
-    poisoned_.erase(addr & ~7u);
+    updateTriggers();
 }
 
 void

@@ -38,6 +38,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_set>
 
@@ -150,23 +151,45 @@ class FaultInjector
      * stall deadline, or the trigger cycle of an armed, unfired,
      * cycle-triggered plan; kNever if neither. tick() at any earlier
      * cycle is a no-op, so the machine may advance straight to it.
+     * Inline: the machine asks on every advance().
      */
-    uint64_t nextEventCycle(uint64_t now) const;
+    uint64_t nextEventCycle(uint64_t now) const
+    {
+        return std::max(now + 1, nextEvent_);
+    }
     /**
      * Consume a pending spurious fault. Polled both by the guest-ISA
      * step loop (trap) and by the switcher on callee return (callee
      * fault), whichever observes it first.
      */
-    bool takeSpuriousFault(uint32_t *cause);
+    bool takeSpuriousFault(uint32_t *cause)
+    {
+        if (pendingSpurious_ == 0) {
+            return false;
+        }
+        --pendingSpurious_;
+        spuriousFaults++;
+        *cause = spuriousCause_;
+        return true;
+    }
     /** @} */
 
     /** @name Bus hooks @{ */
     /**
      * Called once per charged bus transaction. Returns the number of
      * consecutive drops injected into this transaction (0 normally)
-     * and adds any injected latency to @p extraBeats.
+     * and adds any injected latency to @p extraBeats. The ordinal
+     * counts every transaction, whatever plan is armed, so a plan
+     * re-armed mid-run (the fleet's chaos schedule) fires on the
+     * ordinal it names; only a due bus plan leaves the inline path.
      */
-    uint32_t busTransactionFaults(uint32_t *extraBeats);
+    uint32_t busTransactionFaults(uint32_t *extraBeats)
+    {
+        if (busTransactions_++ < busTrigger_) {
+            return 0;
+        }
+        return busFault(extraBeats);
+    }
     /** @} */
 
     /** @name Revoker hooks @{ */
@@ -239,11 +262,22 @@ class FaultInjector
     bool capTableTouched(uint32_t *param);
     /** @} */
 
-    /** @name Safety oracle @{ */
+    /** @name Safety oracle
+     * The machine asks on every tagged capability load and tells on
+     * every capability store, so both are inline and return at once
+     * while no flip has landed on a tagged granule. @{ */
     /** Is the granule containing @p addr corrupted-but-unrepaired? */
-    bool isPoisoned(uint32_t addr) const;
+    bool isPoisoned(uint32_t addr) const
+    {
+        return !poisoned_.empty() && poisoned_.count(addr & ~7u) != 0;
+    }
     /** A legitimate capability store rewrote the granule. */
-    void notePoisonRepaired(uint32_t addr);
+    void notePoisonRepaired(uint32_t addr)
+    {
+        if (!poisoned_.empty()) {
+            poisoned_.erase(addr & ~7u);
+        }
+    }
     /** A tagged capability was dereferenced out of a poisoned
      * granule: the one outcome the system must never produce. */
     void noteSafetyViolation(uint32_t addr);
@@ -282,6 +316,12 @@ class FaultInjector
   private:
     /** Deliver a cycle-triggered plan. */
     void fire(uint64_t nowCycle);
+    /** Recompute nextEvent_ and busTrigger_; every method that changes
+     * the plan, its fired state or the stall calls it. */
+    void updateTriggers();
+    /** busTransactionFaults() once a bus plan's ordinal is reached:
+     * the drop or the delay. */
+    uint32_t busFault(uint32_t *extraBeats);
     /** The fire-once rule every hook shares: an armed, unfired plan
      * for @p site that has @p reached its trigger fires now. Marks
      * the plan fired, counts it in faultsInjected and returns true;
@@ -322,6 +362,13 @@ class FaultInjector
     bool stalled_ = false;
     uint64_t stallDeadline_ = 0;
     bool epochStuck_ = false;
+    /** The earliest of the stall deadline (while stalled) and the
+     * trigger cycle of an armed, unfired, cycle-triggered plan;
+     * kNever if neither. */
+    uint64_t nextEvent_ = kNever;
+    /** The trigger ordinal of an armed, unfired BusDrop or BusDelay
+     * plan; kNever if none. */
+    uint64_t busTrigger_ = kNever;
 
     /** Granules disturbed by injection and not yet rewritten. */
     std::unordered_set<uint32_t> poisoned_;

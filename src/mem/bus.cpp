@@ -1,16 +1,12 @@
 #include "mem/bus.h"
 
-#include "fault/fault_injector.h"
-
 namespace cheriot::mem
 {
 
 BusResult
-Bus::injectFaults(unsigned beats, fault::FaultInjector *injector)
+Bus::injectFaults(unsigned beats, uint32_t drops, uint32_t extraBeats)
 {
     BusResult result;
-    uint32_t extraBeats = 0;
-    uint32_t drops = injector->busTransactionFaults(&extraBeats);
     result.extraCycles += extraBeats;
     delayCycles += extraBeats;
 

@@ -13,15 +13,11 @@
 #ifndef CHERIOT_MEM_BUS_H
 #define CHERIOT_MEM_BUS_H
 
+#include "fault/fault_injector.h"
 #include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
-
-namespace cheriot::fault
-{
-class FaultInjector;
-}
 
 namespace cheriot::mem
 {
@@ -98,8 +94,9 @@ class Bus
 
     /**
      * Run one transaction of @p beats beats. @p injector may inject
-     * drops (replayed with backoff) or latency; null means fault-free,
-     * and then the transaction is two counter bumps, inline.
+     * drops (replayed with backoff) or latency; null means fault-free.
+     * Inline up to the injector's ordinal bump: only a transaction it
+     * drops or delays goes out of line.
      */
     BusResult transact(unsigned beats, fault::FaultInjector *injector)
     {
@@ -108,7 +105,12 @@ class Bus
         if (injector == nullptr) {
             return BusResult{};
         }
-        return injectFaults(beats, injector);
+        uint32_t extraBeats = 0;
+        const uint32_t drops = injector->busTransactionFaults(&extraBeats);
+        if (drops == 0 && extraBeats == 0) {
+            return BusResult{};
+        }
+        return injectFaults(beats, drops, extraBeats);
     }
 
     /** @name Snapshot state (the bus itself is stateless; counters) @{ */
@@ -137,8 +139,11 @@ class Bus
     StatGroup &stats() { return stats_; }
 
   private:
-    /** The rest of transact() with an injector attached. */
-    BusResult injectFaults(unsigned beats, fault::FaultInjector *injector);
+    /** The rest of transact() for a transaction the injector dropped
+     * @p drops times or delayed by @p extraBeats: the delay, then the
+     * replays with backoff. */
+    BusResult injectFaults(unsigned beats, uint32_t drops,
+                           uint32_t extraBeats);
 
     BusWidth width_;
     StatGroup stats_{"bus"};

@@ -66,12 +66,6 @@ Machine::execute(const Inst &inst, uint32_t pc)
         return true;
     };
 
-    // Memory authorities: in baseline RV32E mode an almighty implicit
-    // capability stands in for the absent checks.
-    auto authority = [&]() -> Capability {
-        return cheri ? rs1 : Capability::memoryRoot().withAddress(v1);
-    };
-
     switch (inst.op) {
       case Op::Illegal:
         trap(TrapCause::IllegalInstruction, 0);
@@ -183,8 +177,8 @@ Machine::execute(const Inst &inst, uint32_t pc)
         const bool sign = inst.op == Op::Lb || inst.op == Op::Lh;
         const uint32_t addr = v1 + inst.imm;
         uint32_t value = 0;
-        if (accessed(loadData(authority(), addr, bytes, sign, &value),
-                     addr)) {
+        // rs1 is the authority; baseline RV32E (checkAccess) ignores it.
+        if (accessed(loadData(rs1, addr, bytes, sign, &value), addr)) {
             writeRegInt(inst.rd, value);
             pendingLoadReg_ = inst.rd;
         }
@@ -195,7 +189,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
         const unsigned bytes = inst.op == Op::Sb ? 1
                                : inst.op == Op::Sh ? 2 : 4;
         const uint32_t addr = v1 + inst.imm;
-        accessed(storeData(authority(), addr, bytes, v2), addr);
+        accessed(storeData(rs1, addr, bytes, v2), addr);
         return;
       }
 

@@ -18,6 +18,7 @@
 
 #include "cap/capability.h"
 #include "debug/stats.h"
+#include "fault/fault_injector.h"
 #include "isa/encoding.h"
 #include "mem/bus.h"
 #include "mem/memory_map.h"
@@ -34,11 +35,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-namespace cheriot::fault
-{
-class FaultInjector;
-}
 
 namespace cheriot::debug
 {
@@ -219,13 +215,16 @@ class Machine
      * between calls — so each window is one step of the revoker and
      * one injector tick, equal to ticking both once per cycle.
      *
-     * Machine state picks the path: with no injector attached the
-     * whole call is one window, inline, and while the revoker is idle
-     * it only adds the cycles and ticks the timer.
+     * Machine state picks the path: a call that ends before the
+     * injector's next event (always, with no injector attached) is one
+     * window, inline — the tick it would end with is a no-op — and
+     * while the revoker is idle it only adds the cycles and ticks the
+     * timer. Only a call that reaches an event goes out of line.
      */
     void advance(uint64_t cycleCount, uint64_t memPortBusy = 0)
     {
-        if (injector_ != nullptr) {
+        if (injector_ != nullptr &&
+            cycles() + cycleCount >= injector_->nextEventCycle(cycles())) {
             advanceToInjectorEvents(cycleCount, memPortBusy);
             return;
         }
@@ -370,8 +369,8 @@ class Machine
   private:
     friend class Executor;
 
-    /** advance() with an injector attached: windows end at its
-     * events, and it is ticked at the end of each. */
+    /** advance() over a span that reaches an injector event: windows
+     * end at its events, and it is ticked at the end of each. */
     void advanceToInjectorEvents(uint64_t cycleCount, uint64_t memPortBusy);
     /** The one run loop: with @p rc null it runs blocks (run());
      * otherwise it checks @p rc's breakpoints before and its stops
@@ -395,7 +394,9 @@ class Machine
     bool takePendingInterrupt();
 
     /** Common access validation; returns None when allowed. Inline:
-     * every checked access runs it. */
+     * every checked access runs it. In baseline RV32E (CHERI off)
+     * @p auth is unused: only the mapping and alignment are checked,
+     * and the load and store bodies never read it either. */
     TrapCause checkAccess(const cap::Capability &auth, uint32_t addr,
                           unsigned bytes, uint16_t needPerm) const;
 
@@ -523,7 +524,8 @@ Machine::checkAccess(const cap::Capability &auth, uint32_t addr,
                      unsigned bytes, uint16_t needPerm) const
 {
     if (!config_.core.cheriEnabled) {
-        // Baseline RV32E: no architectural checks beyond mapping.
+        // Baseline RV32E: no architectural checks beyond mapping;
+        // @p auth is whatever register the instruction named.
         if (!memory_.isMapped(addr, bytes)) {
             return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
                                               : TrapCause::LoadAccessFault;

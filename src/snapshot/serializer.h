@@ -48,10 +48,19 @@
 namespace cheriot::snapshot
 {
 
-/** CRC-32 (IEEE, reflected) over @p size bytes, computed eight bytes
- * per step (slicing-by-8); equal to the bytewise definition. A
- * @p seed of a previous result continues that CRC. */
+/** CRC-32 (IEEE, reflected) over @p size bytes; equal to the bytewise
+ * definition. A @p seed of a previous result continues that CRC. On
+ * an x86-64 host whose CPU reports PCLMULQDQ and SSE4.1 (asked once,
+ * at run time) an input of 64 bytes or more is folded 64 bytes per
+ * step by carry-less multiplication, and its last < 16 bytes go
+ * through crc32Slicing; on any other host crc32Slicing is the whole
+ * CRC. Either way the value is the same. */
 uint32_t crc32(const uint8_t *data, size_t size, uint32_t seed = 0);
+
+/** The same CRC-32 eight bytes per step (slicing-by-8), on any host:
+ * crc32's portable path, callable on its own so that it is tested
+ * where crc32 takes the carry-less path. */
+uint32_t crc32Slicing(const uint8_t *data, size_t size, uint32_t seed = 0);
 
 /** The CRC-32 of A followed by B, from @p crcA = crc32(A), @p crcB =
  * crc32(B) and B's length, without reading either: appending

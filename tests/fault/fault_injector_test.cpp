@@ -161,6 +161,58 @@ TEST(FaultInjector, BusBackoffDoublesPerRetry)
     EXPECT_GT(twoRetries, 2 * oneRetry);
 }
 
+/** The bus ordinal counts every charged transaction, whatever plan is
+ * armed: a bus plan re-armed mid-run (as the fleet's chaos schedule
+ * re-arms a node's injector) lands on exactly the ordinal it names. */
+TEST(FaultInjector, BusOrdinalCountsEveryTransaction)
+{
+    constexpr uint64_t k = 5;
+    for (const FaultSite site : {FaultSite::BusDelay, FaultSite::BusDrop}) {
+        SCOPED_TRACE(faultSiteName(site));
+        FaultInjector injector(3);
+        MachineConfig config;
+        config.sramSize = 64u << 10;
+        config.heapOffset = 32u << 10;
+        config.heapSize = 16u << 10;
+        config.injector = &injector;
+        Machine machine(config);
+
+        FaultPlan other;
+        other.site = FaultSite::SwitchPortStall;
+        injector.arm(other);
+        const uint32_t addr = mem::kSramBase + 0x100;
+        uint32_t value = 0;
+        for (uint64_t i = 0; i < k; ++i) {
+            ASSERT_EQ(machine.loadData(Capability::memoryRoot(), addr, 4,
+                                       false, &value),
+                      TrapCause::None);
+        }
+
+        FaultPlan plan;
+        plan.site = site;
+        plan.triggerTransaction = k + 3;
+        plan.param = 2; // Two drops (within the retry budget) or beats.
+        injector.arm(plan);
+        for (uint64_t ordinal = k; ordinal <= k + 4; ++ordinal) {
+            const uint64_t delayed = machine.bus().delayCycles.value();
+            ASSERT_EQ(machine.loadData(Capability::memoryRoot(), addr, 4,
+                                       false, &value),
+                      TrapCause::None);
+            EXPECT_EQ(injector.fired(), ordinal >= k + 3)
+                << "transaction " << ordinal;
+            EXPECT_EQ(machine.bus().delayCycles.value() != delayed,
+                      ordinal == k + 3)
+                << "transaction " << ordinal;
+        }
+        EXPECT_EQ(injector.busDelays.value(),
+                  site == FaultSite::BusDelay ? 1u : 0u);
+        EXPECT_EQ(injector.busDrops.value(),
+                  site == FaultSite::BusDrop ? 2u : 0u);
+        EXPECT_EQ(machine.bus().retries.value(),
+                  site == FaultSite::BusDrop ? 2u : 0u);
+    }
+}
+
 TEST(FaultInjector, FaultStormDeliversBurst)
 {
     FaultInjector injector(9);

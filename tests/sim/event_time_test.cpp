@@ -17,8 +17,11 @@
  *     completed sweeps) must match after every window;
  *   - FaultInjector::nextEventCycle(now) against the first cycle at
  *     which per-cycle tick() changes fired() or revokerStalled();
- *   - one Machine::advance(N, busy) against N single-cycle advances,
- *     with an injector armed for every cycle-triggered site.
+ *   - one Machine::advance(N, busy) against N single-cycle advances
+ *     with the injector ticked after each, with an injector armed for
+ *     every site: windows ending one cycle before, at and one cycle
+ *     after its next event, with stalls opened, kicks and re-arms
+ *     (one with its trigger already past) between windows.
  */
 
 #include "fault/fault_injector.h"
@@ -426,13 +429,31 @@ TEST(EventTime, MallocStallDeadlineIsAnEvent)
     EXPECT_EQ(fast.nextEventCycle(100), 5100u);
 }
 
-/** Arm @p site on both machines' injectors; advance one machine in a
- * few coarse windows and the other one cycle at a time, with the same
- * stores between windows; both must end bit-identical. */
+/** Both machines' injectors and their revoker and stall states must
+ * match after each window. */
+void
+expectSameInjectors(const FaultInjector &a, const FaultInjector &b)
+{
+    EXPECT_EQ(a.fired(), b.fired());
+    EXPECT_EQ(a.revokerStalled(), b.revokerStalled());
+    EXPECT_EQ(a.suppressEpochIncrement(), b.suppressEpochIncrement());
+}
+
+/**
+ * Arm @p site on both machines' injectors; advance machine a in coarse
+ * windows and machine b one cycle at a time, ticking b's injector after
+ * every cycle as the per-cycle reference, and require equal state
+ * after every window. Most windows end one cycle before the injector's
+ * next event, at it or one cycle after it. Between windows both get
+ * the same stores, malloc backoffs (opening a MallocStall stall),
+ * charged revoker kicks through MMIO (clearing a stall, and each one
+ * bus transaction) and two re-arms, the first with its trigger already
+ * past, as the fleet's chaos schedule re-arms a node's injector.
+ */
 void
 checkMachineWindows(const CoreConfig &core, FaultSite site, uint64_t seed)
 {
-    constexpr uint64_t kWindows = 4;
+    constexpr int kWindows = 12;
     Rng rng(seed);
     FaultInjector injectorA(seed);
     FaultInjector injectorB(seed);
@@ -441,31 +462,65 @@ checkMachineWindows(const CoreConfig &core, FaultSite site, uint64_t seed)
     startSeededSweep(a, seed, false);
     startSeededSweep(b, seed, false);
 
-    FaultPlan plan;
-    plan.site = site;
-    plan.triggerCycle = rng.below(4000); // Inside the first window.
-    plan.addr = a.heapBase() + rng.below(a.machineConfig().heapSize / 8) * 8;
-    plan.param = site == FaultSite::RevokerStall ? 1 + rng.below(4000)
-                                                 : rng.below(64);
-    injectorA.arm(plan);
-    injectorB.arm(plan);
+    const auto arm = [&](uint64_t triggerCycle) {
+        FaultPlan plan;
+        plan.site = site;
+        plan.triggerCycle = triggerCycle;
+        plan.triggerTransaction = rng.below(3);
+        plan.addr =
+            a.heapBase() + rng.below(a.machineConfig().heapSize / 8) * 8;
+        // Stalls short enough to end inside the test; else a bit index.
+        plan.param = site == FaultSite::RevokerStall ||
+                             site == FaultSite::MallocStall
+                         ? 1 + rng.below(4000)
+                         : rng.below(64);
+        injectorA.arm(plan);
+        injectorB.arm(plan);
+    };
+    arm(rng.below(4000));
 
-    for (uint64_t w = 0; w < kWindows; ++w) {
-        const uint64_t n = 1000 + rng.below(5000);
+    uint64_t nearEvent = 0;
+    for (int w = 0; w < kWindows; ++w) {
+        SCOPED_TRACE("window " + std::to_string(w));
+        const uint64_t event = injectorA.nextEventCycle(a.cycles());
+        // One cycle before the event, at it, one after it in turn.
+        const uint64_t n = event != FaultInjector::kNever && w % 4 != 3
+                               ? event - a.cycles() - 1 + nearEvent++ % 3
+                               : 1000 + rng.below(5000);
         const uint64_t busy = rng.below(n + 16);
         a.advance(n, busy);
         for (uint64_t i = 0; i < n; ++i) {
             b.advance(1, i < busy ? 1 : 0);
+            injectorB.tick(b.cycles());
+        }
+        ASSERT_EQ(a.cycles(), b.cycles());
+        expectSameInjectors(injectorA, injectorB);
+        ASSERT_EQ(a.stateDigest(), b.stateDigest());
+
+        if (w == 5) {
+            arm(a.cycles() - 1 - rng.below(1000));
+        } else if (w == 8) {
+            arm(a.cycles() + rng.below(4000));
         }
         storeBetweenWindows(rng, a, b);
+        if (w % 4 == 0 || rng.chance(1, 3)) {
+            injectorA.mallocBackoffStarted(a.cycles());
+            injectorB.mallocBackoffStarted(b.cycles());
+        }
+        if (w % 4 == 1) {
+            // A BusDrop past the retry budget fails it on both.
+            EXPECT_EQ(a.storeData(Capability::memoryRoot(),
+                                  mem::kRevokerMmioBase + 0xc, 4, 1),
+                      b.storeData(Capability::memoryRoot(),
+                                  mem::kRevokerMmioBase + 0xc, 4, 1));
+        }
     }
-    EXPECT_TRUE(injectorA.fired());
-    EXPECT_EQ(a.cycles(), b.cycles());
+    if (fault::isCycleTriggered(site) || site == FaultSite::MallocStall) {
+        EXPECT_TRUE(injectorA.fired());
+        EXPECT_GT(nearEvent, 0u);
+    }
     EXPECT_EQ(a.stateDigest(), b.stateDigest());
     EXPECT_EQ(injectorA.stats().snapshot(), injectorB.stats().snapshot());
-    EXPECT_EQ(injectorA.revokerStalled(), injectorB.revokerStalled());
-    EXPECT_EQ(injectorA.suppressEpochIncrement(),
-              injectorB.suppressEpochIncrement());
     EXPECT_EQ(a.simStats().snapshot(), b.simStats().snapshot());
 }
 
@@ -474,9 +529,6 @@ TEST(EventTime, MachineWindowEqualsSingleCycleAdvances)
     for (const CoreConfig &core : {CoreConfig::ibex(), CoreConfig::flute()}) {
         for (uint32_t s = 0; s < fault::kFaultSiteCount; ++s) {
             const auto site = static_cast<FaultSite>(s);
-            if (!fault::isCycleTriggered(site)) {
-                continue;
-            }
             for (uint64_t seed = 1; seed <= 2; ++seed) {
                 SCOPED_TRACE(core.name + " " + fault::faultSiteName(site) +
                              " seed " + std::to_string(seed));

@@ -1,9 +1,12 @@
 /**
  * @file
- * The snapshot CRC-32: the slicing-by-8 implementation against a
- * bytewise reference kept here, on random unaligned buffers with
- * random seeds, plus the standard check value; and crc32Combine
- * against the CRC of the concatenation.
+ * The snapshot CRC-32: both bulk paths (crc32, which folds by
+ * carry-less multiplication where the host CPU allows, and the
+ * slicing-by-8 crc32Slicing that is the whole CRC elsewhere) against
+ * a bytewise reference kept here, at every short length and offset,
+ * on random unaligned buffers and long ones, with random seeds, plus
+ * the standard check value; and crc32Combine against the CRC of the
+ * concatenation.
  */
 
 #include "snapshot/serializer.h"
@@ -12,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace cheriot::snapshot
@@ -33,13 +37,33 @@ referenceCrc32(const uint8_t *data, size_t size, uint32_t seed)
     return c ^ 0xffffffffu;
 }
 
+/** The two bulk paths, each checked on its own. */
+using CrcPath = uint32_t (*)(const uint8_t *, size_t, uint32_t);
+const std::pair<const char *, CrcPath> kCrcPaths[] = {
+    {"crc32", &crc32},
+    {"crc32Slicing", &crc32Slicing},
+};
+
+std::vector<uint8_t>
+randomBytes(Rng &rng, size_t size)
+{
+    std::vector<uint8_t> bytes(size);
+    for (uint8_t &byte : bytes) {
+        byte = static_cast<uint8_t>(rng.next());
+    }
+    return bytes;
+}
+
 TEST(Crc32, StandardCheckValue)
 {
     const char *check = "123456789";
-    EXPECT_EQ(crc32(reinterpret_cast<const uint8_t *>(check),
-                    std::strlen(check)),
-              0xcbf43926u);
-    EXPECT_EQ(crc32(nullptr, 0), 0u);
+    for (const auto &[name, path] : kCrcPaths) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(path(reinterpret_cast<const uint8_t *>(check),
+                       std::strlen(check), 0),
+                  0xcbf43926u);
+        EXPECT_EQ(path(nullptr, 0, 0), 0u);
+    }
 }
 
 TEST(Crc32, SlicingMatchesBytewiseOnRandomUnalignedBuffers)
@@ -54,8 +78,46 @@ TEST(Crc32, SlicingMatchesBytewiseOnRandomUnalignedBuffers)
         }
         const uint32_t seed = rng.chance(1, 4) ? 0 : rng.next();
         const uint8_t *data = storage.data() + offset;
-        ASSERT_EQ(crc32(data, size, seed), referenceCrc32(data, size, seed))
-            << "offset " << offset << " size " << size << " seed " << seed;
+        const uint32_t want = referenceCrc32(data, size, seed);
+        for (const auto &[name, path] : kCrcPaths) {
+            ASSERT_EQ(path(data, size, seed), want)
+                << name << " offset " << offset << " size " << size
+                << " seed " << seed;
+        }
+    }
+}
+
+TEST(Crc32, BothPathsMatchBytewiseAtEveryShortLengthAndOffset)
+{
+    // Every length through the carry-less path's 64-byte minimum, its
+    // 16-byte tail and its 64-byte main loop, at every 16-byte offset.
+    Rng rng(0xc1a55);
+    const std::vector<uint8_t> storage = randomBytes(rng, 1024 + 16);
+    for (uint32_t size = 0; size <= 1024; ++size) {
+        for (uint32_t offset = 0; offset < 16; ++offset) {
+            const uint8_t *data = storage.data() + offset;
+            const uint32_t seed = rng.next();
+            const uint32_t want = referenceCrc32(data, size, seed);
+            for (const auto &[name, path] : kCrcPaths) {
+                ASSERT_EQ(path(data, size, seed), want)
+                    << name << " size " << size << " offset " << offset;
+            }
+        }
+    }
+}
+
+TEST(Crc32, BothPathsMatchBytewiseOnLongBuffers)
+{
+    Rng rng(0x10c6);
+    for (const size_t size : {size_t{65535}, size_t{65536}, size_t{65537},
+                              size_t{262149}}) {
+        const std::vector<uint8_t> data = randomBytes(rng, size + 3);
+        const uint32_t seed = rng.next();
+        const uint32_t want = referenceCrc32(data.data() + 3, size, seed);
+        for (const auto &[name, path] : kCrcPaths) {
+            EXPECT_EQ(path(data.data() + 3, size, seed), want)
+                << name << " size " << size;
+        }
     }
 }
 
