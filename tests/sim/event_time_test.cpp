@@ -17,11 +17,11 @@
  *     completed sweeps) must match after every window;
  *   - FaultInjector::nextEventCycle(now) against the first cycle at
  *     which per-cycle tick() changes fired() or revokerStalled();
- *   - one Machine::advance(N, busy) against N single-cycle advances
- *     with the injector ticked after each, with an injector armed for
- *     every site: windows ending one cycle before, at and one cycle
- *     after its next event, with stalls opened, kicks and re-arms
- *     (one with its trigger already past) between windows.
+ *   - Machine::advance(N, busy) windows against N single-cycle
+ *     advances, each followed by an injector tick, with an injector
+ *     armed for every site: windows ending one cycle before, at and
+ *     one cycle after its next event, with stalls opened, kicks and
+ *     re-arms (one with its trigger already past) between windows.
  */
 
 #include "fault/fault_injector.h"
@@ -429,8 +429,8 @@ TEST(EventTime, MallocStallDeadlineIsAnEvent)
     EXPECT_EQ(fast.nextEventCycle(100), 5100u);
 }
 
-/** Both machines' injectors and their revoker and stall states must
- * match after each window. */
+/** The injector state a window can change: fired, stalled and the
+ * held epoch. */
 void
 expectSameInjectors(const FaultInjector &a, const FaultInjector &b)
 {
