@@ -24,7 +24,13 @@
  *     object-capability and token/quota storms, and one repro record
  *     file per campaign workload;
  *   - the deterministic fields of every fleet_chaos row (with and
- *     without --rogue) and cap_chaos row, at their CTest smoke sizes.
+ *     without --rogue) and cap_chaos row, at their CTest smoke sizes;
+ *   - the static verifier's report on every program image it analyzes
+ *     instruction by instruction (the CoreMark image cheriot_verify
+ *     checks and every corpus program): findings as class@pc and the
+ *     fixpoint's counters, so a transfer-function change that moves a
+ *     finding or the fixpoint shows even where the clean-or-violating
+ *     verdict does not.
  *
  * With --table4 it records a second, separate set instead: every cell
  * of the Table 4 panel on both cores (8 configurations x 13 sizes) at
@@ -56,6 +62,8 @@
 #include "sim/fleet.h"
 #include "snapshot/checkpoint.h"
 #include "util/rng.h"
+#include "verify/corpus.h"
+#include "verify/verifier.h"
 #include "workloads/allocbench/alloc_bench.h"
 #include "workloads/coremark/coremark.h"
 #include "workloads/iot/iot_app.h"
@@ -515,6 +523,43 @@ harnessRowLines(std::vector<std::string> &out)
     }
 }
 
+/** One line per analyzed program image: its findings and the
+ * fixpoint's counters. */
+void
+verifyLines(std::vector<std::string> &out)
+{
+    const auto line = [&](const verify::ProgramImage &image) {
+        const verify::Report r = verify::analyzeProgram(image);
+        std::string findings;
+        for (const verify::Finding &f : r.findings) {
+            findings += format("%s%s@%08x", findings.empty() ? "" : ",",
+                               verify::findingClassName(f.cls), f.pc);
+        }
+        out.push_back(
+            "verify " + image.name +
+            " findings=" + (findings.empty() ? "-" : findings) +
+            format(" states=%" PRIu64 " instructions=%" PRIu64
+                   " iterations=%" PRIu64 " functions=%" PRIu64
+                   " edges=%" PRIu64 " summaries=%" PRIu64
+                   " applied=%" PRIu64,
+                   r.statesExplored, r.instructionsAnalyzed,
+                   r.fixpointIterations, r.callGraphFunctions,
+                   r.callGraphEdges, r.summariesComputed,
+                   r.summaryApplications));
+    };
+    // The image cheriot_verify --workload coremark analyzes.
+    workloads::CoreMarkBuilder builder{workloads::CoreMarkConfig{}};
+    verify::ProgramImage coremark;
+    coremark.name = "coremark";
+    coremark.base = workloads::CoreMarkBuilder::kProgramBase;
+    coremark.entry = builder.entry();
+    coremark.words = builder.build();
+    line(coremark);
+    for (const verify::CorpusCase &c : verify::corpus()) {
+        line(c.image);
+    }
+}
+
 /** One line per Table 4 cell: both cores, every configuration and
  * allocation size, kTable4Bytes allocated and freed per cell. */
 void
@@ -616,6 +661,7 @@ main(int argc, char **argv)
             std::filesystem::remove_all(scratch);
         }
         harnessRowLines(lines);
+        verifyLines(lines);
     }
 
     bool ok = true;
