@@ -18,6 +18,7 @@
 
 #include "cap/capability.h"
 #include "isa/encoding.h"
+#include "isa/semantics.h"
 #include "snapshot/serializer.h"
 
 #include <cstdint>
@@ -25,30 +26,8 @@
 namespace cheriot::sim
 {
 
-/** Trap and interrupt causes (mcause values). */
-enum class TrapCause : uint32_t
-{
-    None = 0,
-    InstrAccessFault = 1,
-    IllegalInstruction = 2,
-    Breakpoint = 3,
-    LoadAccessFault = 5,
-    StoreAccessFault = 7,
-    EcallM = 11,
-    // CHERI-specific causes (values chosen in the reserved range).
-    CheriTagViolation = 28,
-    CheriSealViolation = 29,
-    CheriPermViolation = 30,
-    CheriBoundsViolation = 31,
-    CheriStoreLocalViolation = 32,
-    MisalignedAccess = 33,
-    /** Synthesised by the switcher (not a hardware mcause): the call
-     * target compartment is quarantined by the kernel watchdog. */
-    CompartmentQuarantined = 34,
-    // Interrupts (bit 31 set in mcause).
-    TimerInterrupt = 0x80000007,
-    RevokerInterrupt = 0x8000000b,
-};
+/** Trap and interrupt causes (mcause values), an ISA definition. */
+using isa::TrapCause;
 
 const char *trapCauseName(TrapCause cause);
 

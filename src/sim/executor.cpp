@@ -52,6 +52,13 @@ Machine::execute(const Inst &inst, uint32_t pc)
         writeReg(inst.rd, value);
         fallthrough(1);
     };
+    // A register-to-register op: each case passes its own constant op,
+    // so the inlined isa::evaluate folds to that op's code.
+    auto evaluated = [&](Op op, unsigned cycleCount = 1)
+        __attribute__((always_inline)) {
+        writeReg(inst.rd, isa::evaluate(op, inst.imm, rs1, rs2));
+        fallthrough(cycleCount);
+    };
     auto trap = [&](TrapCause cause, uint32_t tval) {
         raiseTrap(cause, tval);
     };
@@ -71,9 +78,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
         trap(TrapCause::IllegalInstruction, 0);
         return;
 
-      case Op::Lui:
-        intResult(static_cast<uint32_t>(inst.imm));
-        return;
+      case Op::Lui: evaluated(Op::Lui); return;
 
       case Op::Auipc:
         // AUIPCC: derive a PCC-relative capability (plain integer in
@@ -217,58 +222,34 @@ Machine::execute(const Inst &inst, uint32_t pc)
         return;
       }
 
-      case Op::Addi: intResult(v1 + inst.imm); return;
-      case Op::Slti: intResult(isa::slt(v1, inst.imm)); return;
-      case Op::Sltiu: intResult(isa::sltu(v1, inst.imm)); return;
-      case Op::Xori: intResult(v1 ^ inst.imm); return;
-      case Op::Ori: intResult(v1 | inst.imm); return;
-      case Op::Andi: intResult(v1 & inst.imm); return;
-      case Op::Slli: intResult(isa::sll(v1, inst.imm)); return;
-      case Op::Srli: intResult(isa::srl(v1, inst.imm)); return;
-      case Op::Srai: intResult(isa::sra(v1, inst.imm)); return;
-      case Op::Add: intResult(v1 + v2); return;
-      case Op::Sub: intResult(v1 - v2); return;
-      case Op::Sll: intResult(isa::sll(v1, v2)); return;
-      case Op::Slt: intResult(isa::slt(v1, v2)); return;
-      case Op::Sltu: intResult(isa::sltu(v1, v2)); return;
-      case Op::Xor: intResult(v1 ^ v2); return;
-      case Op::Srl: intResult(isa::srl(v1, v2)); return;
-      case Op::Sra: intResult(isa::sra(v1, v2)); return;
-      case Op::Or: intResult(v1 | v2); return;
-      case Op::And: intResult(v1 & v2); return;
+      case Op::Addi: evaluated(Op::Addi); return;
+      case Op::Slti: evaluated(Op::Slti); return;
+      case Op::Sltiu: evaluated(Op::Sltiu); return;
+      case Op::Xori: evaluated(Op::Xori); return;
+      case Op::Ori: evaluated(Op::Ori); return;
+      case Op::Andi: evaluated(Op::Andi); return;
+      case Op::Slli: evaluated(Op::Slli); return;
+      case Op::Srli: evaluated(Op::Srli); return;
+      case Op::Srai: evaluated(Op::Srai); return;
+      case Op::Add: evaluated(Op::Add); return;
+      case Op::Sub: evaluated(Op::Sub); return;
+      case Op::Sll: evaluated(Op::Sll); return;
+      case Op::Slt: evaluated(Op::Slt); return;
+      case Op::Sltu: evaluated(Op::Sltu); return;
+      case Op::Xor: evaluated(Op::Xor); return;
+      case Op::Srl: evaluated(Op::Srl); return;
+      case Op::Sra: evaluated(Op::Sra); return;
+      case Op::Or: evaluated(Op::Or); return;
+      case Op::And: evaluated(Op::And); return;
 
-      case Op::Mul:
-        writeRegInt(inst.rd, v1 * v2);
-        fallthrough(cc.mulCycles);
-        return;
-      case Op::Mulh:
-        writeRegInt(inst.rd, isa::mulh(v1, v2));
-        fallthrough(cc.mulCycles);
-        return;
-      case Op::Mulhsu:
-        writeRegInt(inst.rd, isa::mulhsu(v1, v2));
-        fallthrough(cc.mulCycles);
-        return;
-      case Op::Mulhu:
-        writeRegInt(inst.rd, isa::mulhu(v1, v2));
-        fallthrough(cc.mulCycles);
-        return;
-      case Op::Div:
-        writeRegInt(inst.rd, isa::div(v1, v2));
-        fallthrough(cc.divCycles);
-        return;
-      case Op::Divu:
-        writeRegInt(inst.rd, isa::divu(v1, v2));
-        fallthrough(cc.divCycles);
-        return;
-      case Op::Rem:
-        writeRegInt(inst.rd, isa::rem(v1, v2));
-        fallthrough(cc.divCycles);
-        return;
-      case Op::Remu:
-        writeRegInt(inst.rd, isa::remu(v1, v2));
-        fallthrough(cc.divCycles);
-        return;
+      case Op::Mul: evaluated(Op::Mul, cc.mulCycles); return;
+      case Op::Mulh: evaluated(Op::Mulh, cc.mulCycles); return;
+      case Op::Mulhsu: evaluated(Op::Mulhsu, cc.mulCycles); return;
+      case Op::Mulhu: evaluated(Op::Mulhu, cc.mulCycles); return;
+      case Op::Div: evaluated(Op::Div, cc.divCycles); return;
+      case Op::Divu: evaluated(Op::Divu, cc.divCycles); return;
+      case Op::Rem: evaluated(Op::Rem, cc.divCycles); return;
+      case Op::Remu: evaluated(Op::Remu, cc.divCycles); return;
 
       case Op::Ecall:
         trap(TrapCause::EcallM, 0);
@@ -326,64 +307,30 @@ Machine::execute(const Inst &inst, uint32_t pc)
       }
 
       // --- CHERIoT capability instructions ---------------------------
-      case Op::CGetPerm: intResult(rs1.perms().mask()); return;
-      case Op::CGetType: intResult(rs1.typeAddress()); return;
-      case Op::CGetBase: intResult(rs1.base()); return;
-      case Op::CGetLen: {
-        const uint64_t length = rs1.length();
-        intResult(length > 0xffffffffull
-                      ? 0xffffffffu
-                      : static_cast<uint32_t>(length));
-        return;
-      }
-      case Op::CGetTop: {
-        const uint64_t top = rs1.top();
-        intResult(top > 0xffffffffull ? 0xffffffffu
-                                      : static_cast<uint32_t>(top));
-        return;
-      }
-      case Op::CGetTag: intResult(rs1.tag() ? 1 : 0); return;
-      case Op::CGetAddr: intResult(v1); return;
+      case Op::CGetPerm: evaluated(Op::CGetPerm); return;
+      case Op::CGetType: evaluated(Op::CGetType); return;
+      case Op::CGetBase: evaluated(Op::CGetBase); return;
+      case Op::CGetLen: evaluated(Op::CGetLen); return;
+      case Op::CGetTop: evaluated(Op::CGetTop); return;
+      case Op::CGetTag: evaluated(Op::CGetTag); return;
+      case Op::CGetAddr: evaluated(Op::CGetAddr); return;
 
-      case Op::CSeal: {
-        const auto sealed = cap::seal(rs1, rs2);
-        capResult(sealed ? *sealed : rs1.withTagCleared());
-        return;
-      }
-      case Op::CUnseal: {
-        const auto unsealed = cap::unseal(rs1, rs2);
-        capResult(unsealed ? *unsealed : rs1.withTagCleared());
-        return;
-      }
-      case Op::CAndPerm:
-        capResult(rs1.withPermsAnd(static_cast<uint16_t>(v2)));
-        return;
-      case Op::CSetAddr: capResult(rs1.withAddress(v2)); return;
-      case Op::CIncAddr: capResult(rs1.withAddressOffset(v2)); return;
-      case Op::CIncAddrImm:
-        capResult(rs1.withAddressOffset(inst.imm));
-        return;
-      case Op::CSetBounds: capResult(rs1.withBounds(v2)); return;
-      case Op::CSetBoundsExact: capResult(rs1.withBoundsExact(v2)); return;
-      case Op::CSetBoundsImm:
-        capResult(rs1.withBounds(static_cast<uint32_t>(inst.imm)));
-        return;
-      case Op::CTestSubset:
-        intResult(cap::isSubsetOf(rs2, rs1) ? 1 : 0);
-        return;
-      case Op::CSetEqualExact: intResult(rs1 == rs2 ? 1 : 0); return;
-      case Op::CMove: capResult(rs1); return;
-      case Op::CClearTag: capResult(rs1.withTagCleared()); return;
-      case Op::CRrl:
-        intResult(static_cast<uint32_t>(cap::representableLength(v1)));
-        return;
-      case Op::CRam: intResult(cap::representableAlignmentMask(v1)); return;
-      case Op::CSealEntry: {
-        const auto posture = static_cast<cap::InterruptPosture>(inst.imm);
-        const auto sentry = cap::makeSentry(rs1, posture);
-        capResult(sentry ? *sentry : rs1.withTagCleared());
-        return;
-      }
+      case Op::CSeal: evaluated(Op::CSeal); return;
+      case Op::CUnseal: evaluated(Op::CUnseal); return;
+      case Op::CAndPerm: evaluated(Op::CAndPerm); return;
+      case Op::CSetAddr: evaluated(Op::CSetAddr); return;
+      case Op::CIncAddr: evaluated(Op::CIncAddr); return;
+      case Op::CIncAddrImm: evaluated(Op::CIncAddrImm); return;
+      case Op::CSetBounds: evaluated(Op::CSetBounds); return;
+      case Op::CSetBoundsExact: evaluated(Op::CSetBoundsExact); return;
+      case Op::CSetBoundsImm: evaluated(Op::CSetBoundsImm); return;
+      case Op::CTestSubset: evaluated(Op::CTestSubset); return;
+      case Op::CSetEqualExact: evaluated(Op::CSetEqualExact); return;
+      case Op::CMove: evaluated(Op::CMove); return;
+      case Op::CClearTag: evaluated(Op::CClearTag); return;
+      case Op::CRrl: evaluated(Op::CRrl); return;
+      case Op::CRam: evaluated(Op::CRam); return;
+      case Op::CSealEntry: evaluated(Op::CSealEntry); return;
       case Op::CSpecialRw: {
         if (cheri && !pcc_.perms().has(cap::PermSystemRegs)) {
             trap(TrapCause::CheriPermViolation, inst.imm);

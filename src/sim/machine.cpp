@@ -284,16 +284,8 @@ Machine::storeCap(const Capability &auth, uint32_t addr,
                   const Capability &value, bool charge)
 {
     TrapCause cause = checkAccess(auth, addr, 8, cap::PermStore);
-    if (cause == TrapCause::None && value.tag()) {
-        if (!auth.perms().has(cap::PermMemCap)) {
-            cause = TrapCause::CheriPermViolation;
-        } else if (value.isLocal() &&
-                   !auth.perms().has(cap::PermStoreLocal)) {
-            // The 1-bit information-flow scheme (§2.6): local
-            // capabilities may only be stored through SL authority
-            // (in practice: only onto stacks).
-            cause = TrapCause::CheriStoreLocalViolation;
-        }
+    if (cause == TrapCause::None) {
+        cause = isa::capStoreCause(auth, value.tag(), value.isLocal());
     }
     return access(cause, addr, 8, /*isWrite=*/true,
                   mem::capBeats(config_.core.bus),

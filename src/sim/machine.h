@@ -393,7 +393,8 @@ class Machine
     void execute(const isa::Inst &inst, uint32_t pc);
     bool takePendingInterrupt();
 
-    /** Common access validation; returns None when allowed. Inline:
+    /** Common access validation: isa::accessCause's capability
+     * checks, then the mapping; returns None when allowed. Inline:
      * every checked access runs it. In baseline RV32E (CHERI off)
      * @p auth is unused: only the mapping and alignment are checked,
      * and the load and store bodies never read it either. */
@@ -523,38 +524,23 @@ inline TrapCause
 Machine::checkAccess(const cap::Capability &auth, uint32_t addr,
                      unsigned bytes, uint16_t needPerm) const
 {
+    const TrapCause unmapped = needPerm == cap::PermStore
+                                   ? TrapCause::StoreAccessFault
+                                   : TrapCause::LoadAccessFault;
     if (!config_.core.cheriEnabled) {
         // Baseline RV32E: no architectural checks beyond mapping;
         // @p auth is whatever register the instruction named.
         if (!memory_.isMapped(addr, bytes)) {
-            return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
-                                              : TrapCause::LoadAccessFault;
+            return unmapped;
         }
-        if (addr % bytes != 0) {
-            return TrapCause::MisalignedAccess;
-        }
-        return TrapCause::None;
+        return addr % bytes != 0 ? TrapCause::MisalignedAccess
+                                 : TrapCause::None;
     }
-    if (!auth.tag()) {
-        return TrapCause::CheriTagViolation;
+    const TrapCause cause = isa::accessCause(auth, addr, bytes, needPerm);
+    if (cause == TrapCause::None && !memory_.isMapped(addr, bytes)) {
+        return unmapped;
     }
-    if (auth.isSealed()) {
-        return TrapCause::CheriSealViolation;
-    }
-    if (!auth.perms().has(needPerm)) {
-        return TrapCause::CheriPermViolation;
-    }
-    if (!auth.inBounds(addr, bytes)) {
-        return TrapCause::CheriBoundsViolation;
-    }
-    if (addr % bytes != 0) {
-        return TrapCause::MisalignedAccess;
-    }
-    if (!memory_.isMapped(addr, bytes)) {
-        return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
-                                          : TrapCause::LoadAccessFault;
-    }
-    return TrapCause::None;
+    return cause;
 }
 
 } // namespace cheriot::sim

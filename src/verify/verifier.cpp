@@ -126,8 +126,12 @@ struct Analyzer
 
     bool memAccessFaults(uint32_t pc, const AbstractState &st,
                          const AbstractCap &auth, int32_t imm,
-                         unsigned bytes, bool isStore, bool capStore,
-                         const AbstractCap &stored);
+                         unsigned bytes, bool isStore,
+                         const AbstractCap *stored = nullptr);
+
+    void foldFindings(uint32_t pc, const AbstractState &st, const Inst &inst,
+                      const Capability &rs1, const Capability &rs2,
+                      const Capability &value);
 
     void step(uint32_t pc, AbstractState st);
 
@@ -362,78 +366,146 @@ Analyzer::applyCall(uint32_t target, const AbstractState &st,
 }
 
 /**
- * Model the checked-memory-access rules of Machine::checkAccess /
- * storeCap. Returns true when the access *definitely* traps (the
- * finding is recorded and the path ends). @p stored is the value
- * operand for capability stores (Csc), else ignored.
+ * Whether an access through @p auth at offset @p imm definitely traps;
+ * if so the finding is recorded and the path ends. An exact authority
+ * is judged by the machine's own rules, isa::accessCause and (for a
+ * capability store of @p stored) isa::capStoreCause; any other by its
+ * definite tag and seal attributes alone.
  */
 bool
 Analyzer::memAccessFaults(uint32_t pc, const AbstractState &st,
                           const AbstractCap &auth, int32_t imm,
-                          unsigned bytes, bool isStore, bool capStore,
-                          const AbstractCap &stored)
+                          unsigned bytes, bool isStore,
+                          const AbstractCap *stored)
 {
-    const char *what = isStore ? "store" : "load";
-    if (auth.definitelyUntagged()) {
+    const Capability &c = auth.value;
+    const uint32_t addr = c.address() + imm;
+    isa::TrapCause cause = isa::TrapCause::None;
+    bool storeSide = false;
+    if (auth.isExact()) {
+        cause = isa::accessCause(c, addr, bytes,
+                                 isStore ? cap::PermStore : cap::PermLoad);
+        if (cause == isa::TrapCause::None && stored != nullptr) {
+            storeSide = true;
+            cause = isa::capStoreCause(c, stored->definitelyTagged(),
+                                       stored->definitelyLocal());
+        }
+    } else if (auth.definitelyUntagged()) {
+        cause = isa::TrapCause::CheriTagViolation;
+    } else if (auth.definitelySealed()) {
+        cause = isa::TrapCause::CheriSealViolation;
+    }
+
+    const std::string what = isStore ? "store" : "load";
+    switch (cause) {
+      case isa::TrapCause::None:
+        return false;
+      case isa::TrapCause::CheriTagViolation:
         finding(FindingClass::Monotonicity, pc,
-                std::string(what) +
+                what +
                     " through untagged capability (authority was "
                     "destroyed by a non-monotone manipulation)",
                 st);
-        return true;
-    }
-    if (auth.definitelySealed()) {
+        break;
+      case isa::TrapCause::CheriSealViolation:
         finding(FindingClass::Sealing, pc,
-                std::string(what) + " through sealed capability", st);
-        return true;
-    }
-    if (!auth.isExact()) {
-        return false; // No definite fact: assume the access is fine.
-    }
-    const Capability &c = auth.value; // Tagged and unsealed here.
-    const uint16_t need = isStore ? cap::PermStore : cap::PermLoad;
-    if (!c.perms().has(need)) {
+                what + " through sealed capability", st);
+        break;
+      case isa::TrapCause::CheriPermViolation:
         finding(FindingClass::Monotonicity, pc,
-                std::string(what) + " authority lacks " +
-                    (isStore ? "SD" : "LD") + " permission",
+                storeSide ? "capability store through data-only (no MC) "
+                            "authority"
+                          : what + " authority lacks " +
+                                (isStore ? "SD" : "LD") + " permission",
                 st);
-        return true;
-    }
-    const uint32_t addr = c.address() + imm;
-    if (!c.inBounds(addr, bytes)) {
+        break;
+      case isa::TrapCause::CheriBoundsViolation: {
         char msg[96];
         std::snprintf(msg, sizeof(msg),
                       "out-of-bounds %s: [%08x,+%u) outside "
                       "[%08x,%08x)",
-                      what, addr, bytes, c.base(),
+                      what.c_str(), addr, bytes, c.base(),
                       static_cast<uint32_t>(c.top()));
         finding(FindingClass::Monotonicity, pc, msg, st);
-        return true;
+        break;
+      }
+      case isa::TrapCause::MisalignedAccess:
+        finding(FindingClass::Monotonicity, pc, "misaligned " + what, st);
+        break;
+      case isa::TrapCause::CheriStoreLocalViolation:
+        finding(FindingClass::StackLeak, pc,
+                "local (stack-derived) capability stored "
+                "through authority without Store-Local: the "
+                "§5.2 stack-capability leak",
+                st);
+        break;
+      default:
+        break;
     }
-    if ((addr & (bytes - 1)) != 0) {
-        finding(FindingClass::Monotonicity, pc,
-                std::string("misaligned ") + what, st);
-        return true;
-    }
-    if (capStore && isStore && stored.definitelyTagged()) {
-        if (!c.perms().has(cap::PermMemCap)) {
-            finding(FindingClass::Monotonicity, pc,
-                    "capability store through data-only (no MC) "
-                    "authority",
+    return true;
+}
+
+/**
+ * The findings of an op folded with known operands: a seal, unseal or
+ * sentry that fails on tagged inputs (isa::evaluate then returns rs1
+ * untagged), and bounds requested outside the authority's own.
+ */
+void
+Analyzer::foldFindings(uint32_t pc, const AbstractState &st,
+                       const Inst &inst, const Capability &rs1,
+                       const Capability &rs2, const Capability &value)
+{
+    switch (inst.op) {
+      case Op::CSeal:
+        if (!value.tag() && rs1.tag() && rs2.tag()) {
+            finding(FindingClass::Sealing, pc,
+                    "seal with authority whose otype/permission "
+                    "does not cover the target",
                     st);
-            return true;
         }
-        if (stored.definitelyLocal() &&
-            !c.perms().has(cap::PermStoreLocal)) {
-            finding(FindingClass::StackLeak, pc,
-                    "local (stack-derived) capability stored "
-                    "through authority without Store-Local: the "
-                    "§5.2 stack-capability leak",
+        return;
+      case Op::CUnseal:
+        if (!value.tag() && rs1.tag() && rs2.tag()) {
+            finding(FindingClass::Sealing, pc,
+                    "unseal with authority whose otype/permission "
+                    "does not match the target's seal",
                     st);
-            return true;
         }
+        return;
+      case Op::CSealEntry:
+        if (!value.tag() && rs1.tag()) {
+            finding(FindingClass::Sealing, pc,
+                    "sentry minted from a sealed or non-executable "
+                    "capability",
+                    st);
+        }
+        return;
+      case Op::CSetBounds:
+      case Op::CSetBoundsExact:
+      case Op::CSetBoundsImm: {
+        if (!rs1.tag() || rs1.isSealed()) {
+            return;
+        }
+        const uint64_t length = inst.op == Op::CSetBoundsImm
+                                    ? static_cast<uint32_t>(inst.imm)
+                                    : rs2.address();
+        const uint64_t reqBase = rs1.address();
+        const uint64_t reqTop = reqBase + length;
+        if (reqBase < rs1.base() || reqTop > rs1.top()) {
+            char msg[112];
+            std::snprintf(msg, sizeof(msg),
+                          "bounds widening: requested [%08x,+%llx) escapes "
+                          "[%08x,%08x)",
+                          static_cast<uint32_t>(reqBase),
+                          static_cast<unsigned long long>(length),
+                          rs1.base(), static_cast<uint32_t>(rs1.top()));
+            finding(FindingClass::Monotonicity, pc, msg, st);
+        }
+        return;
+      }
+      default:
+        return;
     }
-    return false;
 }
 
 void
@@ -456,34 +528,33 @@ Analyzer::step(uint32_t pc, AbstractState st)
     const uint32_t nextPc = pc + 4;
     const AbstractCap aRs1 = st.reg(inst.rs1);
     const AbstractCap aRs2 = st.reg(inst.rs2);
-    const bool exact1 = aRs1.isExact();
-    const bool exact12 = exact1 && aRs2.isExact();
-    const uint32_t v1 = exact1 ? aRs1.address() : 0;
-    const uint32_t v2 = aRs2.isExact() ? aRs2.address() : 0;
+    // Every register the op reads holds a known value.
+    const isa::OpSummary &reads = isa::summaryOf(inst.op);
+    const bool exact = (!reads.readsRs1 || aRs1.isExact()) &&
+                       (!reads.readsRs2 || aRs2.isExact());
 
-    auto intResult = [&](bool known, uint32_t value) {
-        st.write(inst.rd, known ? AbstractCap::integer(value)
-                                : AbstractCap::unknownInt());
-    };
     auto goNext = [&]() { post(nextPc, st); };
-
-    /** Attribute pass-through for address-only edits (CSetAddr /
-     * CIncAddr): tag may clear, GL and otype are untouched. */
-    auto addressEdit = [&]() {
-        return AbstractCap::unknown(aRs1.definitelyUntagged()
-                                        ? Tri::No
-                                        : Tri::Maybe,
-                                    aRs1.local(), aRs1.sealed());
+    auto result = [&](const AbstractCap &value) {
+        st.write(inst.rd, value);
+        goNext();
+    };
+    /** A register-to-register op: with known operands, the value the
+     * executor computes; else @p abstract, the attributes that hold
+     * for every operand value. */
+    auto evaluated = [&](const AbstractCap &abstract) {
+        if (!exact) {
+            result(abstract);
+            return;
+        }
+        const Capability value =
+            isa::evaluate(inst.op, inst.imm, aRs1.value, aRs2.value);
+        foldFindings(pc, st, inst, aRs1.value, aRs2.value, value);
+        result(AbstractCap::exact(value));
     };
 
     switch (inst.op) {
       case Op::Illegal:
         return; // Illegal-instruction trap: the path ends.
-
-      case Op::Lui:
-        intResult(true, static_cast<uint32_t>(inst.imm));
-        goNext();
-        return;
 
       case Op::Auipc:
         if (st.pcc.isExact()) {
@@ -612,10 +683,13 @@ Analyzer::step(uint32_t pc, AbstractState st)
       case Op::Beq: case Op::Bne: case Op::Blt: case Op::Bge:
       case Op::Bltu: case Op::Bgeu: {
         const uint32_t target = pc + inst.imm;
-        if (exact12) {
+        if (exact) {
             // Both operands known: fold the branch so dead arms do not
             // pollute the fixpoint (and cannot cause false positives).
-            post(isa::branchTaken(inst.op, v1, v2) ? target : nextPc, st);
+            post(isa::branchTaken(inst.op, aRs1.address(), aRs2.address())
+                     ? target
+                     : nextPc,
+                 st);
         } else {
             post(target, st);
             post(nextPc, st);
@@ -627,20 +701,17 @@ Analyzer::step(uint32_t pc, AbstractState st)
         const unsigned bytes =
             (inst.op == Op::Lb || inst.op == Op::Lbu) ? 1
             : (inst.op == Op::Lh || inst.op == Op::Lhu) ? 2 : 4;
-        if (memAccessFaults(pc, st, aRs1, inst.imm, bytes, false, false,
-                            AbstractCap())) {
+        if (memAccessFaults(pc, st, aRs1, inst.imm, bytes, false)) {
             return;
         }
-        intResult(false, 0); // Memory contents are not modelled.
-        goNext();
+        result(AbstractCap::unknownInt()); // Memory contents are not modelled.
         return;
       }
 
       case Op::Sb: case Op::Sh: case Op::Sw: {
         const unsigned bytes = inst.op == Op::Sb ? 1
                                : inst.op == Op::Sh ? 2 : 4;
-        if (memAccessFaults(pc, st, aRs1, inst.imm, bytes, true, false,
-                            AbstractCap())) {
+        if (memAccessFaults(pc, st, aRs1, inst.imm, bytes, true)) {
             return;
         }
         goNext();
@@ -648,8 +719,7 @@ Analyzer::step(uint32_t pc, AbstractState st)
       }
 
       case Op::Clc: {
-        if (memAccessFaults(pc, st, aRs1, inst.imm, 8, false, false,
-                            AbstractCap())) {
+        if (memAccessFaults(pc, st, aRs1, inst.imm, 8, false)) {
             return;
         }
         // The loaded value is unknown, but the authority's load-side
@@ -658,7 +728,7 @@ Analyzer::step(uint32_t pc, AbstractState st)
         // local.
         Tri tagged = Tri::Maybe;
         Tri local = Tri::Maybe;
-        if (exact1) {
+        if (exact) {
             if (!aRs1.value.perms().has(cap::PermMemCap)) {
                 tagged = Tri::No;
             }
@@ -666,66 +736,33 @@ Analyzer::step(uint32_t pc, AbstractState st)
                 local = Tri::Yes;
             }
         }
-        st.write(inst.rd, AbstractCap::unknown(tagged, local, Tri::Maybe));
-        goNext();
+        result(AbstractCap::unknown(tagged, local, Tri::Maybe));
         return;
       }
 
       case Op::Csc: {
-        if (memAccessFaults(pc, st, aRs1, inst.imm, 8, true, true,
-                            aRs2)) {
+        if (memAccessFaults(pc, st, aRs1, inst.imm, 8, true, &aRs2)) {
             return;
         }
         goNext();
         return;
       }
 
-      case Op::Addi: intResult(exact1, v1 + inst.imm); goNext(); return;
-      case Op::Slti:
-        intResult(exact1, isa::slt(v1, inst.imm));
-        goNext();
-        return;
-      case Op::Sltiu:
-        intResult(exact1, isa::sltu(v1, inst.imm));
-        goNext();
-        return;
-      case Op::Xori: intResult(exact1, v1 ^ inst.imm); goNext(); return;
-      case Op::Ori: intResult(exact1, v1 | inst.imm); goNext(); return;
-      case Op::Andi: intResult(exact1, v1 & inst.imm); goNext(); return;
-      case Op::Slli:
-        intResult(exact1, isa::sll(v1, inst.imm));
-        goNext();
-        return;
-      case Op::Srli:
-        intResult(exact1, isa::srl(v1, inst.imm));
-        goNext();
-        return;
+      case Op::Lui:
+      case Op::Addi: case Op::Slti: case Op::Sltiu: case Op::Xori:
+      case Op::Ori: case Op::Andi: case Op::Slli: case Op::Srli:
       case Op::Srai:
-        intResult(exact1, isa::sra(v1, inst.imm));
-        goNext();
+      case Op::Add: case Op::Sub: case Op::Sll: case Op::Slt:
+      case Op::Sltu: case Op::Xor: case Op::Srl: case Op::Sra:
+      case Op::Or: case Op::And:
+      case Op::Mul: case Op::Mulh: case Op::Mulhsu: case Op::Mulhu:
+      case Op::Div: case Op::Divu: case Op::Rem: case Op::Remu:
+      case Op::CGetPerm: case Op::CGetType: case Op::CGetBase:
+      case Op::CGetLen: case Op::CGetTop: case Op::CGetAddr:
+      case Op::CTestSubset: case Op::CSetEqualExact:
+      case Op::CRrl: case Op::CRam:
+        evaluated(AbstractCap::unknownInt());
         return;
-      case Op::Add: intResult(exact12, v1 + v2); goNext(); return;
-      case Op::Sub: intResult(exact12, v1 - v2); goNext(); return;
-      case Op::Sll: intResult(exact12, isa::sll(v1, v2)); goNext(); return;
-      case Op::Slt: intResult(exact12, isa::slt(v1, v2)); goNext(); return;
-      case Op::Sltu: intResult(exact12, isa::sltu(v1, v2)); goNext(); return;
-      case Op::Xor: intResult(exact12, v1 ^ v2); goNext(); return;
-      case Op::Srl: intResult(exact12, isa::srl(v1, v2)); goNext(); return;
-      case Op::Sra: intResult(exact12, isa::sra(v1, v2)); goNext(); return;
-      case Op::Or: intResult(exact12, v1 | v2); goNext(); return;
-      case Op::And: intResult(exact12, v1 & v2); goNext(); return;
-
-      case Op::Mul: intResult(exact12, v1 * v2); goNext(); return;
-      case Op::Mulh: intResult(exact12, isa::mulh(v1, v2)); goNext(); return;
-      case Op::Mulhsu:
-        intResult(exact12, isa::mulhsu(v1, v2));
-        goNext();
-        return;
-      case Op::Mulhu: intResult(exact12, isa::mulhu(v1, v2)); goNext(); return;
-      case Op::Div: intResult(exact12, isa::div(v1, v2)); goNext(); return;
-      case Op::Divu: intResult(exact12, isa::divu(v1, v2)); goNext(); return;
-      case Op::Rem: intResult(exact12, isa::rem(v1, v2)); goNext(); return;
-      case Op::Remu: intResult(exact12, isa::remu(v1, v2)); goNext(); return;
 
       case Op::Ecall:
       case Op::Ebreak:
@@ -752,226 +789,44 @@ Analyzer::step(uint32_t pc, AbstractState st)
                     st);
             return;
         }
-        intResult(false, 0);
-        goNext();
+        result(AbstractCap::unknownInt());
         return;
 
-      case Op::CGetPerm:
-        intResult(exact1, exact1 ? aRs1.value.perms().mask() : 0);
-        goNext();
-        return;
-      case Op::CGetType:
-        intResult(exact1, exact1 ? aRs1.value.typeAddress() : 0);
-        goNext();
-        return;
-      case Op::CGetBase:
-        intResult(exact1, exact1 ? aRs1.value.base() : 0);
-        goNext();
-        return;
-      case Op::CGetLen: {
-        const uint64_t length = exact1 ? aRs1.value.length() : 0;
-        intResult(exact1, length > 0xffffffffull
-                              ? 0xffffffffu
-                              : static_cast<uint32_t>(length));
-        goNext();
-        return;
-      }
-      case Op::CGetTop: {
-        const uint64_t top = exact1 ? aRs1.value.top() : 0;
-        intResult(exact1, top > 0xffffffffull
-                              ? 0xffffffffu
-                              : static_cast<uint32_t>(top));
-        goNext();
-        return;
-      }
       case Op::CGetTag:
-        if (aRs1.tagged() != Tri::Maybe) {
-            intResult(true, aRs1.tagged() == Tri::Yes ? 1 : 0);
-        } else {
-            intResult(false, 0);
-        }
-        goNext();
+        // A definite tag attribute is enough.
+        evaluated(aRs1.tagged() == Tri::Maybe
+                      ? AbstractCap::unknownInt()
+                      : AbstractCap::integer(aRs1.definitelyTagged() ? 1
+                                                                      : 0));
         return;
-      case Op::CGetAddr: intResult(exact1, v1); goNext(); return;
-
-      case Op::CSeal: {
-        if (exact12) {
-            const auto sealed = cap::seal(aRs1.value, aRs2.value);
-            if (!sealed && aRs1.value.tag() && aRs2.value.tag()) {
-                finding(FindingClass::Sealing, pc,
-                        "seal with authority whose otype/permission "
-                        "does not cover the target",
-                        st);
-            }
-            st.write(inst.rd,
-                     AbstractCap::exact(sealed
-                                            ? *sealed
-                                            : aRs1.value.withTagCleared()));
-        } else {
-            st.write(inst.rd, AbstractCap::unknown(
-                                  Tri::Maybe, aRs1.local(), Tri::Maybe));
-        }
-        goNext();
+      case Op::CSeal:
+      case Op::CUnseal:
+      case Op::CSealEntry:
+        evaluated(AbstractCap::unknown(Tri::Maybe, aRs1.local(), Tri::Maybe));
         return;
-      }
-      case Op::CUnseal: {
-        if (exact12) {
-            const auto unsealed = cap::unseal(aRs1.value, aRs2.value);
-            if (!unsealed && aRs1.value.tag() && aRs2.value.tag()) {
-                finding(FindingClass::Sealing, pc,
-                        "unseal with authority whose otype/permission "
-                        "does not match the target's seal",
-                        st);
-            }
-            st.write(inst.rd,
-                     AbstractCap::exact(
-                         unsealed ? *unsealed
-                                  : aRs1.value.withTagCleared()));
-        } else {
-            st.write(inst.rd, AbstractCap::unknown(
-                                  Tri::Maybe, aRs1.local(), Tri::Maybe));
-        }
-        goNext();
-        return;
-      }
       case Op::CAndPerm:
-        if (exact12) {
-            st.write(inst.rd,
-                     AbstractCap::exact(aRs1.value.withPermsAnd(
-                         static_cast<uint16_t>(v2))));
-        } else {
-            // Permissions only shed: a definitely-local input stays
-            // local.
-            st.write(inst.rd,
-                     AbstractCap::unknown(
-                         aRs1.definitelyUntagged() ? Tri::No : Tri::Maybe,
-                         aRs1.local() == Tri::Yes ? Tri::Yes : Tri::Maybe,
-                         aRs1.sealed()));
-        }
-        goNext();
+        // Permissions only shed: a definitely-local input stays local.
+        evaluated(AbstractCap::unknown(
+            aRs1.definitelyUntagged() ? Tri::No : Tri::Maybe,
+            aRs1.local() == Tri::Yes ? Tri::Yes : Tri::Maybe,
+            aRs1.sealed()));
         return;
       case Op::CSetAddr:
-        if (exact12) {
-            st.write(inst.rd,
-                     AbstractCap::exact(aRs1.value.withAddress(v2)));
-        } else {
-            st.write(inst.rd, addressEdit());
-        }
-        goNext();
-        return;
       case Op::CIncAddr:
-        if (exact12) {
-            st.write(inst.rd, AbstractCap::exact(
-                                  aRs1.value.withAddressOffset(v2)));
-        } else {
-            st.write(inst.rd, addressEdit());
-        }
-        goNext();
-        return;
       case Op::CIncAddrImm:
-        if (exact1) {
-            st.write(inst.rd, AbstractCap::exact(
-                                  aRs1.value.withAddressOffset(inst.imm)));
-        } else {
-            st.write(inst.rd, addressEdit());
-        }
-        goNext();
-        return;
-
       case Op::CSetBounds:
       case Op::CSetBoundsExact:
-      case Op::CSetBoundsImm: {
-        const bool immForm = inst.op == Op::CSetBoundsImm;
-        const bool lengthKnown = immForm || aRs2.isExact();
-        const uint64_t length =
-            immForm ? static_cast<uint32_t>(inst.imm) : v2;
-        if (exact1 && lengthKnown && aRs1.value.tag() &&
-            !aRs1.value.isSealed()) {
-            const uint64_t reqBase = aRs1.value.address();
-            const uint64_t reqTop = reqBase + length;
-            if (reqBase < aRs1.value.base() ||
-                reqTop > aRs1.value.top()) {
-                char msg[112];
-                std::snprintf(
-                    msg, sizeof(msg),
-                    "bounds widening: requested [%08x,+%llx) escapes "
-                    "[%08x,%08x)",
-                    static_cast<uint32_t>(reqBase),
-                    static_cast<unsigned long long>(length),
-                    aRs1.value.base(),
-                    static_cast<uint32_t>(aRs1.value.top()));
-                finding(FindingClass::Monotonicity, pc, msg, st);
-            }
-        }
-        if (exact1 && lengthKnown) {
-            const Capability result =
-                inst.op == Op::CSetBoundsExact
-                    ? aRs1.value.withBoundsExact(length)
-                    : aRs1.value.withBounds(length);
-            st.write(inst.rd, AbstractCap::exact(result));
-        } else {
-            st.write(inst.rd,
-                     AbstractCap::unknown(
-                         aRs1.definitelyUntagged() ? Tri::No : Tri::Maybe,
-                         aRs1.local(), aRs1.sealed()));
-        }
-        goNext();
+      case Op::CSetBoundsImm:
+        // Address and bounds edits: the tag may clear, GL and otype
+        // are untouched.
+        evaluated(AbstractCap::unknown(
+            aRs1.definitelyUntagged() ? Tri::No : Tri::Maybe, aRs1.local(),
+            aRs1.sealed()));
         return;
-      }
-
-      case Op::CTestSubset:
-        intResult(exact12,
-                  exact12 && cap::isSubsetOf(aRs2.value, aRs1.value) ? 1
-                                                                     : 0);
-        goNext();
-        return;
-      case Op::CSetEqualExact:
-        intResult(exact12, exact12 && aRs1.value == aRs2.value ? 1 : 0);
-        goNext();
-        return;
-      case Op::CMove: st.write(inst.rd, aRs1); goNext(); return;
+      case Op::CMove: evaluated(aRs1); return;
       case Op::CClearTag:
-        if (exact1) {
-            st.write(inst.rd,
-                     AbstractCap::exact(aRs1.value.withTagCleared()));
-        } else {
-            st.write(inst.rd, AbstractCap::unknown(Tri::No, aRs1.local(),
-                                                   aRs1.sealed()));
-        }
-        goNext();
+        evaluated(AbstractCap::unknown(Tri::No, aRs1.local(), aRs1.sealed()));
         return;
-      case Op::CRrl:
-        intResult(exact1, static_cast<uint32_t>(
-                              cap::representableLength(v1)));
-        goNext();
-        return;
-      case Op::CRam:
-        intResult(exact1, cap::representableAlignmentMask(v1));
-        goNext();
-        return;
-
-      case Op::CSealEntry: {
-        const auto posture =
-            static_cast<cap::InterruptPosture>(inst.imm);
-        if (exact1) {
-            const auto sentry = cap::makeSentry(aRs1.value, posture);
-            if (!sentry && aRs1.value.tag()) {
-                finding(FindingClass::Sealing, pc,
-                        "sentry minted from a sealed or non-executable "
-                        "capability",
-                        st);
-            }
-            st.write(inst.rd,
-                     AbstractCap::exact(sentry
-                                            ? *sentry
-                                            : aRs1.value.withTagCleared()));
-        } else {
-            st.write(inst.rd, AbstractCap::unknown(
-                                  Tri::Maybe, aRs1.local(), Tri::Maybe));
-        }
-        goNext();
-        return;
-      }
 
       case Op::CSpecialRw:
         if (st.pcc.isExact() &&
@@ -983,8 +838,7 @@ Analyzer::step(uint32_t pc, AbstractState st)
             return;
         }
         // SCR contents are not tracked.
-        st.write(inst.rd, AbstractCap::unknown());
-        goNext();
+        result(AbstractCap::unknown());
         return;
     }
 }
