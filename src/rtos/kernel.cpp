@@ -8,8 +8,6 @@
 #include "verify/reach.h"
 #include "verify/verifier.h"
 
-#include <cstdlib>
-
 namespace cheriot::rtos
 {
 
@@ -166,16 +164,13 @@ Kernel::finalizeBoot(std::string *whyNot)
         }
         return false;
     }
-    const char *env = std::getenv("CHERIOT_VERIFY_ON_LOAD");
-    if (env != nullptr && *env != '\0') {
-        const verify::Report vr =
-            verify::verifyKernel(*this, verify::Policy::defaultPolicy());
-        if (!vr.ok()) {
-            if (whyNot != nullptr) {
-                *whyNot = vr.toString();
-            }
-            return false;
+    const verify::Report vr =
+        verify::verifyKernel(*this, verify::Policy::defaultPolicy());
+    if (!vr.ok()) {
+        if (whyNot != nullptr) {
+            *whyNot = vr.toString();
         }
+        return false;
     }
     return true;
 }

@@ -103,13 +103,12 @@ class Kernel
 
     /**
      * Boot-time verification gate, called after the image is fully
-     * assembled (compartments, threads, heap). Always runs the
-     * §3.1.2 structural boot assertions over the audit manifest —
-     * SL-free globals and W^X code for every compartment. When the
-     * CHERIOT_VERIFY_ON_LOAD environment variable is set (non-empty),
-     * additionally evaluates the default verify policy (MMIO-import
-     * rules) and refuses to boot a violating image. Returns false and
-     * fills @p whyNot instead of booting a bad image.
+     * assembled (compartments, threads, heap). Runs the §3.1.2
+     * structural boot assertions over the audit manifest — SL-free
+     * globals and W^X code for every compartment — then evaluates the
+     * default verify policy (MMIO-import rules) and refuses to boot a
+     * violating image. Returns false and fills @p whyNot instead of
+     * booting a bad image.
      */
     bool finalizeBoot(std::string *whyNot = nullptr);
 

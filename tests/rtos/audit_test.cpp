@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 
 namespace cheriot::rtos
@@ -195,17 +194,8 @@ TEST(BootAssertions, RejectsWritableCode)
     EXPECT_NE(whyNot.find("W^X"), std::string::npos) << whyNot;
 }
 
-/** RAII guard for the CHERIOT_VERIFY_ON_LOAD environment variable. */
-class VerifyOnLoadGuard
-{
-  public:
-    VerifyOnLoadGuard() { ::setenv("CHERIOT_VERIFY_ON_LOAD", "1", 1); }
-    ~VerifyOnLoadGuard() { ::unsetenv("CHERIOT_VERIFY_ON_LOAD"); }
-};
-
 TEST(BootAssertions, VerifyOnLoadAcceptsCleanImages)
 {
-    VerifyOnLoadGuard guard;
     sim::Machine machine(config());
     Kernel kernel(machine);
     kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
@@ -218,13 +208,11 @@ TEST(BootAssertions, VerifyOnLoadAcceptsCleanImages)
 
 TEST(BootAssertions, VerifyOnLoadEnforcesTheDefaultPolicy)
 {
-    VerifyOnLoadGuard guard;
     sim::Machine machine(config());
     Kernel kernel(machine);
     kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
     // Structurally sound, but the default policy says only the
-    // allocator may hold the revocation bitmap: without the verify
-    // hook this image boots, with it the loader refuses.
+    // allocator may hold the revocation bitmap: the loader refuses.
     Compartment &vendor = kernel.createCompartment("vendor");
     // The window *name* is what the manifest audits; any authority
     // standing in for the window demonstrates the violation. Read-only
@@ -241,31 +229,12 @@ TEST(BootAssertions, VerifyOnLoadEnforcesTheDefaultPolicy)
     EXPECT_NE(whyNot.find("vendor"), std::string::npos) << whyNot;
 }
 
-TEST(BootAssertions, WithoutEnvPolicyLintIsNotEnforced)
-{
-    ::unsetenv("CHERIOT_VERIFY_ON_LOAD");
-    sim::Machine machine(config());
-    Kernel kernel(machine);
-    kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
-    Compartment &vendor = kernel.createCompartment("vendor");
-    vendor.addMmioImport("revocation-bitmap",
-                         cap::Capability::memoryRoot().withPermsAnd(
-                             static_cast<uint16_t>(cap::kAllPerms &
-                                                   ~cap::PermStore)));
-
-    // Structural assertions still run, but the opt-in policy lint
-    // does not: the env var is the deployment switch.
-    std::string whyNot;
-    EXPECT_TRUE(kernel.finalizeBoot(&whyNot)) << whyNot;
-}
-
 TEST(BootAssertions, RejectsSharedMutableAuthorityUnconditionally)
 {
-    // The sharing lint is a structural boot assertion, not an opt-in
-    // policy: a second *writable* importer of the allocator's
-    // revocation bitmap is a cross-compartment data race and must be
-    // refused even without CHERIOT_VERIFY_ON_LOAD.
-    ::unsetenv("CHERIOT_VERIFY_ON_LOAD");
+    // The sharing lint is a structural boot assertion, checked before
+    // the policy: a second *writable* importer of the allocator's
+    // revocation bitmap is a cross-compartment data race, and the
+    // refusal names it as one.
     sim::Machine machine(config());
     Kernel kernel(machine);
     kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
