@@ -2,8 +2,6 @@
 
 #include "mem/memory_map.h"
 #include "util/log.h"
-#include "workloads/coremark/coremark.h"
-#include "workloads/iot/iot_app.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -20,15 +18,15 @@ namespace
 /** IoT campaign run: short horizon, busy packet schedule, handlers
  * installed, tight watchdog budget. */
 workloads::IotAppConfig
-iotCampaignConfig(const CampaignConfig &campaign, FaultInjector *injector)
+iotCampaignConfig(const ReproRecord &record, FaultInjector *injector)
 {
     workloads::IotAppConfig config;
     config.simSeconds = 0.25;
     config.packetsPerSec = 50;
     config.injector = injector;
     config.installErrorHandlers = true;
-    config.watchdogFaultBudget = campaign.faultBudget;
-    config.watchdogRestartDelayCycles = campaign.restartDelayCycles;
+    config.watchdogFaultBudget = record.faultBudget;
+    config.watchdogRestartDelayCycles = record.restartDelayCycles;
     return config;
 }
 
@@ -104,31 +102,24 @@ classifyCoreMark(const workloads::CoreMarkResult &run,
     return observed ? Outcome::Degraded : Outcome::SilentDataCorruption;
 }
 
-/** Uninjected reference results every injection is classified
- * against, plus the campaign bounds derived from them. */
-struct CampaignReferences
-{
-    workloads::IotAppResult iotRef;
-    workloads::CoreMarkResult cmRef;
-    uint64_t cmBudget = 0;
-    uint64_t iotHorizon = 0;
-};
-
-/** Run the references @p config's injections read: an IoT-only
- * campaign never reads the CoreMark one and a CoreMark-only campaign
- * never reads the IoT one, except that repro records carry both. */
-CampaignReferences
-computeReferences(const CampaignConfig &config)
+/** The record every injection of @p config starts from: the campaign
+ * seed, the watchdog policy and the uninjected reference runs the
+ * injections are classified against, plus the CoreMark budget derived
+ * from its reference. An IoT-only campaign never reads the CoreMark
+ * reference and a CoreMark-only campaign never reads the IoT one, so
+ * each runs only its own, except that repro records carry both. */
+ReproRecord
+campaignReferences(const CampaignConfig &config)
 {
     const bool all =
         config.workload == CampaignWorkload::Both || !config.reproDir.empty();
-    CampaignReferences refs;
+    ReproRecord refs;
+    refs.campaignSeed = config.seed;
     if (all || config.workload == CampaignWorkload::Iot) {
-        refs.iotRef = runIotApp(iotCampaignConfig(config, nullptr));
+        refs.iotRef = runIotApp(iotCampaignConfig(refs, nullptr));
         if (!refs.iotRef.ok) {
             fatal("campaign: IoT reference run failed");
         }
-        refs.iotHorizon = refs.iotRef.cycles;
     }
     if (all || config.workload == CampaignWorkload::CoreMark) {
         refs.cmRef =
@@ -153,44 +144,40 @@ constexpr uint32_t kCmMemSize = 0x20000;
 /** @} */
 
 /**
- * Execute injection @p index: derive its seed, draw and arm a plan,
- * run the workload with the injector wired in, classify.
+ * The one injection path, for the campaign and for replay: arm
+ * @p record's plan on @p injector, run the record's workload with the
+ * injector wired in, from a fresh boot or resumed from @p resumeImage,
+ * and classify the run against the record's references.
  * @p preFaultOut, when non-null, receives the system state at the
- * start of the run (before the plan can fire).
+ * start of the run, before the plan can fire.
  */
 CampaignRun
-executeInjection(const CampaignConfig &config,
-                 const CampaignReferences &refs, uint32_t index,
-                 snapshot::SnapshotImage *preFaultOut)
+runInjection(const ReproRecord &record, FaultInjector &injector,
+             const snapshot::SnapshotImage *resumeImage,
+             snapshot::SnapshotImage *preFaultOut)
 {
     CampaignRun run;
-    run.index = index;
-    run.seed = Rng::deriveStreamSeed(config.seed, index);
-    run.workload = config.workload == CampaignWorkload::Both
-                       ? (index % 2 == 0 ? CampaignWorkload::Iot
-                                         : CampaignWorkload::CoreMark)
-                       : config.workload;
-
-    FaultInjector injector(run.seed);
-    if (run.workload == CampaignWorkload::Iot) {
-        run.plan = injector.planNext(refs.iotHorizon, mem::kSramBase,
-                                     kIotSramSize);
-        injector.arm(run.plan);
-        auto workload = iotCampaignConfig(config, &injector);
+    run.index = record.injectionIndex;
+    run.seed = record.runSeed;
+    run.workload = record.workload;
+    run.plan = record.plan;
+    injector.arm(record.plan);
+    if (record.workload == CampaignWorkload::Iot) {
+        auto workload = iotCampaignConfig(record, &injector);
+        workload.resumeImage = resumeImage;
         workload.preRunSnapshotOut = preFaultOut;
         const auto result = runIotApp(workload);
         run.fired = injector.fired();
-        run.outcome = classifyIot(result, refs.iotRef, run.fired);
+        run.outcome = classifyIot(result, record.iotRef, run.fired);
         run.finalDigest = result.finalDigest;
     } else {
-        run.plan = injector.planNext(refs.cmRef.cycles, mem::kSramBase,
-                                     kCmMemSize);
-        injector.arm(run.plan);
-        auto workload = coreMarkCampaignConfig(&injector, refs.cmBudget);
+        auto workload = coreMarkCampaignConfig(&injector, record.cmBudget);
+        workload.resumeImage = resumeImage;
         workload.preRunSnapshotOut = preFaultOut;
-        const auto result = runCoreMark(workload, "injected");
+        const auto result = runCoreMark(
+            workload, resumeImage != nullptr ? "replay" : "injected");
         run.fired = injector.fired();
-        run.outcome = classifyCoreMark(result, refs.cmRef, run.fired);
+        run.outcome = classifyCoreMark(result, record.cmRef, run.fired);
         run.finalDigest = result.finalDigest;
     }
     run.safetyViolations = injector.safetyViolations.value();
@@ -242,7 +229,7 @@ runFaultCampaign(const CampaignConfig &config)
     report.config = config;
 
     // Clean reference runs: identical configuration, no injector.
-    const CampaignReferences refs = computeReferences(config);
+    const ReproRecord refs = campaignReferences(config);
 
     const bool captureSnapshots = !config.reproDir.empty();
     if (captureSnapshots) {
@@ -254,10 +241,25 @@ runFaultCampaign(const CampaignConfig &config)
         }
     }
     for (uint32_t n = 0; n < config.injections; ++n) {
+        // Injection i: derive its seed, draw its plan, run it.
         const uint32_t i = config.startIndex + n;
+        ReproRecord record = refs;
+        record.injectionIndex = i;
+        record.runSeed = Rng::deriveStreamSeed(config.seed, i);
+        record.workload = config.workload == CampaignWorkload::Both
+                              ? (i % 2 == 0 ? CampaignWorkload::Iot
+                                            : CampaignWorkload::CoreMark)
+                              : config.workload;
+        FaultInjector injector(record.runSeed);
+        record.plan =
+            record.workload == CampaignWorkload::Iot
+                ? injector.planNext(record.iotRef.cycles, mem::kSramBase,
+                                    kIotSramSize)
+                : injector.planNext(record.cmRef.cycles, mem::kSramBase,
+                                    kCmMemSize);
         snapshot::SnapshotImage preFault;
-        const CampaignRun run = executeInjection(
-            config, refs, i, captureSnapshots ? &preFault : nullptr);
+        const CampaignRun run = runInjection(
+            record, injector, nullptr, captureSnapshots ? &preFault : nullptr);
 
         report.runs++;
         report.fired += run.fired ? 1 : 0;
@@ -274,33 +276,8 @@ runFaultCampaign(const CampaignConfig &config)
         }
         if (captureSnapshots &&
             (isFailingRun(run) || config.reproAll)) {
-            ReproRecord record;
-            record.campaignSeed = config.seed;
-            record.injectionIndex = i;
-            record.runSeed = run.seed;
-            record.workload = run.workload;
-            record.plan = run.plan;
             record.outcome = run.outcome;
             record.safetyViolations = run.safetyViolations;
-            record.faultBudget = config.faultBudget;
-            record.restartDelayCycles = config.restartDelayCycles;
-            record.cmBudget = refs.cmBudget;
-            record.iotRef.ok = refs.iotRef.ok;
-            record.iotRef.packetsProcessed = refs.iotRef.packetsProcessed;
-            record.iotRef.jsTicks = refs.iotRef.jsTicks;
-            record.iotRef.finalLedState = refs.iotRef.finalLedState;
-            record.iotRef.calleeFaults = refs.iotRef.calleeFaults;
-            record.iotRef.handlerInvocations =
-                refs.iotRef.handlerInvocations;
-            record.iotRef.forcedUnwinds = refs.iotRef.forcedUnwinds;
-            record.iotRef.trapsTaken = refs.iotRef.trapsTaken;
-            record.iotRef.nicRxDrops = refs.iotRef.nicRxDrops;
-            record.iotRef.nicRxErrors = refs.iotRef.nicRxErrors;
-            record.iotRef.netParseDrops = refs.iotRef.netParseDrops;
-            record.iotRef.netRingCorruptionsDetected =
-                refs.iotRef.netRingCorruptionsDetected;
-            record.cmRef.valid = refs.cmRef.valid;
-            record.cmRef.checksum = refs.cmRef.checksum;
             record.preFaultImage = std::move(preFault);
 
             char name[64];
@@ -403,45 +380,13 @@ replayRepro(const ReproRecord &record)
     // reaches the state it had when the pre-fault image was captured,
     // and the restored run evolves exactly as the original did.
     FaultInjector injector(record.runSeed);
-    injector.arm(record.plan);
+    const CampaignRun run =
+        runInjection(record, injector, &record.preFaultImage, nullptr);
 
     ReplayResult result;
-    if (record.workload == CampaignWorkload::Iot) {
-        CampaignConfig campaign;
-        campaign.faultBudget = record.faultBudget;
-        campaign.restartDelayCycles = record.restartDelayCycles;
-        auto workload = iotCampaignConfig(campaign, &injector);
-        workload.resumeImage = &record.preFaultImage;
-        const auto run = runIotApp(workload);
-
-        workloads::IotAppResult ref;
-        ref.ok = record.iotRef.ok;
-        ref.packetsProcessed = record.iotRef.packetsProcessed;
-        ref.jsTicks = record.iotRef.jsTicks;
-        ref.finalLedState = record.iotRef.finalLedState;
-        ref.calleeFaults = record.iotRef.calleeFaults;
-        ref.handlerInvocations = record.iotRef.handlerInvocations;
-        ref.forcedUnwinds = record.iotRef.forcedUnwinds;
-        ref.trapsTaken = record.iotRef.trapsTaken;
-        ref.nicRxDrops = record.iotRef.nicRxDrops;
-        ref.nicRxErrors = record.iotRef.nicRxErrors;
-        ref.netParseDrops = record.iotRef.netParseDrops;
-        ref.netRingCorruptionsDetected =
-            record.iotRef.netRingCorruptionsDetected;
-        result.outcome = classifyIot(run, ref, injector.fired());
-    } else {
-        auto workload =
-            coreMarkCampaignConfig(&injector, record.cmBudget);
-        workload.resumeImage = &record.preFaultImage;
-        const auto run = runCoreMark(workload, "replay");
-
-        workloads::CoreMarkResult ref;
-        ref.valid = record.cmRef.valid;
-        ref.checksum = record.cmRef.checksum;
-        result.outcome = classifyCoreMark(run, ref, injector.fired());
-    }
-    result.fired = injector.fired();
-    result.safetyViolations = injector.safetyViolations.value();
+    result.outcome = run.outcome;
+    result.fired = run.fired;
+    result.safetyViolations = run.safetyViolations;
     result.matchesRecorded = result.outcome == record.outcome &&
                              result.safetyViolations ==
                                  record.safetyViolations;

@@ -23,6 +23,8 @@
 
 #include "fault/fault_injector.h"
 #include "snapshot/snapshot.h"
+#include "workloads/coremark/coremark.h"
+#include "workloads/iot/iot_app.h"
 
 #include <cstdint>
 #include <string>
@@ -57,16 +59,18 @@ constexpr uint32_t kOutcomeCount = static_cast<uint32_t>(Outcome::kCount);
 
 const char *outcomeName(Outcome outcome);
 
+/** Watchdog policy for the IoT runs: a tight budget so campaigns
+ * exercise quarantine + restart, not just handlers. @{ */
+constexpr uint32_t kCampaignFaultBudget = 4;
+constexpr uint64_t kCampaignRestartDelayCycles = 2048;
+/** @} */
+
 struct CampaignConfig
 {
     uint64_t seed = 0xc8e210a5u;
     uint32_t injections = 100;
     CampaignWorkload workload = CampaignWorkload::Both;
     bool verbose = false;
-    /** Watchdog policy for the IoT runs: a tight budget so campaigns
-     * exercise quarantine + restart, not just handlers. */
-    uint32_t faultBudget = 4;
-    uint64_t restartDelayCycles = 2048;
     /** First injection index: run indices [startIndex, startIndex +
      * injections). Seeds derive from the absolute index, so
      * `--start-index I --injections 1` reproduces injection I of a
@@ -151,31 +155,14 @@ struct ReproRecord
     uint64_t safetyViolations = 0;
 
     /** Campaign knobs the workload configuration depends on. */
-    uint32_t faultBudget = 4;
-    uint64_t restartDelayCycles = 2048;
+    uint32_t faultBudget = kCampaignFaultBudget;
+    uint64_t restartDelayCycles = kCampaignRestartDelayCycles;
     uint64_t cmBudget = 0; ///< CoreMark instruction budget.
 
-    /** Reference-run summary the classifier needs. @{ */
-    struct IotReference
-    {
-        bool ok = false;
-        uint64_t packetsProcessed = 0;
-        uint64_t jsTicks = 0;
-        uint32_t finalLedState = 0;
-        uint64_t calleeFaults = 0;
-        uint64_t handlerInvocations = 0;
-        uint64_t forcedUnwinds = 0;
-        uint64_t trapsTaken = 0;
-        uint64_t nicRxDrops = 0;
-        uint64_t nicRxErrors = 0;
-        uint64_t netParseDrops = 0;
-        uint64_t netRingCorruptionsDetected = 0;
-    } iotRef;
-    struct CoreMarkReference
-    {
-        bool valid = false;
-        uint32_t checksum = 0;
-    } cmRef;
+    /** The uninjected reference runs the classifier compares against.
+     * A record file keeps only the fields the classifier reads. @{ */
+    workloads::IotAppResult iotRef;
+    workloads::CoreMarkResult cmRef;
     /** @} */
 
     /** System state at the start of the injected run, before the
