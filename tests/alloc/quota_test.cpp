@@ -336,5 +336,53 @@ TEST(QuotaBackpressure, InjectedMallocStallIsBoundedAndRecoverable)
     EXPECT_EQ(injector.safetyViolations.value(), 0u);
 }
 
+TEST(QuotaBackpressure, InjectedMallocStallEndsAtItsOwnDeadline)
+{
+    // A stall that expires before anything kicks the engine: the
+    // blocked malloc finds a sweep already in flight, so the backoff
+    // loop's own sweep request does not kick; after four stale
+    // backoffs (256-2048 cycles) the escalation waits for the sweep,
+    // and its timeout kick would come only after 64 polls of 512
+    // cycles. The 8192-cycle stall ends first, on its deadline alone
+    // (FaultInjector::tick's backstop, which runs only if that
+    // deadline is one of the injector's events), and the sweep then
+    // completes unkicked.
+    fault::FaultInjector injector(0x5707);
+    HeapRig rig(alloc::TemporalMode::HardwareRevocation, &injector,
+                1ull << 30);
+    HeapAllocator &allocator = rig.allocator();
+    std::vector<Capability> blocks;
+    for (;;) {
+        const Capability ptr = allocator.malloc(1024);
+        if (!ptr.tag()) {
+            break;
+        }
+        blocks.push_back(ptr);
+    }
+    ASSERT_GT(blocks.size(), 16u);
+    for (const Capability &ptr : blocks) {
+        ASSERT_EQ(allocator.free(ptr), HeapAllocator::FreeResult::Ok);
+    }
+    rtos::HardwareRevokerHandle *revoker = rig.kernel->hardwareRevoker();
+    ASSERT_NE(revoker, nullptr);
+    revoker->requestSweep();
+    ASSERT_TRUE(revoker->sweepInProgress());
+
+    fault::FaultPlan plan;
+    plan.site = fault::FaultSite::MallocStall;
+    plan.param = 8192;
+    injector.arm(plan);
+
+    const Capability ptr = allocator.malloc(1024);
+    ASSERT_TRUE(ptr.tag()) << "the stall ends and the sweep completes";
+    EXPECT_EQ(injector.mallocStalls.value(), 1u);
+    EXPECT_EQ(allocator.blockedMallocs.value(), 1u);
+    EXPECT_EQ(injector.kicksObserved.value(), 0u)
+        << "the stall must end at its deadline, not through a kick";
+    EXPECT_EQ(revoker->timeoutKicks.value(), 0u)
+        << "the escalation's waiter must not have needed its kick";
+    EXPECT_EQ(allocator.backoffTimeouts.value(), 0u);
+}
+
 } // namespace
 } // namespace cheriot
