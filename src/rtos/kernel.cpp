@@ -2,10 +2,8 @@
 
 #include "cap/sealing.h"
 #include "mem/memory_map.h"
-#include "rtos/audit.h"
 #include "snapshot/serializer.h"
 #include "util/log.h"
-#include "verify/reach.h"
 #include "verify/verifier.h"
 
 namespace cheriot::rtos
@@ -133,42 +131,16 @@ Kernel::adoptCompartment(std::unique_ptr<Compartment> c)
 bool
 Kernel::finalizeBoot(std::string *whyNot)
 {
-    const AuditReport report = auditKernel(*this);
-    // §3.1.2 structural boot assertions: every image the loader built
-    // satisfies these by construction; adopted or corrupted images
-    // are refused here, before any thread runs.
-    for (const auto &c : report.compartments) {
-        if (c.globalsStoreLocal) {
-            if (whyNot != nullptr) {
-                *whyNot = "compartment '" + c.name +
-                          "': globals capability carries Store-Local "
-                          "(stack references could be captured, §5.2)";
-            }
-            return false;
-        }
-        if (c.codeWritable) {
-            if (whyNot != nullptr) {
-                *whyNot = "compartment '" + c.name +
-                          "': code capability is writable (W^X)";
-            }
-            return false;
-        }
-    }
-    // The static sharing lint is a boot assertion like SL/W^X: a
-    // writable authority mutable from two domains without channel
-    // discipline is a data race no runtime check will catch.
-    for (const auto &issue :
-         verify::AuthorityReach(report).sharedMutable()) {
+    // The §3.1.2 boot assertions (SL-free globals, W^X code, no
+    // authority mutable from two domains without channel discipline)
+    // are rules of the default policy: every image the loader built
+    // satisfies it by construction; adopted or corrupted images are
+    // refused here, before any thread runs.
+    static const verify::Policy kPolicy = verify::Policy::defaultPolicy();
+    const verify::Report report = verify::verifyKernel(*this, kPolicy);
+    if (!report.ok()) {
         if (whyNot != nullptr) {
-            *whyNot = issue.message;
-        }
-        return false;
-    }
-    const verify::Report vr =
-        verify::verifyKernel(*this, verify::Policy::defaultPolicy());
-    if (!vr.ok()) {
-        if (whyNot != nullptr) {
-            *whyNot = vr.toString();
+            *whyNot = report.toString();
         }
         return false;
     }

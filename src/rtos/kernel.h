@@ -103,12 +103,13 @@ class Kernel
 
     /**
      * Boot-time verification gate, called after the image is fully
-     * assembled (compartments, threads, heap). Runs the §3.1.2
-     * structural boot assertions over the audit manifest — SL-free
-     * globals and W^X code for every compartment — then evaluates the
-     * default verify policy (MMIO-import rules) and refuses to boot a
-     * violating image. Returns false and fills @p whyNot instead of
-     * booting a bad image.
+     * assembled (compartments, threads, heap). Evaluates the default
+     * verify policy over the audit manifest — the §3.1.2 structural
+     * boot assertions (SL-free globals and W^X code for every
+     * compartment, the sharing lint) and the MMIO-import and
+     * reachability rules — and refuses to boot a violating image.
+     * Returns false and fills @p whyNot instead of booting a bad
+     * image.
      */
     bool finalizeBoot(std::string *whyNot = nullptr);
 
