@@ -53,7 +53,9 @@ Machine::execute(const Inst &inst, uint32_t pc)
         fallthrough(1);
     };
     // A register-to-register op: each case passes its own constant op,
-    // so the inlined isa::evaluate folds to that op's code.
+    // so the inlined isa::evaluate folds to that op's code. Forced
+    // inline: called out of line, it would dispatch on op a second
+    // time.
     auto evaluated = [&](Op op, unsigned cycleCount = 1)
         __attribute__((always_inline)) {
         writeReg(inst.rd, isa::evaluate(op, inst.imm, rs1, rs2));

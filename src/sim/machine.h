@@ -524,21 +524,20 @@ inline TrapCause
 Machine::checkAccess(const cap::Capability &auth, uint32_t addr,
                      unsigned bytes, uint16_t needPerm) const
 {
-    const TrapCause unmapped = needPerm == cap::PermStore
-                                   ? TrapCause::StoreAccessFault
-                                   : TrapCause::LoadAccessFault;
     if (!config_.core.cheriEnabled) {
         // Baseline RV32E: no architectural checks beyond mapping;
         // @p auth is whatever register the instruction named.
         if (!memory_.isMapped(addr, bytes)) {
-            return unmapped;
+            return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
+                                              : TrapCause::LoadAccessFault;
         }
         return addr % bytes != 0 ? TrapCause::MisalignedAccess
                                  : TrapCause::None;
     }
     const TrapCause cause = isa::accessCause(auth, addr, bytes, needPerm);
     if (cause == TrapCause::None && !memory_.isMapped(addr, bytes)) {
-        return unmapped;
+        return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
+                                          : TrapCause::LoadAccessFault;
     }
     return cause;
 }

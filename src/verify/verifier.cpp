@@ -396,10 +396,11 @@ Analyzer::memAccessFaults(uint32_t pc, const AbstractState &st,
         cause = isa::TrapCause::CheriSealViolation;
     }
 
+    if (cause == isa::TrapCause::None) {
+        return false;
+    }
     const std::string what = isStore ? "store" : "load";
     switch (cause) {
-      case isa::TrapCause::None:
-        return false;
       case isa::TrapCause::CheriTagViolation:
         finding(FindingClass::Monotonicity, pc,
                 what +

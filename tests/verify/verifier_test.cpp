@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 namespace cheriot::verify
 {
 namespace
@@ -115,6 +117,113 @@ TEST(Verifier, DetectsUseOfUntaggedAuthority)
     });
     EXPECT_TRUE(report.hasClass(FindingClass::Monotonicity))
         << report.toString();
+}
+
+TEST(Verifier, EachAccessTrapCauseIsItsOwnFinding)
+{
+    // Each cause the shared access rule (isa::accessCause, then
+    // isa::capStoreCause for csc) can raise, through an exact
+    // authority unless noted, and the one finding it maps to.
+    struct Case
+    {
+        const char *name;
+        std::function<void(Assembler &, uint32_t &)> body;
+        FindingClass cls;
+        std::string message;
+    };
+    const auto shed = [](Assembler &a, uint16_t perm) {
+        a.li(T1, cap::kAllPerms & ~perm);
+        a.candperm(A2, A0, T1);
+    };
+    const Case cases[] = {
+        {"untagged",
+         [](Assembler &a, uint32_t &pc) {
+             a.ccleartag(A2, A0);
+             pc = a.pc();
+             a.sw(Zero, A2, 0);
+         },
+         FindingClass::Monotonicity,
+         "store through untagged capability (authority was destroyed "
+         "by a non-monotone manipulation)"},
+        {"untagged, not exact",
+         [&](Assembler &a, uint32_t &pc) {
+             shed(a, cap::PermMemCap);
+             a.clc(A3, A2, 0); // Arrives untagged, value unknown.
+             pc = a.pc();
+             a.lw(A4, A3, 0);
+         },
+         FindingClass::Monotonicity,
+         "load through untagged capability (authority was destroyed "
+         "by a non-monotone manipulation)"},
+        {"sealed",
+         [](Assembler &a, uint32_t &pc) {
+             a.li(T0, cap::kOtypeAllocator);
+             a.csetaddr(A2, A1, T0);
+             a.cseal(A3, A0, A2);
+             pc = a.pc();
+             a.lw(A4, A3, 0);
+         },
+         FindingClass::Sealing, "load through sealed capability"},
+        {"no load permission",
+         [&](Assembler &a, uint32_t &pc) {
+             shed(a, cap::PermLoad);
+             pc = a.pc();
+             a.lw(A3, A2, 0);
+         },
+         FindingClass::Monotonicity, "load authority lacks LD permission"},
+        {"no store permission",
+         [&](Assembler &a, uint32_t &pc) {
+             shed(a, cap::PermStore);
+             pc = a.pc();
+             a.sw(Zero, A2, 0);
+         },
+         FindingClass::Monotonicity, "store authority lacks SD permission"},
+        {"out of bounds",
+         [](Assembler &a, uint32_t &pc) {
+             a.csetboundsimm(A2, A0, 16);
+             pc = a.pc();
+             a.lw(A3, A2, 16);
+         },
+         FindingClass::Monotonicity,
+         "out-of-bounds load: [00000010,+4) outside [00000000,00000010)"},
+        {"misaligned",
+         [](Assembler &a, uint32_t &pc) {
+             pc = a.pc();
+             a.sh(Zero, A0, 3);
+         },
+         FindingClass::Monotonicity, "misaligned store"},
+        {"capability store without MC",
+         [&](Assembler &a, uint32_t &pc) {
+             shed(a, cap::PermMemCap);
+             pc = a.pc();
+             a.csc(A0, A2, 0);
+         },
+         FindingClass::Monotonicity,
+         "capability store through data-only (no MC) authority"},
+        {"local capability store without SL",
+         [&](Assembler &a, uint32_t &pc) {
+             shed(a, cap::PermStoreLocal);
+             a.li(T1, cap::kAllPerms & ~cap::PermGlobal);
+             a.candperm(A3, A0, T1);
+             pc = a.pc();
+             a.csc(A3, A2, 0);
+         },
+         FindingClass::StackLeak,
+         "local (stack-derived) capability stored through authority "
+         "without Store-Local: the §5.2 stack-capability leak"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        uint32_t pc = 0;
+        const Report report = analyze([&](Assembler &a) {
+            c.body(a, pc);
+            a.ebreak();
+        });
+        ASSERT_EQ(report.findings.size(), 1u) << report.toString();
+        EXPECT_EQ(report.findings[0].cls, c.cls);
+        EXPECT_EQ(report.findings[0].pc, pc);
+        EXPECT_EQ(report.findings[0].message, c.message);
+    }
 }
 
 TEST(Verifier, DetectsMissingRegisterClearAtSentryCall)
