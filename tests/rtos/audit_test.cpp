@@ -231,10 +231,10 @@ TEST(BootAssertions, VerifyOnLoadEnforcesTheDefaultPolicy)
 
 TEST(BootAssertions, RejectsSharedMutableAuthorityUnconditionally)
 {
-    // The sharing lint is a structural boot assertion, checked before
-    // the policy: a second *writable* importer of the allocator's
-    // revocation bitmap is a cross-compartment data race, and the
-    // refusal names it as one.
+    // The sharing lint is a boot assertion of the default policy: a
+    // second *writable* importer of the allocator's revocation bitmap
+    // is a cross-compartment data race, and the refusal names it as
+    // one.
     sim::Machine machine(config());
     Kernel kernel(machine);
     kernel.initHeap(alloc::TemporalMode::SoftwareRevocation);
