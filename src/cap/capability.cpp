@@ -58,21 +58,19 @@ Capability::sealingRoot()
     return root;
 }
 
-Capability
-Capability::fromBits(uint64_t rawBits, bool tag)
+void
+Capability::setBits(uint64_t rawBits, bool tag)
 {
     const uint32_t meta = static_cast<uint32_t>(rawBits >> 32);
-    Capability c;
-    c.address_ = static_cast<uint32_t>(rawBits);
-    c.reserved_ = bit(meta, 31);
-    c.permsField_ = static_cast<uint8_t>(bits(meta, 25u, 6u));
-    c.otype_ = static_cast<uint8_t>(bits(meta, 22u, 3u));
-    c.bounds_.exponent = static_cast<uint8_t>(bits(meta, 18u, 4u));
-    c.bounds_.base9 = static_cast<uint16_t>(bits(meta, 9u, 9u));
-    c.bounds_.top9 = static_cast<uint16_t>(bits(meta, 0u, 9u));
-    c.tag_ = tag;
-    c.refresh();
-    return c;
+    address_ = static_cast<uint32_t>(rawBits);
+    reserved_ = bit(meta, 31);
+    permsField_ = static_cast<uint8_t>(bits(meta, 25u, 6u));
+    otype_ = static_cast<uint8_t>(bits(meta, 22u, 3u));
+    bounds_.exponent = static_cast<uint8_t>(bits(meta, 18u, 4u));
+    bounds_.base9 = static_cast<uint16_t>(bits(meta, 9u, 9u));
+    bounds_.top9 = static_cast<uint16_t>(bits(meta, 0u, 9u));
+    tag_ = tag;
+    refresh();
 }
 
 uint64_t
@@ -180,11 +178,11 @@ Capability::withTagCleared() const
     return c;
 }
 
-Capability
-Capability::attenuatedForLoad(PermSet authorityPerms) const
+void
+Capability::attenuateForLoad(PermSet authorityPerms)
 {
     if (!tag_) {
-        return *this;
+        return;
     }
     PermSet p = perms_;
     if (!authorityPerms.has(PermLoadGlobal)) {
@@ -196,12 +194,10 @@ Capability::attenuatedForLoad(PermSet authorityPerms) const
     if (p == perms_) {
         // Every field round-trips exactly through decompress and
         // compress, so re-compressing would reproduce permsField_.
-        return *this;
+        return;
     }
-    Capability c = *this;
-    c.permsField_ = compressPerms(p);
-    c.refresh();
-    return c;
+    permsField_ = compressPerms(p);
+    refresh();
 }
 
 Capability

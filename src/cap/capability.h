@@ -57,7 +57,17 @@ class Capability
     /** @} */
 
     /** Reconstruct a capability from its packed memory image. */
-    static Capability fromBits(uint64_t bits, bool tag);
+    static Capability fromBits(uint64_t bits, bool tag)
+    {
+        Capability c;
+        c.setBits(bits, tag);
+        return c;
+    }
+
+    /** In place: *this = fromBits(bits, tag). The one statement of the
+     * bit layout's decode; a capability load decodes straight into
+     * its destination register. */
+    void setBits(uint64_t bits, bool tag);
 
     /**
      * An integer in the merged register file: the null capability
@@ -150,6 +160,15 @@ class Capability
         }
     }
 
+    /**
+     * setAddress for a move its caller knows stays inside an unsealed
+     * capability's window: the current address is at least base, and
+     * @p newAddress - base < representableSpan(E). setAddress would
+     * then only store the address, and so does this. The run loop
+     * moves PCC this way inside a block (DESIGN.md §16.4).
+     */
+    void setAddressInWindow(uint32_t newAddress) { address_ = newAddress; }
+
     /** Add a (signed) offset to the address. */
     Capability withAddressOffset(int64_t offset) const
     {
@@ -177,12 +196,12 @@ class Capability
     Capability withTagCleared() const;
 
     /**
-     * Apply the recursive load side effects of §3.1.1: when loaded
+     * In place, the recursive load side effects of §3.1.1: when loaded
      * through an authority lacking LG, the result loses GL and LG;
      * when loaded through an authority lacking LM (and the result is
      * not executable), it loses SD and LM.
      */
-    Capability attenuatedForLoad(PermSet authorityPerms) const;
+    void attenuateForLoad(PermSet authorityPerms);
 
     /** @} */
 

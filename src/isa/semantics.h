@@ -8,8 +8,8 @@
  *     and remainder with their two corner cases (by zero, and INT_MIN
  *     by -1, which RISC-V defines rather than traps), and the six
  *     branch conditions;
- *   - evaluate(): the value every register-to-register op writes to
- *     rd;
+ *   - evaluate(): the value every register-to-register op writes,
+ *     written in place into its destination;
  *   - accessCause() and capStoreCause(): the capability checks of a
  *     checked memory access, as the trap cause they raise.
  *
@@ -195,87 +195,101 @@ saturate32(uint64_t value)
 }
 
 /**
- * The value register-to-register op @p op writes to rd, given its
- * immediate and the values of rs1 and rs2: Lui, the OP-IMM, OP and M
- * integer ops, the CGet* field reads and the capability
+ * Write to @p rd the value register-to-register op @p op produces,
+ * given its immediate and the values of rs1 and rs2: Lui, the OP-IMM,
+ * OP and M integer ops, the CGet* field reads and the capability
  * manipulations. Integer results are untagged
- * (Capability::fromInteger). Any other op yields the null capability.
+ * (Capability::fromInteger). Any other op writes the null capability.
+ *
+ * @p rd may be @p rs1 or @p rs2 (the executor passes the destination
+ * register itself), so every case reads its operands before it writes
+ * @p rd. CMove copies rs1 into @p rd, and the address ops move the
+ * copy's address there, with no temporary.
  */
-[[gnu::always_inline]] inline cap::Capability
-evaluate(Op op, int32_t imm, const cap::Capability &rs1,
+[[gnu::always_inline]] inline void
+evaluate(cap::Capability &rd, Op op, int32_t imm, const cap::Capability &rs1,
          const cap::Capability &rs2)
 {
     using cap::Capability;
     const uint32_t a = rs1.address();
     const uint32_t b = rs2.address();
     const uint32_t i = static_cast<uint32_t>(imm);
+    const auto integer = [&](uint32_t value) {
+        rd = Capability::fromInteger(value);
+    };
     // A seal, unseal or sentry that fails yields rs1 untagged.
     const auto orUntagged = [&](const std::optional<Capability> &c) {
-        return c ? *c : rs1.withTagCleared();
+        rd = c ? *c : rs1.withTagCleared();
+    };
+    // rs1 at @p address; the operands are already read.
+    const auto moved = [&](uint32_t address) {
+        if (&rd != &rs1) {
+            rd = rs1;
+        }
+        rd.setAddress(address);
     };
     switch (op) {
-      case Op::Lui: return Capability::fromInteger(i);
-      case Op::Addi: return Capability::fromInteger(a + i);
-      case Op::Slti: return Capability::fromInteger(slt(a, i));
-      case Op::Sltiu: return Capability::fromInteger(sltu(a, i));
-      case Op::Xori: return Capability::fromInteger(a ^ i);
-      case Op::Ori: return Capability::fromInteger(a | i);
-      case Op::Andi: return Capability::fromInteger(a & i);
-      case Op::Slli: return Capability::fromInteger(sll(a, i));
-      case Op::Srli: return Capability::fromInteger(srl(a, i));
-      case Op::Srai: return Capability::fromInteger(sra(a, i));
-      case Op::Add: return Capability::fromInteger(a + b);
-      case Op::Sub: return Capability::fromInteger(a - b);
-      case Op::Sll: return Capability::fromInteger(sll(a, b));
-      case Op::Slt: return Capability::fromInteger(slt(a, b));
-      case Op::Sltu: return Capability::fromInteger(sltu(a, b));
-      case Op::Xor: return Capability::fromInteger(a ^ b);
-      case Op::Srl: return Capability::fromInteger(srl(a, b));
-      case Op::Sra: return Capability::fromInteger(sra(a, b));
-      case Op::Or: return Capability::fromInteger(a | b);
-      case Op::And: return Capability::fromInteger(a & b);
-      case Op::Mul: return Capability::fromInteger(a * b);
-      case Op::Mulh: return Capability::fromInteger(mulh(a, b));
-      case Op::Mulhsu: return Capability::fromInteger(mulhsu(a, b));
-      case Op::Mulhu: return Capability::fromInteger(mulhu(a, b));
-      case Op::Div: return Capability::fromInteger(div(a, b));
-      case Op::Divu: return Capability::fromInteger(divu(a, b));
-      case Op::Rem: return Capability::fromInteger(rem(a, b));
-      case Op::Remu: return Capability::fromInteger(remu(a, b));
+      case Op::Lui: integer(i); return;
+      case Op::Addi: integer(a + i); return;
+      case Op::Slti: integer(slt(a, i)); return;
+      case Op::Sltiu: integer(sltu(a, i)); return;
+      case Op::Xori: integer(a ^ i); return;
+      case Op::Ori: integer(a | i); return;
+      case Op::Andi: integer(a & i); return;
+      case Op::Slli: integer(sll(a, i)); return;
+      case Op::Srli: integer(srl(a, i)); return;
+      case Op::Srai: integer(sra(a, i)); return;
+      case Op::Add: integer(a + b); return;
+      case Op::Sub: integer(a - b); return;
+      case Op::Sll: integer(sll(a, b)); return;
+      case Op::Slt: integer(slt(a, b)); return;
+      case Op::Sltu: integer(sltu(a, b)); return;
+      case Op::Xor: integer(a ^ b); return;
+      case Op::Srl: integer(srl(a, b)); return;
+      case Op::Sra: integer(sra(a, b)); return;
+      case Op::Or: integer(a | b); return;
+      case Op::And: integer(a & b); return;
+      case Op::Mul: integer(a * b); return;
+      case Op::Mulh: integer(mulh(a, b)); return;
+      case Op::Mulhsu: integer(mulhsu(a, b)); return;
+      case Op::Mulhu: integer(mulhu(a, b)); return;
+      case Op::Div: integer(div(a, b)); return;
+      case Op::Divu: integer(divu(a, b)); return;
+      case Op::Rem: integer(rem(a, b)); return;
+      case Op::Remu: integer(remu(a, b)); return;
 
-      case Op::CGetPerm: return Capability::fromInteger(rs1.perms().mask());
-      case Op::CGetType: return Capability::fromInteger(rs1.typeAddress());
-      case Op::CGetBase: return Capability::fromInteger(rs1.base());
-      case Op::CGetLen:
-        return Capability::fromInteger(saturate32(rs1.length()));
-      case Op::CGetTop: return Capability::fromInteger(saturate32(rs1.top()));
-      case Op::CGetTag: return Capability::fromInteger(rs1.tag() ? 1 : 0);
-      case Op::CGetAddr: return Capability::fromInteger(a);
+      case Op::CGetPerm: integer(rs1.perms().mask()); return;
+      case Op::CGetType: integer(rs1.typeAddress()); return;
+      case Op::CGetBase: integer(rs1.base()); return;
+      case Op::CGetLen: integer(saturate32(rs1.length())); return;
+      case Op::CGetTop: integer(saturate32(rs1.top())); return;
+      case Op::CGetTag: integer(rs1.tag() ? 1 : 0); return;
+      case Op::CGetAddr: integer(a); return;
 
-      case Op::CSeal: return orUntagged(cap::seal(rs1, rs2));
-      case Op::CUnseal: return orUntagged(cap::unseal(rs1, rs2));
-      case Op::CAndPerm: return rs1.withPermsAnd(static_cast<uint16_t>(b));
-      case Op::CSetAddr: return rs1.withAddress(b);
-      case Op::CIncAddr: return rs1.withAddressOffset(b);
-      case Op::CIncAddrImm: return rs1.withAddressOffset(imm);
-      case Op::CSetBounds: return rs1.withBounds(b);
-      case Op::CSetBoundsExact: return rs1.withBoundsExact(b);
-      case Op::CSetBoundsImm: return rs1.withBounds(i);
-      case Op::CTestSubset:
-        return Capability::fromInteger(cap::isSubsetOf(rs2, rs1) ? 1 : 0);
-      case Op::CSetEqualExact:
-        return Capability::fromInteger(rs1 == rs2 ? 1 : 0);
-      case Op::CMove: return rs1;
-      case Op::CClearTag: return rs1.withTagCleared();
+      case Op::CSeal: orUntagged(cap::seal(rs1, rs2)); return;
+      case Op::CUnseal: orUntagged(cap::unseal(rs1, rs2)); return;
+      case Op::CAndPerm:
+        rd = rs1.withPermsAnd(static_cast<uint16_t>(b));
+        return;
+      case Op::CSetAddr: moved(b); return;
+      case Op::CIncAddr: moved(a + b); return;
+      case Op::CIncAddrImm: moved(a + i); return;
+      case Op::CSetBounds: rd = rs1.withBounds(b); return;
+      case Op::CSetBoundsExact: rd = rs1.withBoundsExact(b); return;
+      case Op::CSetBoundsImm: rd = rs1.withBounds(i); return;
+      case Op::CTestSubset: integer(cap::isSubsetOf(rs2, rs1) ? 1 : 0); return;
+      case Op::CSetEqualExact: integer(rs1 == rs2 ? 1 : 0); return;
+      case Op::CMove: rd = rs1; return;
+      case Op::CClearTag: rd = rs1.withTagCleared(); return;
       case Op::CRrl:
-        return Capability::fromInteger(
-            static_cast<uint32_t>(cap::representableLength(a)));
-      case Op::CRam:
-        return Capability::fromInteger(cap::representableAlignmentMask(a));
+        integer(static_cast<uint32_t>(cap::representableLength(a)));
+        return;
+      case Op::CRam: integer(cap::representableAlignmentMask(a)); return;
       case Op::CSealEntry:
-        return orUntagged(
+        orUntagged(
             cap::makeSentry(rs1, static_cast<cap::InterruptPosture>(imm)));
-      default: return Capability();
+        return;
+      default: rd = Capability(); return;
     }
 }
 
@@ -283,8 +297,9 @@ evaluate(Op op, int32_t imm, const cap::Capability &rs1,
  * The capability checks of an access through @p auth to
  * [@p addr, @p addr + @p bytes) that needs @p needPerm, in trap
  * priority order: tag, seal, permission, bounds, alignment. None when
- * all pass. Whether the address is mapped is the machine's check,
- * and comes next.
+ * all pass. @p bytes is 1, 2, 4 or 8, so alignment is a mask test.
+ * Whether the address is mapped is the machine's check, and comes
+ * next.
  */
 [[gnu::always_inline]] inline TrapCause
 accessCause(const cap::Capability &auth, uint32_t addr, unsigned bytes,
@@ -302,7 +317,7 @@ accessCause(const cap::Capability &auth, uint32_t addr, unsigned bytes,
     if (!auth.inBounds(addr, bytes)) {
         return TrapCause::CheriBoundsViolation;
     }
-    if (addr % bytes != 0) {
+    if ((addr & (bytes - 1)) != 0) {
         return TrapCause::MisalignedAccess;
     }
     return TrapCause::None;

@@ -36,20 +36,26 @@ capBeats(BusWidth width)
     return width == BusWidth::Wide65 ? 1 : 2;
 }
 
+/** log2 of the bytes one beat moves: 8 on Flute, 4 on Ibex. A shift,
+ * not a division: the width is only known at run time. */
+constexpr unsigned
+beatShift(BusWidth width)
+{
+    return width == BusWidth::Wide65 ? 3 : 2;
+}
+
 /** Bus beats to move @p bytes of ordinary data (max 8). */
 constexpr unsigned
 dataBeats(BusWidth width, unsigned bytes)
 {
-    const unsigned beatBytes = width == BusWidth::Wide65 ? 8 : 4;
-    return (bytes + beatBytes - 1) / beatBytes;
+    return (bytes + (1u << beatShift(width)) - 1) >> beatShift(width);
 }
 
 /** Bus beats to zero @p bytes of memory. */
 constexpr unsigned
 zeroBeats(BusWidth width, uint32_t bytes)
 {
-    const unsigned beatBytes = width == BusWidth::Wide65 ? 8 : 4;
-    return (bytes + beatBytes - 1) / beatBytes;
+    return (bytes + (1u << beatShift(width)) - 1) >> beatShift(width);
 }
 
 const char *busWidthName(BusWidth width);

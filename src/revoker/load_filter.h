@@ -41,20 +41,19 @@ class LoadFilter
     bool enabled() const { return enabled_; }
 
     /**
-     * Filter a freshly loaded capability: returns it with the tag
-     * cleared when its base addresses revoked memory.
+     * Filter a freshly loaded capability in place: clear its tag when
+     * its base addresses revoked memory.
      */
-    cap::Capability filter(const cap::Capability &loaded)
+    void filter(cap::Capability &loaded)
     {
         if (!enabled_ || !loaded.tag() || bitmap_ == nullptr) {
-            return loaded;
+            return;
         }
         lookups++;
         if (bitmap_->isRevoked(loaded.base())) {
             invalidations++;
-            return loaded.withTagCleared();
+            loaded = loaded.withTagCleared();
         }
-        return loaded;
     }
 
     /** @name Snapshot state @{ */

@@ -1,7 +1,9 @@
 /**
  * @file
- * Instruction semantics and per-instruction timing for the CHERIoT
- * core models.
+ * The guest run loop: straight-line blocks of instructions, each
+ * executed inline with its semantics and per-instruction timing for
+ * the CHERIoT core models. execute() is forced inline into
+ * runBlocks(), so the loop is one function with one switch.
  */
 
 #include "sim/machine.h"
@@ -10,6 +12,8 @@
 #include "util/bits.h"
 #include "util/log.h"
 
+#include <algorithm>
+
 namespace cheriot::sim
 {
 
@@ -17,66 +21,80 @@ using cap::Capability;
 using isa::Inst;
 using isa::Op;
 
-void
-Machine::execute(const Inst &inst, uint32_t pc)
+[[gnu::always_inline]] inline void
+Machine::execute(const Inst &inst, uint32_t pc, bool cheri, bool plainPcc)
 {
     const CoreConfig &cc = config_.core;
-    const bool cheri = cc.cheriEnabled;
 
     // Load-to-use stall: a consumer immediately in a load's shadow.
-    if (pendingLoadReg_ != isa::kNumRegs && pendingLoadReg_ != 0) {
+    if (pendingLoadReg_ != isa::kNumRegs) {
         const isa::OpSummary &reads = isa::summaryOf(inst.op);
-        if ((reads.readsRs1 && inst.rs1 == pendingLoadReg_) ||
-            (reads.readsRs2 && inst.rs2 == pendingLoadReg_)) {
+        if (pendingLoadReg_ != 0 &&
+            ((reads.readsRs1 && inst.rs1 == pendingLoadReg_) ||
+             (reads.readsRs2 && inst.rs2 == pendingLoadReg_))) {
             advance(cc.loadToUsePenalty, 0);
         }
+        pendingLoadReg_ = isa::kNumRegs;
     }
-    pendingLoadReg_ = isa::kNumRegs;
 
     const uint32_t nextPc = pc + 4;
     const Capability &rs1 = readReg(inst.rs1);
     const Capability &rs2 = readReg(inst.rs2);
+    // Results are written here in place. rd may be rs1 or rs2, so each
+    // case reads its operands before it writes rd.
+    Capability &rd = destReg(inst.rd);
     const uint32_t v1 = rs1.address();
     const uint32_t v2 = rs2.address();
 
-    // Common tails -----------------------------------------------------
-    auto fallthrough = [&](unsigned cycleCount) {
-        pcc_.setAddress(nextPc);
+    // Common tails, all forced inline: called out of line, each would
+    // cost a call and a closure per instruction. ------------------------
+    auto movePcc = [&]() __attribute__((always_inline)) {
+        if (plainPcc) {
+            pcc_.setAddressInWindow(nextPc);
+        } else {
+            pcc_.setAddress(nextPc);
+        }
+    };
+    auto fallthrough = [&](unsigned cycleCount)
+        __attribute__((always_inline)) {
+        movePcc();
         advance(cycleCount, 0);
     };
-    auto intResult = [&](uint32_t value) {
-        writeRegInt(inst.rd, value);
+    auto intResult = [&](uint32_t value) __attribute__((always_inline)) {
+        rd = Capability::fromInteger(value);
         fallthrough(1);
     };
-    auto capResult = [&](const Capability &value) {
-        writeReg(inst.rd, value);
+    auto capResult = [&](const Capability &value)
+        __attribute__((always_inline)) {
+        rd = value;
         fallthrough(1);
     };
     // A register-to-register op: each case passes its own constant op,
-    // so the inlined isa::evaluate folds to that op's code. Forced
-    // inline: called out of line, it would dispatch on op a second
-    // time.
+    // so the inlined isa::evaluate folds to that op's code.
     auto evaluated = [&](Op op, unsigned cycleCount = 1)
         __attribute__((always_inline)) {
-        writeReg(inst.rd, isa::evaluate(op, inst.imm, rs1, rs2));
+        isa::evaluate(rd, op, inst.imm, rs1, rs2);
         fallthrough(cycleCount);
     };
-    auto trap = [&](TrapCause cause, uint32_t tval) {
-        raiseTrap(cause, tval);
-    };
+    auto trap = [&](TrapCause cause, uint32_t tval)
+        __attribute__((always_inline)) { raiseTrap(cause, tval); };
     // A checked access's tail: trap at the access address, or fall
     // through (the access charged its own cycles).
-    auto accessed = [&](TrapCause cause, uint32_t addr) {
+    auto accessed = [&](TrapCause cause, uint32_t addr)
+        __attribute__((always_inline)) {
         if (cause != TrapCause::None) {
             trap(cause, addr);
             return false;
         }
-        pcc_.setAddress(nextPc);
+        movePcc();
         return true;
     };
 
     switch (inst.op) {
       case Op::Illegal:
+        // Keep the typed diagnosis so the trap can say precisely which
+        // field was reserved or malformed.
+        isa::decode(memory_.sram().peek32(pc), &lastDecodeError_);
         trap(TrapCause::IllegalInstruction, 0);
         return;
 
@@ -97,11 +115,10 @@ Machine::execute(const Inst &inst, uint32_t pc)
             if (cheri) {
                 // Link is sealed as a return sentry capturing the
                 // current interrupt posture (§3.1.2).
-                Capability link = pcc_.withAddress(nextPc);
-                link = link.sealedWith(cap::returnSentryFor(csrs_.mie));
-                writeReg(inst.rd, link);
+                rd = pcc_.withAddress(nextPc).sealedWith(
+                    cap::returnSentryFor(csrs_.mie));
             } else {
-                writeRegInt(inst.rd, nextPc);
+                rd = Capability::fromInteger(nextPc);
             }
         }
         pcc_.setAddress(pc + inst.imm);
@@ -111,9 +128,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
 
       case Op::Jalr: {
         if (!cheri) {
-            if (inst.rd != 0) {
-                writeRegInt(inst.rd, nextPc);
-            }
+            rd = Capability::fromInteger(nextPc);
             pcc_.setAddress((v1 + inst.imm) & ~1u);
             advance(1 + cc.jumpPenalty, 0);
             return;
@@ -157,9 +172,9 @@ Machine::execute(const Inst &inst, uint32_t pc)
             return;
         }
         if (inst.rd != 0) {
-            Capability link = pcc_.withAddress(nextPc);
-            link = link.sealedWith(cap::returnSentryFor(csrs_.mie));
-            writeReg(inst.rd, link);
+            // rs1 is already copied into target.
+            rd = pcc_.withAddress(nextPc).sealedWith(
+                cap::returnSentryFor(csrs_.mie));
         }
         if (setPosture) {
             csrs_.mie = newPosture;
@@ -186,7 +201,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
         uint32_t value = 0;
         // rs1 is the authority; baseline RV32E (checkAccess) ignores it.
         if (accessed(loadData(rs1, addr, bytes, sign, &value), addr)) {
-            writeRegInt(inst.rd, value);
+            rd = Capability::fromInteger(value);
             pendingLoadReg_ = inst.rd;
         }
         return;
@@ -206,9 +221,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
             return;
         }
         const uint32_t addr = v1 + inst.imm;
-        Capability value;
-        if (accessed(loadCap(rs1, addr, &value), addr)) {
-            writeReg(inst.rd, value);
+        if (accessed(loadCap(rs1, addr, &rd), addr)) {
             pendingLoadReg_ = inst.rd;
         }
         return;
@@ -352,6 +365,105 @@ Machine::execute(const Inst &inst, uint32_t pc)
       }
     }
     panic("execute: unhandled op %s", isa::opName(inst.op));
+}
+
+void
+Machine::runBlocks(uint64_t budget)
+{
+    if (decodePages_.empty()) {
+        // Sized by the first run: a machine that runs no guest code
+        // holds no decode cache at all.
+        decodePages_.resize((config_.sramSize + kPageWords * 4 - 1) /
+                            (kPageWords * 4));
+    }
+    // Fixed for the call: read once, not per instruction.
+    const bool cheri = config_.core.cheriEnabled;
+    const bool traced = static_cast<bool>(traceHook_);
+    while (!halted()) {
+        endBlock_ = false;
+        if (injector_ != nullptr) {
+            // Spurious traps / trap storms hit the core between
+            // instructions, exactly like a glitched interrupt line.
+            // They arrive at injector events, which end a block.
+            uint32_t cause = 0;
+            if (injector_->takeSpuriousFault(&cause)) {
+                raiseTrap(static_cast<TrapCause>(cause), pcc_.address());
+                return;
+            }
+        }
+        if (csrs_.mie && takePendingInterrupt()) {
+            return;
+        }
+
+        const uint32_t pc = pcc_.address();
+        // PCC is tagged, unsealed and covers the fetch. The clamp to
+        // its top below then puts every fall-through address in
+        // [base, top], and top - base < representableSpan(E) for every
+        // bounds encoding: setAddress would only store the address, so
+        // inside the block PCC moves by a plain store.
+        const bool plainPcc =
+            pcc_.tag() && !pcc_.isSealed() && pcc_.inBounds(pc, 4);
+        // Instruction fetch checks: PCC must be a valid, unsealed (the
+        // sentry unsealing happened at the jump), executable capability
+        // covering the fetch.
+        if (cheri &&
+            (!plainPcc || !pcc_.perms().has(cap::PermExecute))) {
+            raiseTrap(TrapCause::InstrAccessFault, pc);
+            return;
+        }
+        if (!memory_.isSram(pc, 4) || pc % 4 != 0) {
+            raiseTrap(TrapCause::InstrAccessFault, pc);
+            return;
+        }
+
+        // A cached length means the first word is decoded too;
+        // otherwise decode it if need be and form the block.
+        const uint32_t word = (pc - mem::kSramBase) / 4;
+        const DecodePage *page = decodePages_[word / kPageWords].get();
+        uint64_t length =
+            page != nullptr ? page->blockLength[word % kPageWords] : 0;
+        if (length == 0) {
+            length = formBlock(word);
+            page = decodePages_[word / kPageWords].get();
+        }
+        const isa::Inst *inst = &page->insts[word % kPageWords];
+        // Every word of the block has been fetched before, so SRAM
+        // covers it; the budget and PCC's bounds may end it sooner (in
+        // baseline RV32E, where PCC is not checked, only while PCC
+        // moves by a plain store).
+        length = std::min(length, budget);
+        if (plainPcc) {
+            length = std::min(length, (pcc_.top() - pc) / 4);
+        }
+        if (runControl_ != nullptr || console_.exitRequested() ||
+            (csrs_.mie && (timer_.armed() || bgRevoker_.sweeping()))) {
+            length = 1;
+        }
+
+        const isa::Inst *const first = inst;
+        const isa::Inst *const last = inst + length;
+        uint32_t at = pc;
+        do {
+            if (traced) {
+                traceHook_(at, *inst);
+            }
+            execute(*inst, at, cheri, plainPcc);
+            ++inst;
+            at += 4;
+        } while (inst != last && !endBlock_);
+        // Retired once per block: only runLoop and runCoreMark read
+        // the count, and both read it between calls.
+        const uint64_t retired = static_cast<uint64_t>(inst - first);
+        instructions_ += retired;
+        budget -= retired;
+
+        if (halt_ == HaltReason::Running && console_.exitRequested()) {
+            halt_ = HaltReason::ConsoleExit;
+        }
+        if (endBlock_ || budget == 0) {
+            return;
+        }
+    }
 }
 
 } // namespace cheriot::sim

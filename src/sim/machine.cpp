@@ -254,19 +254,19 @@ TrapCause
 Machine::loadCap(const Capability &auth, uint32_t addr, Capability *out,
                  bool charge)
 {
+    // Read first: the body decodes into *out, which may be auth.
+    const PermSet authPerms = auth.perms();
     return access(
         checkAccess(auth, addr, 8, cap::PermLoad), addr, 8,
         /*isWrite=*/false, mem::capBeats(config_.core.bus),
         config_.core.capLoadCycles(), charge, [&] {
             const auto raw = memory_.readCap(addr);
-            Capability loaded = Capability::fromBits(raw.bits, raw.tag);
-            if (!auth.perms().has(cap::PermMemCap)) {
-                // Data-only authority: the value arrives untagged.
-                loaded = loaded.withTagCleared();
-            }
-            loaded = loaded.attenuatedForLoad(auth.perms());
-            loaded = filter_.filter(loaded);
-            if (injector_ != nullptr && loaded.tag() &&
+            // Through a data-only authority the value arrives untagged.
+            out->setBits(raw.bits,
+                         raw.tag && authPerms.has(cap::PermMemCap));
+            out->attenuateForLoad(authPerms);
+            filter_.filter(*out);
+            if (injector_ != nullptr && out->tag() &&
                 injector_->isPoisoned(addr)) {
                 // The safety oracle: a corrupted granule produced a
                 // valid-looking capability that every architectural
@@ -274,7 +274,6 @@ Machine::loadCap(const Capability &auth, uint32_t addr, Capability *out,
                 // failed to strip.
                 injector_->noteSafetyViolation(addr);
             }
-            *out = loaded;
             capLoads++;
         });
 }
@@ -459,99 +458,6 @@ Machine::formBlock(uint32_t word)
     }
     page->blockLength[start] = static_cast<uint16_t>(end - start);
     return end - start;
-}
-
-void
-Machine::runBlocks(uint64_t budget)
-{
-    if (decodePages_.empty()) {
-        // Sized by the first run: a machine that runs no guest code
-        // holds no decode cache at all.
-        decodePages_.resize((config_.sramSize + kPageWords * 4 - 1) /
-                            (kPageWords * 4));
-    }
-    while (!halted()) {
-        endBlock_ = false;
-        if (injector_ != nullptr) {
-            // Spurious traps / trap storms hit the core between
-            // instructions, exactly like a glitched interrupt line.
-            // They arrive at injector events, which end a block.
-            uint32_t cause = 0;
-            if (injector_->takeSpuriousFault(&cause)) {
-                raiseTrap(static_cast<TrapCause>(cause), pcc_.address());
-                return;
-            }
-        }
-        if (csrs_.mie && takePendingInterrupt()) {
-            return;
-        }
-
-        const uint32_t pc = pcc_.address();
-        // Instruction fetch checks: PCC must be a valid, unsealed (the
-        // sentry unsealing happened at the jump), executable capability
-        // covering the fetch.
-        if (config_.core.cheriEnabled) {
-            if (!pcc_.tag() || pcc_.isSealed() ||
-                !pcc_.perms().has(cap::PermExecute) ||
-                !pcc_.inBounds(pc, 4)) {
-                raiseTrap(TrapCause::InstrAccessFault, pc);
-                return;
-            }
-        }
-        if (!memory_.isSram(pc, 4) || pc % 4 != 0) {
-            raiseTrap(TrapCause::InstrAccessFault, pc);
-            return;
-        }
-
-        // A cached length means the first word is decoded too;
-        // otherwise decode it if need be and form the block.
-        const uint32_t word = (pc - mem::kSramBase) / 4;
-        const DecodePage *page = decodePages_[word / kPageWords].get();
-        uint64_t length =
-            page != nullptr ? page->blockLength[word % kPageWords] : 0;
-        if (length == 0) {
-            length = formBlock(word);
-            page = decodePages_[word / kPageWords].get();
-        }
-        const isa::Inst *inst = &page->insts[word % kPageWords];
-        // Every word of the block has been fetched before, so SRAM
-        // covers it; the budget and PCC's bounds may end it sooner.
-        length = std::min(length, budget);
-        if (config_.core.cheriEnabled) {
-            length = std::min(length, (pcc_.top() - pc) / 4);
-        }
-        if (runControl_ != nullptr || console_.exitRequested() ||
-            (csrs_.mie && (timer_.armed() || bgRevoker_.sweeping()))) {
-            length = 1;
-        }
-
-        const isa::Inst *const first = inst;
-        const isa::Inst *const last = inst + length;
-        uint32_t at = pc;
-        do {
-            if (inst->op == isa::Op::Illegal) {
-                // Keep the typed diagnosis so the illegal-instruction
-                // trap can say precisely which field was
-                // reserved/malformed.
-                isa::decode(memory_.sram().peek32(at), &lastDecodeError_);
-            }
-            instructions_++;
-            if (traceHook_) {
-                traceHook_(at, *inst);
-            }
-            execute(*inst, at);
-            ++inst;
-            at += 4;
-        } while (inst != last && !endBlock_);
-        budget -= static_cast<uint64_t>(inst - first);
-
-        if (halt_ == HaltReason::Running && console_.exitRequested()) {
-            halt_ = HaltReason::ConsoleExit;
-        }
-        if (endBlock_ || budget == 0) {
-            return;
-        }
-    }
 }
 
 RunResult

@@ -150,8 +150,10 @@ class Machine
     explicit Machine(const MachineConfig &config);
 
     /** @name Architectural register file
-     * c0 is hard-wired null: writeReg refuses it, resetCpu clears it
-     * and restore skips it, so regs_[0] stays the null capability. @{ */
+     * c0 is hard-wired null: writeReg refuses it, the executor writes
+     * an x0 destination to a sink slot past the file, resetCpu clears
+     * it and restore skips it, so regs_[0] stays the null capability.
+     * @{ */
     const cap::Capability &readReg(unsigned index) const
     {
         return regs_[index];
@@ -238,7 +240,9 @@ class Machine
 
     /** @name Checked memory operations
      * All return TrapCause::None on success. @p charge controls
-     * whether simulated cycles are consumed. @{ */
+     * whether simulated cycles are consumed. @p bytes is 1, 2 or 4.
+     * loadCap's @p out may be @p auth: the executor passes the
+     * destination register. @{ */
     TrapCause loadData(const cap::Capability &auth, uint32_t addr,
                        unsigned bytes, bool signExtend, uint32_t *out,
                        bool charge = true);
@@ -367,8 +371,6 @@ class Machine
     Counter decodeFills;
 
   private:
-    friend class Executor;
-
     /** advance() over a span that reaches an injector event: windows
      * end at its events, and it is ticked at the end of each. */
     void advanceToInjectorEvents(uint64_t cycleCount, uint64_t memPortBusy);
@@ -380,24 +382,39 @@ class Machine
     /**
      * Execute up to @p budget instructions as straight-line blocks,
      * each chained into the next, and stop early at a halt or once
-     * endBlock_ is set. Per block, not per instruction: the spurious
-     * fault and interrupt polls, the PCC and SRAM fetch checks and the
-     * decode-cache lookup. Each instruction still retires, is traced
-     * and advances time on its own, so every count, cycle and digest
-     * equals single-stepping. A block is cut to one instruction while
-     * a RunControl is installed, a console exit is already requested,
+     * endBlock_ is set: one interpreter loop whose body is execute(),
+     * both in executor.cpp. Per block, not per instruction: the
+     * spurious fault and interrupt polls, the PCC and SRAM fetch
+     * checks, the decode-cache lookup and the retired count (read only
+     * between calls). Each instruction is still traced and advances
+     * time on its own, so every count, cycle and digest equals
+     * single-stepping. A block is cut to one instruction while a
+     * RunControl is installed, a console exit is already requested,
      * or interrupts are enabled with the timer armed or a sweep
      * running (an interrupt could become takeable mid-block).
      */
     void runBlocks(uint64_t budget);
-    void execute(const isa::Inst &inst, uint32_t pc);
+    /** One instruction at @p pc, its result written in place; @p cheri
+     * is the core's cheriEnabled. With @p plainPcc a fall-through moves
+     * PCC by a plain store (the block start showed that equals
+     * setAddress); else by setAddress. */
+    void execute(const isa::Inst &inst, uint32_t pc, bool cheri,
+                 bool plainPcc);
+    /** The register an instruction writing @p index writes: the sink
+     * slot for x0, so the write needs no test and regs_[0] stays
+     * null. */
+    cap::Capability &destReg(unsigned index)
+    {
+        return regs_[index != 0 ? index : isa::kNumRegs];
+    }
     bool takePendingInterrupt();
 
     /** Common access validation: isa::accessCause's capability
      * checks, then the mapping; returns None when allowed. Inline:
-     * every checked access runs it. In baseline RV32E (CHERI off)
-     * @p auth is unused: only the mapping and alignment are checked,
-     * and the load and store bodies never read it either. */
+     * every checked access runs it. @p bytes is 1, 2, 4 or 8. In
+     * baseline RV32E (CHERI off) @p auth is unused: only the mapping
+     * and alignment are checked, and the load and store bodies never
+     * read it either. */
     TrapCause checkAccess(const cap::Capability &auth, uint32_t addr,
                           unsigned bytes, uint16_t needPerm) const;
 
@@ -443,7 +460,9 @@ class Machine
     mem::Bus bus_;
     fault::FaultInjector *injector_ = nullptr;
 
-    cap::Capability regs_[isa::kNumRegs];
+    /** The register file, then the sink of x0 writes (destReg): never
+     * read, saved or restored. */
+    cap::Capability regs_[isa::kNumRegs + 1];
     cap::Capability pcc_;
     CsrFile csrs_;
 
@@ -531,8 +550,8 @@ Machine::checkAccess(const cap::Capability &auth, uint32_t addr,
             return needPerm == cap::PermStore ? TrapCause::StoreAccessFault
                                               : TrapCause::LoadAccessFault;
         }
-        return addr % bytes != 0 ? TrapCause::MisalignedAccess
-                                 : TrapCause::None;
+        return (addr & (bytes - 1)) != 0 ? TrapCause::MisalignedAccess
+                                         : TrapCause::None;
     }
     const TrapCause cause = isa::accessCause(auth, addr, bytes, needPerm);
     if (cause == TrapCause::None && !memory_.isMapped(addr, bytes)) {

@@ -150,11 +150,9 @@ struct AbstractCap
     bool definitelyUntagged() const { return tagged() == Tri::No; }
     bool definitelyLocal() const { return local() == Tri::Yes; }
     bool definitelySealed() const { return sealed() == Tri::Yes; }
-    bool definitelyUnsealed() const { return sealed() == Tri::No; }
     /** @} */
 
     /** Integer view: the address when Exact. */
-    bool hasKnownAddress() const { return isExact(); }
     uint32_t address() const { return value.address(); }
 
     /** Least upper bound. */

@@ -547,8 +547,8 @@ Analyzer::step(uint32_t pc, AbstractState st)
             result(abstract);
             return;
         }
-        const Capability value =
-            isa::evaluate(inst.op, inst.imm, aRs1.value, aRs2.value);
+        Capability value;
+        isa::evaluate(value, inst.op, inst.imm, aRs1.value, aRs2.value);
         foldFindings(pc, st, inst, aRs1.value, aRs2.value, value);
         result(AbstractCap::exact(value));
     };

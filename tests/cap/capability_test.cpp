@@ -229,8 +229,8 @@ TEST(Capability, LoadGlobalAttenuationIsRecursive)
     const Capability loaded = testCap(0x20000100, 16);
     ASSERT_TRUE(loaded.perms().has(PermGlobal | PermLoadGlobal));
 
-    const Capability attenuated =
-        loaded.attenuatedForLoad(authority.perms());
+    Capability attenuated = loaded;
+    attenuated.attenuateForLoad(authority.perms());
     EXPECT_TRUE(attenuated.tag());
     EXPECT_FALSE(attenuated.perms().has(PermGlobal));
     EXPECT_FALSE(attenuated.perms().has(PermLoadGlobal));
@@ -245,8 +245,8 @@ TEST(Capability, LoadMutableAttenuationGivesDeepImmutability)
                                      .withPermsAnd(static_cast<uint16_t>(
                                          ~PermLoadMutable));
     const Capability loaded = testCap(0x20000200, 32);
-    const Capability attenuated =
-        loaded.attenuatedForLoad(authority.perms());
+    Capability attenuated = loaded;
+    attenuated.attenuateForLoad(authority.perms());
     EXPECT_FALSE(attenuated.perms().has(PermStore));
     EXPECT_FALSE(attenuated.perms().has(PermLoadMutable));
     // And read permission survives.

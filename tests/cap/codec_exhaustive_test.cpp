@@ -255,10 +255,98 @@ TEST(DecodedForm, CachedBoundsMatchDecodeAtInWindowAddresses)
     EXPECT_GT(checked, uint64_t{16} * 512 * 512 * 5);
 }
 
+TEST(DecodedForm, EveryAddressInsideTheBoundsKeepsTheWindow)
+{
+    // What lets the run loop move PCC by a plain store inside a block
+    // (DESIGN.md §16.4): decoded at an address inside its bounds, every
+    // (E, B, T) has top - base < representableSpan(E), so a tagged,
+    // unsealed capability moved to any address in [base, top] keeps
+    // its tag and bounds. Each encoding is decoded at its base (B in
+    // the address's mid bits, in a seeded region) and at two seeded
+    // addresses; a seeded unsealed image at its base then moves to
+    // base, top (when it is an address) and a seeded address between.
+    Rng rng(0xb0a7d5);
+    uint64_t inside = 0;
+    uint64_t moves = 0;
+    uint64_t failures = 0;
+    std::string firstFailure;
+    const auto fail = [&](const std::string &what) {
+        if (failures++ == 0) {
+            firstFailure = what;
+        }
+    };
+    for (uint32_t eField = 0; eField <= 0xf; ++eField) {
+        const unsigned e = effectiveExponent(static_cast<uint8_t>(eField));
+        const uint64_t span = representableSpan(static_cast<uint8_t>(eField));
+        const uint32_t regions =
+            e + 9 >= 32 ? 1 : uint32_t{1} << (32 - e - 9);
+        for (uint32_t b9 = 0; b9 < 512; ++b9) {
+            for (uint32_t t9 = 0; t9 < 512; ++t9) {
+                const EncodedBounds encoded{static_cast<uint8_t>(eField),
+                                            static_cast<uint16_t>(b9),
+                                            static_cast<uint16_t>(t9)};
+                const uint64_t atBase =
+                    (uint64_t{rng.below(regions)} << (e + 9)) +
+                    (uint64_t{b9} << e);
+                for (const uint64_t a :
+                     {atBase, uint64_t{rng.next()}, uint64_t{rng.next()}}) {
+                    if (a > kAddressMask) {
+                        continue;
+                    }
+                    const DecodedBounds d =
+                        decodeBounds(encoded, static_cast<uint32_t>(a));
+                    if (a < d.base || a > d.top) {
+                        continue;
+                    }
+                    ++inside;
+                    if (d.top - d.base >= span) {
+                        fail(Capability::fromBits(
+                                 (uint64_t{(eField << 18) | (b9 << 9) |
+                                           t9}
+                                  << 32) | a,
+                                 false)
+                                 .toString());
+                    }
+                }
+                if (atBase > kAddressMask) {
+                    continue;
+                }
+                const uint32_t perms = rng.below(64) << 25;
+                const Capability c = imageOf(
+                    perms | (eField << 18) | (b9 << 9) | t9,
+                    static_cast<uint32_t>(atBase));
+                if (c.address() != c.base() || c.top() < c.base()) {
+                    continue; // Not inside its own bounds.
+                }
+                const uint64_t length = c.top() - c.base();
+                for (const uint64_t to :
+                     {uint64_t{c.base()}, c.top(),
+                      c.base() + (length == 0 ? 0
+                                              : rng.next64() % length)}) {
+                    if (to > kAddressMask) {
+                        continue;
+                    }
+                    const Capability moved =
+                        c.withAddress(static_cast<uint32_t>(to));
+                    ++moves;
+                    if (!moved.tag() || moved.base() != c.base() ||
+                        moved.top() != c.top() ||
+                        !(moved.encodedBounds() == c.encodedBounds())) {
+                        fail(c.toString() + " -> " + std::to_string(to));
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(failures, 0u) << "first: " << firstFailure;
+    EXPECT_GT(inside, uint64_t{16} * 512 * 512);
+    EXPECT_GT(moves, uint64_t{16} * 512 * 512 * 2);
+}
+
 TEST(DecodedForm, EveryPermissionFieldRoundTripsExactly)
 {
     // Field-level, not set-level: compress(decompress(f)) == f for all
-    // 64 fields. attenuatedForLoad relies on it to skip re-compression
+    // 64 fields. attenuateForLoad relies on it to skip re-compression
     // when no permission changes.
     for (uint32_t field = 0; field < 64; ++field) {
         const PermSet perms = decompressPerms(static_cast<uint8_t>(field));
@@ -286,8 +374,8 @@ TEST(DecodedForm, AttenuationMatchesRecompressionForEveryField)
                 expected = expected.without(PermStore | PermLoadMutable);
             }
             const uint8_t expectedField = compressPerms(expected);
-            const Capability loaded =
-                c.attenuatedForLoad(PermSet(authority));
+            Capability loaded = c;
+            loaded.attenuateForLoad(PermSet(authority));
             EXPECT_EQ(loaded.permsField(), expectedField)
                 << "field " << field << " authority " << authority;
             EXPECT_EQ(loaded.perms(), decompressPerms(expectedField));

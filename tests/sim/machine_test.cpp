@@ -5,6 +5,7 @@
  * control flow, memory (with capability checks), sentries and traps.
  */
 
+#include "../isa/register_ops.h"
 #include "debug/run_control.h"
 #include "isa/assembler.h"
 #include "sim/machine.h"
@@ -13,6 +14,10 @@
 #include "workloads/coremark/coremark.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 namespace cheriot::sim
 {
@@ -520,14 +525,43 @@ runInSlices(Machine &machine, uint64_t budget)
 
 constexpr uint64_t kWholeRun = uint64_t{1} << 26;
 
+/** x0 reads as the null capability, whatever the run wrote to it. */
+void
+expectNullZero(const Machine &machine)
+{
+    EXPECT_FALSE(machine.readReg(Zero).tag());
+    EXPECT_EQ(machine.readReg(Zero).toBits(), 0u);
+}
+
+/** Record every retired PC of @p machine into @p pcs. */
+void
+tracePcs(Machine &machine, std::vector<uint32_t> &pcs)
+{
+    machine.setTraceHook(
+        [&pcs](uint32_t pc, const Inst &) { pcs.push_back(pc); });
+}
+
+/** Index of the first entry where @p a and @p b differ (the shorter
+ * length when one is a prefix of the other); SIZE_MAX when equal. */
+size_t
+firstDifference(const std::vector<uint32_t> &a,
+                const std::vector<uint32_t> &b)
+{
+    const auto [ai, bi] = std::mismatch(a.begin(), a.end(), b.begin(),
+                                        b.end());
+    return ai == a.end() && bi == b.end()
+               ? SIZE_MAX
+               : static_cast<size_t>(ai - a.begin());
+}
+
 /**
  * run() and runControl() are one loop: run() in uneven slices (whole
  * blocks) and runControl() under an empty RunControl (one instruction
- * per block) give equal results, equal end states and equal decode
- * fills (no word is decoded before its fetch), whether the program
- * ends the run or the budget ends it halfway. @p check sees the
- * sliced machine once the program has ended. Returns the program's
- * exit code.
+ * per block) give equal results, equal end states, equal retired-PC
+ * traces and equal decode fills (no word is decoded before its
+ * fetch), whether the program ends the run or the budget ends it
+ * halfway; x0 reads null after each. @p check sees the sliced machine
+ * once the program has ended. Returns the program's exit code.
  */
 uint32_t
 expectOneRunLoop(const std::vector<uint32_t> &program, uint32_t entry,
@@ -546,8 +580,17 @@ expectOneRunLoop(const std::vector<uint32_t> &program, uint32_t entry,
         }
         debug::RunControl rc;
         controlled.setRunControl(&rc);
+        std::vector<uint32_t> slicedPcs;
+        std::vector<uint32_t> controlledPcs;
+        tracePcs(sliced, slicedPcs);
+        tracePcs(controlled, controlledPcs);
         const RunResult a = runInSlices(sliced, budget);
         const RunResult b = controlled.runControl(budget, false);
+        EXPECT_EQ(slicedPcs.size(), a.instructions) << budget;
+        EXPECT_EQ(firstDifference(slicedPcs, controlledPcs), SIZE_MAX)
+            << budget;
+        expectNullZero(sliced);
+        expectNullZero(controlled);
         EXPECT_EQ(a.reason, b.reason) << budget;
         EXPECT_EQ(a.instructions, b.instructions) << budget;
         EXPECT_EQ(a.cycles, b.cycles) << budget;
@@ -793,8 +836,10 @@ TEST(RunLoop, RevokerCompletionInsideABlockIsTakenAtTheSameBoundary)
  * word 1-3 words further on with an I-type op whose immediate grows
  * by one each pass. Then a console exit. Registers: a0 keeps the
  * memory root, s0 the data capability, s1 the pass, gp the pass << 20
- * and t2 the rewritten word; the ops write only kScratch. @{ */
-constexpr uint8_t kScratch[] = {Ra, Sp, Tp, T0, T1, A1, A2, A3, A4, A5};
+ * and t2 the rewritten word; the ops write only kScratch, which
+ * includes x0 (the write is discarded). @{ */
+constexpr uint8_t kScratch[] = {Zero, Ra, Sp, Tp, T0, T1,
+                                A1,   A2, A3, A4, A5};
 constexpr uint8_t kReadable[] = {Zero, Ra, Sp, Gp, Tp, T0, T1, S0,
                                  A0,   A1, A2, A3, A4, A5};
 constexpr uint32_t kSeededPasses = 4;
@@ -809,28 +854,6 @@ uint8_t
 pick(Rng &rng, const uint8_t (&regs)[N])
 {
     return regs[rng.below(N)];
-}
-
-/** The ops that write a register and do nothing else: no memory, no
- * control transfer, no CSR or special register. */
-const std::vector<Op> &
-registerOps()
-{
-    static const std::vector<Op> ops = [] {
-        std::vector<Op> out;
-        for (const Op op : allOps()) {
-            const OpSummary &summary = summaryOf(op);
-            const bool memoryOrControl =
-                op == Op::Jal || op == Op::Jalr || op == Op::Lb ||
-                op == Op::Lh || op == Op::Lw || op == Op::Lbu ||
-                op == Op::Lhu || op == Op::Clc || op == Op::CSpecialRw;
-            if (summary.writesRd && !summary.usesCsr && !memoryOrControl) {
-                out.push_back(op);
-            }
-        }
-        return out;
-    }();
-    return ops;
 }
 
 /** A seeded instance of @p op with operands shaped by its summary. */
@@ -974,6 +997,9 @@ expectRestoreAgrees(const std::vector<uint32_t> &program,
     Machine after(smallConfig(core));
     ASSERT_TRUE(after.restoreImage(before.saveImage()));
     const RunResult tail = after.run(kWholeRun);
+    for (const Machine *machine : {&straight, &before, &after}) {
+        expectNullZero(*machine);
+    }
     EXPECT_EQ(tail.reason, whole.reason);
     EXPECT_EQ(head.instructions + tail.instructions, whole.instructions);
     EXPECT_EQ(head.cycles + tail.cycles, whole.cycles);

@@ -44,7 +44,7 @@ TEST(Lattice, ExactDerivesAttributesFromValue)
     EXPECT_TRUE(root.isExact());
     EXPECT_TRUE(root.definitelyTagged());
     EXPECT_FALSE(root.definitelyLocal()); // memory root carries GL.
-    EXPECT_TRUE(root.definitelyUnsealed());
+    EXPECT_EQ(root.sealed(), Tri::No);
 
     const AbstractCap null = AbstractCap::exact(Capability());
     EXPECT_TRUE(null.definitelyUntagged());
@@ -61,13 +61,13 @@ TEST(Lattice, IntegerFactoryIsUntaggedWithKnownAddress)
 {
     const AbstractCap i = AbstractCap::integer(42);
     EXPECT_TRUE(i.definitelyUntagged());
-    EXPECT_TRUE(i.hasKnownAddress());
+    EXPECT_TRUE(i.isExact());
     EXPECT_EQ(i.address(), 42u);
 
     const AbstractCap u = AbstractCap::unknownInt();
-    EXPECT_FALSE(u.hasKnownAddress());
+    EXPECT_FALSE(u.isExact());
     EXPECT_TRUE(u.definitelyUntagged());
-    EXPECT_TRUE(u.definitelyUnsealed());
+    EXPECT_EQ(u.sealed(), Tri::No);
 }
 
 TEST(Lattice, UnknownDefaultsToMaybeEverything)
@@ -78,7 +78,7 @@ TEST(Lattice, UnknownDefaultsToMaybeEverything)
     EXPECT_FALSE(u.definitelyUntagged());
     EXPECT_FALSE(u.definitelyLocal());
     EXPECT_FALSE(u.definitelySealed());
-    EXPECT_FALSE(u.definitelyUnsealed());
+    EXPECT_NE(u.sealed(), Tri::No);
 }
 
 TEST(Lattice, JoinOfEqualExactsStaysExact)
@@ -101,7 +101,7 @@ TEST(Lattice, JoinOfUnequalExactsDegradesButKeepsSharedFacts)
     EXPECT_FALSE(joined.isExact());
     EXPECT_TRUE(joined.definitelyTagged());
     EXPECT_FALSE(joined.definitelyLocal());
-    EXPECT_TRUE(joined.definitelyUnsealed());
+    EXPECT_EQ(joined.sealed(), Tri::No);
 }
 
 TEST(Lattice, JoinMergesDisagreeingAttributesToMaybe)
